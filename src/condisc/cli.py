@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
-    source, label = load_instance(args.input, allow_small=args.allow_small_genus)
+    source, label = load_instance(args.input)
     report = analyze(source, allow_small=args.allow_small_genus, label=label)
     if args.strict and report.warnings:
         for w in report.warnings:
@@ -78,7 +78,7 @@ def _cmd_batch(args) -> int:
     invariant_trips = 0
     for path in files:
         try:
-            source, label = load_instance(path, allow_small=args.allow_small_genus)
+            source, label = load_instance(path)
             report = analyze(source, allow_small=args.allow_small_genus, label=label)
         except InstanceError as exc:
             failures += 1

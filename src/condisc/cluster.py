@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInvariantViolation, UltrametricViolationError
-from .valuation import INFINITY, ValuationMatrix, _check_count, validate_ultrametric
+from .errors import InstanceError, InternalInvariantViolation, TooFewRootsError, UltrametricViolationError
+from .valuation import INFINITY, ValuationMatrix, validate_ultrametric
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,18 @@ class ClusterTree:
 def build_cluster_tree(m: ValuationMatrix, *, allow_small: bool = False) -> ClusterTree:
     """Build the annotated refinement tree from a valuation matrix.
 
-    The matrix must be ultrametric; violations are rejected up front.  For a
-    cluster whose minimum internal valuation exceeds its depth, chain
-    vertices are emitted one per intermediate depth before the split.
+    The root count must be even and at least 6 (2 with ``allow_small``) and
+    the matrix ultrametric; violations are rejected up front.  For a cluster
+    whose minimum internal valuation exceeds its depth, chain vertices are
+    emitted one per intermediate depth before the split.
     """
     n = m.n
-    _check_count(n, allow_small)
+    if n % 2 != 0:
+        raise InstanceError(f"root count must be even (2g + 2), got {n}")
+    if n < 2:
+        raise InstanceError(f"need at least 2 roots, got {n}")
+    if n < 6 and not allow_small:
+        raise TooFewRootsError(n)
     verdict = validate_ultrametric(m)
     if not verdict.ok:
         raise UltrametricViolationError(verdict.violations)
@@ -184,8 +190,6 @@ def check_tree_invariants(tree: ClusterTree) -> None:
     root = tree.root
     if root.depth != 0 or root.members != frozenset(range(tree.num_roots)):
         raise InternalInvariantViolation("root must hold all roots at depth 0", vertex=root.id)
-    if root.odd:
-        raise InternalInvariantViolation("root parity must be even", vertex=root.id)
     if root.l % 2 != 0:
         raise InternalInvariantViolation("root must have even l", vertex=root.id)
     for v in tree:
@@ -193,16 +197,12 @@ def check_tree_invariants(tree: ClusterTree) -> None:
             raise InternalInvariantViolation("vertex weight below 2", vertex=v.id)
         if v.wt != v.l_prime + sum(tree[c].wt for c in v.children):
             raise InternalInvariantViolation("wt != l_prime + sum of child weights", vertex=v.id)
-        if v.l != v.l_prime + v.r:
-            raise InternalInvariantViolation("l != l_prime + r", vertex=v.id)
         if v.wt < v.l_prime + 3 * v.r + 2 * v.s:
             raise InternalInvariantViolation("wt < l_prime + 3r + 2s", vertex=v.id)
         if v.r == v.s == 0 and v.wt != v.l_prime:
             raise InternalInvariantViolation("leaf with wt != l_prime", vertex=v.id)
         if v.parent is not None:
             p = tree[v.parent]
-            if v.f_val - p.f_val != v.wt:
-                raise InternalInvariantViolation("f_val(child) != f_val(parent) + wt", vertex=v.id)
             if not v.members <= p.members:
                 raise InternalInvariantViolation("child members not inside parent", vertex=v.id)
             if v.depth != p.depth + 1:
@@ -215,8 +215,6 @@ def check_tree_invariants(tree: ClusterTree) -> None:
             # an even vertex has odd l exactly when its parent exists and is odd
             if (v.l % 2 == 1) != tree.parent_odd(v):
                 raise InternalInvariantViolation("even vertex with l parity contradicting parent parity", vertex=v.id)
-        if v.odd and v.f_val % 2 == 0:
-            raise InternalInvariantViolation("parity flag disagrees with f_val", vertex=v.id)
         # children of one vertex hold disjoint member sets
         seen: set[int] = set()
         for c in v.children:

@@ -36,7 +36,7 @@ from .dualgraph import (
     self_intersections,
 )
 from .errors import InequalityViolated, InternalInvariantViolation
-from .valuation import Instance, ValuationMatrix, _check_count, build_matrix
+from .valuation import Instance, ValuationMatrix, build_matrix
 
 # equality classification tags for the per-vertex comparison
 EVEN_ALL_EVEN_CHILDREN_WT2 = "EVEN_ALL_EVEN_CHILDREN_WT2"
@@ -268,20 +268,22 @@ def analyze(
     """Run the full pipeline and return a fully cross-checked report.
 
     Accepts either a split-roots instance or a bare ultrametric valuation
-    matrix.  Raises :class:`InstanceError` for bad input and
+    matrix.  This is where input is validated, once: the instance's prime,
+    integrality and distinctness, or the matrix's shape, then the root count
+    and the ultrametric rule while the tree is built.  Raises
+    :class:`InstanceError` for bad input and
     :class:`InternalInvariantViolation` (or a subclass) if any proved
     identity fails, which would mean a bug in this package.
     """
     warnings: list[str] = []
     if isinstance(source, Instance):
-        source.validate(allow_small=allow_small)
+        source.validate()
         matrix = build_matrix(source)
         p: int | None = source.p
         label = label if label is not None else source.label
     else:
         matrix = source
         matrix.check_shape()
-        _check_count(matrix.n, allow_small)
         p = None
 
     n = matrix.n
@@ -332,11 +334,9 @@ def analyze(
 
     n_x = x.n_components
     f_tilde = artin - n_x + 1
-    if f_tilde < 0:
+    if f_tilde < 0:  # the same inequality as n_x <= artin + 1
         raise InternalInvariantViolation(f"negative representation conductor {f_tilde}")
     component_bound_ok = n_x <= artin + 1
-    if not component_bound_ok:
-        raise InternalInvariantViolation("component count exceeds conductor + 1")
 
     return Report(
         label=label,

@@ -12,6 +12,9 @@ Roots are decimal strings, either integers or fractions ``"a/b"``, so the
 file format carries no integer-width assumptions; plain JSON integers are
 accepted as well.  The matrix diagonal must be ``null``.  Exactly the fields
 of the declared mode may appear.
+
+Reading checks only the file's fields and JSON types; the instance it
+returns is validated by :func:`condisc.conductor.analyze`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import InstanceError
-from .valuation import Instance, ValuationMatrix, matrix_from_rows
+from .valuation import INFINITY, Instance, ValuationMatrix
 
 _FIELDS = {
     "roots": {"mode", "p", "roots", "label"},
@@ -46,7 +49,7 @@ def _parse_root(raw, index: int) -> Fraction:
     raise InstanceError(f"root {index} must be an integer or a decimal string, got {type(raw).__name__}")
 
 
-def parse_instance_dict(data, *, allow_small: bool = False) -> Instance | ValuationMatrix:
+def parse_instance_dict(data) -> Instance | ValuationMatrix:
     if not isinstance(data, dict):
         raise InstanceError("instance file must contain a JSON object")
     mode = data.get("mode")
@@ -69,14 +72,13 @@ def parse_instance_dict(data, *, allow_small: bool = False) -> Instance | Valuat
         raw = data["roots"]
         if not isinstance(raw, list):
             raise InstanceError("roots must be a list")
-        roots = [_parse_root(x, i) for i, x in enumerate(raw)]
-        inst = Instance(p=p, roots=tuple(roots), label=label)
-        inst.validate(allow_small=allow_small)
-        return inst
+        roots = tuple(_parse_root(x, i) for i, x in enumerate(raw))
+        return Instance(p=p, roots=roots, label=label)
 
     rows = data["valuations"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InstanceError("valuations must be a 2-D array")
+    entries = []
     for i, row in enumerate(rows):
         for j, e in enumerate(row):
             if e is None:
@@ -84,10 +86,11 @@ def parse_instance_dict(data, *, allow_small: bool = False) -> Instance | Valuat
                     raise InstanceError(f"null entry off the diagonal at ({i}, {j})")
             elif isinstance(e, bool) or not isinstance(e, int):
                 raise InstanceError(f"matrix entry ({i}, {j}) must be an integer or null, got {e!r}")
-    return matrix_from_rows(rows)
+        entries.append(tuple(INFINITY if e is None else e for e in row))
+    return ValuationMatrix(tuple(entries))
 
 
-def load_instance(path: str | Path, *, allow_small: bool = False) -> tuple[Instance | ValuationMatrix, str | None]:
+def load_instance(path: str | Path) -> tuple[Instance | ValuationMatrix, str | None]:
     path = Path(path)
     try:
         data = json.loads(path.read_text())
@@ -95,6 +98,10 @@ def load_instance(path: str | Path, *, allow_small: bool = False) -> tuple[Insta
         raise InstanceError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InstanceError(f"{path} is not valid JSON: {exc}") from exc
-    parsed = parse_instance_dict(data, allow_small=allow_small)
+    # bytes that are not UTF-8, an integer past the interpreter's digit limit,
+    # or arrays nested past the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise InstanceError(f"cannot read {path}: {exc}") from exc
+    parsed = parse_instance_dict(data)
     label = data.get("label") if isinstance(data, dict) else None
     return parsed, label

@@ -35,17 +35,16 @@ def render_text(report: Report) -> str:
     lines.append("tree (wt, parity, d, D'', =?):")
     led = {entry.vertex: entry for entry in report.ledgers}
 
-    def walk(vid: int, indent: int) -> None:
+    stack = [(report.tree.root.id, 1)]  # explicit stack: chains can be deeper than the recursion limit
+    while stack:
+        vid, indent = stack.pop()
         v = report.tree[vid]
         row = led[vid]
         eq = "=" if row.equality else f"<  (defect {row.d - row.D_double_prime})"
         lines.append(
             f"{'  ' * indent}v{vid}  wt={v.wt}  {v.parity:4}  d={row.d}  D''={row.D_double_prime}  {eq}"
         )
-        for c in v.children:
-            walk(c, indent + 1)
-
-    walk(report.tree.root.id, 1)
+        stack.extend((c, indent + 1) for c in reversed(v.children))
     return "\n".join(lines) + "\n"
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Sequence, Union
 
-from .errors import DuplicateRootsError, InstanceError, TooFewRootsError
+from .errors import DuplicateRootsError, InstanceError
 
 
 class _Infinity:
@@ -77,10 +78,86 @@ def val(q, p: int) -> ExtNat:
     return _int_val(q.numerator, p) - _int_val(q.denominator, p)
 
 
-def is_odd_prime(p: int) -> bool:
-    from sympy import isprime  # deferred: keeps matrix-mode startup light
+# Miller-Rabin with these bases is exact below _MR_EXACT_BELOW (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", 2015); above it the
+# test is Baillie-PSW, for which no counterexample is known.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
 
-    return p != 2 and isprime(p)
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters; n odd, not tiny."""
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    P, Q = 1, (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def halve(x: int) -> int:
+        x %= n
+        return (x + n if x % 2 else x) // 2
+
+    U, V, Qk = 1, P, Q % n  # index 1, then the bits of d below the top one
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = halve(P * U + V), halve(D * U + P * V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def is_odd_prime(n: int) -> bool:
+    """Exact below 3.3e24; Baillie-PSW above (see _PRIME_BASES)."""
+    if n % 2 == 0 or n < 3:
+        return False
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    if n < _MR_EXACT_BELOW:
+        return all(_strong_probable_prime(n, a) for a in _PRIME_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
 
 
 @dataclass(frozen=True)
@@ -107,7 +184,9 @@ class Instance:
     def genus(self) -> int:
         return (self.num_roots - 2) // 2
 
-    def validate(self, allow_small: bool = False) -> None:
+    def validate(self) -> None:
+        """Check p, integrality and distinctness; the root count is checked
+        where the tree is built, so small synthetic instances pass here."""
         if self.p == 2:
             raise InstanceError("p = 2 is not supported: the residue characteristic must be odd")
         if not is_odd_prime(self.p):
@@ -126,16 +205,6 @@ class Instance:
         ]
         if dupes:
             raise DuplicateRootsError(dupes)
-        _check_count(self.num_roots, allow_small)
-
-
-def _check_count(n: int, allow_small: bool) -> None:
-    if n % 2 != 0:
-        raise InstanceError(f"root count must be even (2g + 2), got {n}")
-    if n < 2:
-        raise InstanceError(f"need at least 2 roots, got {n}")
-    if n < 6 and not allow_small:
-        raise TooFewRootsError(n)
 
 
 @dataclass(frozen=True)
@@ -162,9 +231,10 @@ class ValuationMatrix:
 
     def check_shape(self) -> None:
         n = self.n
+        for i, row in enumerate(self.entries):
+            if len(row) != n:
+                raise InstanceError(f"matrix row {i} has length {len(row)}, expected {n}")
         for i in range(n):
-            if len(self.entries[i]) != n:
-                raise InstanceError(f"matrix row {i} has length {len(self.entries[i])}, expected {n}")
             if self.entries[i][i] is not INFINITY:
                 raise InstanceError(f"matrix diagonal entry ({i}, {i}) must be null/INFINITY")
             for j in range(n):
@@ -173,7 +243,7 @@ class ValuationMatrix:
                 e = self.entries[i][j]
                 if e is INFINITY:
                     raise DuplicateRootsError([(min(i, j), max(i, j))])
-                if not isinstance(e, int) or e < 0:
+                if isinstance(e, bool) or not isinstance(e, int) or e < 0:
                     raise InstanceError(f"matrix entry ({i}, {j}) must be a nonnegative integer, got {e!r}")
                 if self.entries[j][i] != e:
                     raise InstanceError(f"matrix not symmetric at ({i}, {j})")
@@ -241,15 +311,6 @@ def matrix_from_rows(rows: Sequence[Sequence]) -> ValuationMatrix:
     at the analysis boundary so small matrices remain usable for validator
     testing.
     """
-    conv = []
-    for i, row in enumerate(rows):
-        out = []
-        for j, e in enumerate(row):
-            if e is None or e is INFINITY:
-                out.append(INFINITY)
-            else:
-                out.append(e)
-        conv.append(tuple(out))
-    m = ValuationMatrix(tuple(conv))
+    m = ValuationMatrix(tuple(tuple(INFINITY if e is None else e for e in row) for row in rows))
     m.check_shape()
     return m

@@ -191,3 +191,92 @@ def test_version(capsys):
 def test_no_command_prints_help(capsys):
     assert main([]) == 1
     assert "analyze" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "rows, needle",
+    [
+        ([[None, 1, 1], [1, None, 1], [1]], "matrix row 2 has length 1, expected 3"),
+        ([[None, True, 0, 0, 0, 0]] + [[0 if i != j else None for j in range(6)] for i in range(1, 6)],
+         "must be an integer or null, got True"),
+    ],
+    ids=["ragged", "bool"],
+)
+def test_malformed_matrix_exit_one(tmp_path, capsys, rows, needle):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"mode": "matrix", "valuations": rows}))
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err and "Traceback" not in err
+
+
+def _chain_rows(n, depth):
+    """Matrix-mode instance: roots 0 and 1 stay together down a chain of `depth` vertices."""
+    rows = [[None if i == j else 0 for j in range(n)] for i in range(n)]
+    rows[0][1] = rows[1][0] = depth
+    return rows
+
+
+def test_text_output_on_a_chain_deeper_than_the_recursion_limit(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"mode": "matrix", "valuations": _chain_rows(6, 1200)}))
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert f"{'  ' * 1201}v1200  wt=2" in out
+
+
+def test_text_tree_is_indented_preorder():
+    from condisc.harness import default_specs, gen_instance
+    from condisc.render import render_text
+
+    for spec in default_specs(40, base_seed=300):
+        report = condisc.conductor.analyze(gen_instance(spec))
+        expected = []
+
+        def walk(vid, indent):  # the recursive reference: fine on these shallow trees
+            expected.append(f"{'  ' * indent}v{vid}  wt={report.tree[vid].wt}  ")
+            for c in report.tree[vid].children:
+                walk(c, indent + 1)
+
+        walk(report.tree.root.id, 1)
+        rows = render_text(report).split("tree (wt, parity, d, D'', =?):\n")[1].splitlines()
+        assert len(rows) == len(expected)
+        assert [row[: len(e)] for row, e in zip(rows, expected)] == expected
+
+
+def test_each_gate_runs_once_per_analysis(tmp_path, capsys, monkeypatch):
+    import condisc.valuation as cv
+
+    calls = {"validate": 0, "check_shape": 0, "count_gate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cv.Instance, "validate", counted("validate", cv.Instance.validate))
+    monkeypatch.setattr(cv.ValuationMatrix, "check_shape", counted("check_shape", cv.ValuationMatrix.check_shape))
+    # build_cluster_tree holds the root-count gate
+    monkeypatch.setattr(condisc.conductor, "build_cluster_tree",
+                        counted("count_gate", condisc.conductor.build_cluster_tree))
+    roots = write_instance(tmp_path / "roots.json", FIXTURE_A)
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"mode": "matrix", "valuations": _chain_rows(6, 3)}))
+    assert main(["analyze", str(roots)]) == 0
+    assert calls == {"validate": 1, "check_shape": 0, "count_gate": 1}
+    assert main(["analyze", str(matrix)]) == 0
+    assert calls == {"validate": 1, "check_shape": 1, "count_gate": 2}
+
+
+def test_roots_mode_does_not_import_sympy(tmp_path):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    path = write_instance(tmp_path / "a.json", FIXTURE_A)
+    code = "import sys; from condisc.cli import main; main(sys.argv[1:]); print('sympy' in sys.modules)"
+    src = Path(condisc.conductor.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code, "analyze", str(path)], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src)}, check=True, timeout=60)
+    assert proc.stdout.splitlines()[-1] == "False"

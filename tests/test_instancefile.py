@@ -80,3 +80,29 @@ def test_load_instance_bad_json(tmp_path):
 def test_load_instance_missing_file(tmp_path):
     with pytest.raises(InstanceError, match="cannot read"):
         load_instance(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"mode": "roots", "p": ' + b"7" * 5000 + b', "roots": ["0", "1", "2", "3", "4", "5"]}',
+        b"[" * 100000 + b"]" * 100000,
+        b'{"mode": "roots", "p": 5, "roots": ["\xe9"]}',
+    ],
+    ids=["integer-past-digit-limit", "nested-past-recursion-limit", "not-utf8"],
+)
+def test_load_instance_json_the_interpreter_cannot_read(tmp_path, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    with pytest.raises(InstanceError, match="cannot read"):
+        load_instance(path)
+
+
+def test_parsing_leaves_validation_to_analyze():
+    inst = parse_instance_dict({"mode": "roots", "p": 9, "roots": ["0", "1"]})
+    assert inst.p == 9 and len(inst.roots) == 2
+    with pytest.raises(InstanceError, match="not prime"):
+        analyze(inst)
+    m = parse_instance_dict({"mode": "matrix", "valuations": [[None, 1], [1]]})
+    with pytest.raises(InstanceError, match="row 1 has length 1"):
+        analyze(m)

@@ -152,3 +152,40 @@ def test_unit_scaling_leaves_matrix_unchanged(fixture_b):
     for unit in (1, 2, 3, 4, 6, 7, 101):
         scaled = Instance.from_values(5, [unit * r for r in fixture_b.roots])
         assert build_matrix(scaled).entries == base.entries
+
+
+def test_check_shape_rejects_bool_entries():
+    with pytest.raises(InstanceError, match="nonnegative integer, got True"):
+        matrix_from_rows([[None, True], [True, None]])
+
+
+# strong pseudoprimes to every prime base up to 7, 23, 37 and 41 in turn,
+# a Carmichael number, a Mersenne prime past the Miller-Rabin bound, a product
+# of two Mersenne primes and the square of one
+KNOWN_PRIMALITY = {
+    3215031751: False,
+    3825123056546413051: False,
+    318665857834031151167461: False,
+    3317044064679887385961981: False,
+    561: False,
+    2**521 - 1: True,
+    (2**127 - 1) * (2**89 - 1): False,
+    (2**89 - 1) ** 2: False,
+}
+
+
+@pytest.mark.parametrize("n, prime", KNOWN_PRIMALITY.items())
+def test_is_odd_prime_known_values(n, prime):
+    from condisc.valuation import is_odd_prime
+
+    assert is_odd_prime(n) is prime
+
+
+def test_is_odd_prime_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    from condisc.valuation import _MR_EXACT_BELOW, is_odd_prime
+
+    # both sides of the bound where the test switches from Miller-Rabin to Baillie-PSW
+    near_bound = range(_MR_EXACT_BELOW - 1000, _MR_EXACT_BELOW + 1000)
+    for n in [*range(-50, 10**5), *near_bound, *KNOWN_PRIMALITY]:
+        assert is_odd_prime(n) == (n != 2 and sympy.isprime(n)), n
