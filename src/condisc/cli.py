@@ -57,10 +57,14 @@ def _cmd_analyze(args) -> int:
         return 1
     if args.dot_dir:
         outdir = Path(args.dot_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "t_b.dot").write_text(dot_tree(report))
-        (outdir / "t_y.dot").write_text(dot_cover(report.ygraph))
-        (outdir / "t_x.dot").write_text(dot_model(report.xgraph))
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            (outdir / "t_b.dot").write_text(dot_tree(report))
+            (outdir / "t_y.dot").write_text(dot_cover(report.ygraph))
+            (outdir / "t_x.dot").write_text(dot_model(report.xgraph))
+        except OSError as exc:
+            print(f"error: cannot write DOT files to {args.dot_dir}: {exc}", file=sys.stderr)
+            return 1
     if args.format == "json":
         print(report.to_json())
     else:

@@ -13,6 +13,9 @@ The cover graph is produced in two steps that mirror the geometry:
   an even vertex disjoint from it splits into two rational sheets; odd and
   inserted vertices carry one component of multiplicity 2.
 
+``build_tx`` only joins components over the two ends of a T_Y edge, so T_X
+keeps no adjacency of its own: ``XGraph.neighbors`` walks T_Y's.
+
 Sheet pairing across adjacent split vertices is sheet-index-preserving.  The
 two sheets of a split region are interchangeable by a graph automorphism, so
 every numeric invariant computed here is independent of that choice; we fix
@@ -154,7 +157,6 @@ class XComponent:
 class XGraph:
     components: tuple[XComponent, ...]
     edges: dict[tuple[int, int], int]          # (a, b) with a < b -> intersection number
-    children: dict[int, tuple[int, ...]]       # direction inherited from the cover tree
     over: dict[int, tuple[int, ...]]           # YVertex id -> component ids
     genus: int
     ygraph: YGraph
@@ -173,11 +175,11 @@ class XGraph:
         return self.edges.get((min(a, b), max(a, b)), 0)
 
     def neighbors(self, cid: int):
-        for (a, b), w in self.edges.items():
-            if a == cid:
-                yield b, w
-            elif b == cid:
-                yield a, w
+        for v in self.ygraph.neighbors(self.components[cid].over):
+            for w in self.over[v]:
+                wt = self.weight(cid, w)
+                if wt:
+                    yield w, wt
 
     def base_vertex(self, cid: int) -> int:
         """Tree vertex under a component (composite of the two projections)."""
@@ -209,11 +211,9 @@ def build_tx(y: YGraph) -> XGraph:
         over[v.id] = ids
 
     edges: dict[tuple[int, int], int] = {}
-    children: dict[int, list[int]] = {c.id: [] for c in comps}
 
     def add_edge(p: int, c: int, w: int) -> None:
         edges[(min(p, c), max(p, c))] = w
-        children[p].append(c)
 
     for p_id in sorted(y.children):
         for c_id in y.children[p_id]:
@@ -234,7 +234,6 @@ def build_tx(y: YGraph) -> XGraph:
     x = XGraph(
         components=tuple(comps),
         edges=edges,
-        children={k: tuple(v) for k, v in children.items()},
         over=over,
         genus=(tree.num_roots - 2) // 2,
         ygraph=y,
@@ -249,12 +248,8 @@ def _check_connected(x: XGraph) -> None:
         raise DisconnectedCover("cover graph has no components")
     seen = {0}
     stack = [0]
-    adj: dict[int, list[int]] = {c.id: [] for c in x.components}
-    for a, b in x.edges:
-        adj[a].append(b)
-        adj[b].append(a)
     while stack:
-        for w in adj[stack.pop()]:
+        for w, _ in x.neighbors(stack.pop()):
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -271,9 +266,11 @@ def check_x_invariants(x: XGraph) -> None:
             raise InternalInvariantViolation("fiber size must be 1 or 2", vertex=v.id)
         if len(ids) == 2 and (v.odd or y.beta(v.id) != 0):
             raise InternalInvariantViolation("split fiber over a branched vertex", vertex=v.id)
+    fibers: dict[int, list[XComponent]] = {}
     for c in x:
-        base_odd = tree[x.base_vertex(c.id)].odd
-        expect_m2 = base_odd and y[c.over].kind != LEAF
+        base = x.base_vertex(c.id)
+        fibers.setdefault(base, []).append(c)
+        expect_m2 = tree[base].odd and y[c.over].kind != LEAF
         if (c.m == 2) != expect_m2:
             raise InternalInvariantViolation("multiplicity contradicts the cover rule", vertex=c.id)
         if c.m == 2 and c.chi != 2:
@@ -281,8 +278,10 @@ def check_x_invariants(x: XGraph) -> None:
     for (a, b), w in x.edges.items():
         if w not in (1, 2):
             raise InternalInvariantViolation("intersection number outside {1, 2}", vertex=(a, b))
+        va, vb = x[a].over, x[b].over
+        if y.parent.get(va) != vb and y.parent.get(vb) != va:
+            raise InternalInvariantViolation("edge joins components over non-adjacent cover vertices", vertex=(a, b))
         if w == 2:
-            va, vb = x[a].over, x[b].over
             ok = (
                 not y[va].odd
                 and not y[vb].odd
@@ -297,7 +296,7 @@ def check_x_invariants(x: XGraph) -> None:
     for bv in tree:
         if not bv.odd:
             continue
-        fiber = [c for c in x if x.base_vertex(c.id) == bv.id]
+        fiber = fibers[bv.id]
         strict = [c for c in fiber if y[c.over].kind == ST]
         inserts = [c for c in fiber if y[c.over].kind == INSERT]
         leaves = [c for c in fiber if y[c.over].kind == LEAF]
@@ -313,8 +312,9 @@ def component_term(x: XGraph, cid: int) -> int:
     term = (1 - c.m) * c.chi
     for w, wt in x.neighbors(cid):
         term += (x[w].m - 1) * wt
-    for w in x.children[cid]:
-        term += x.weight(cid, w)
+    for v in x.ygraph.children[c.over]:
+        for w in x.over[v]:
+            term += x.weight(cid, w)
     return term
 
 

@@ -185,8 +185,9 @@ class Instance:
         return (self.num_roots - 2) // 2
 
     def validate(self) -> None:
-        """Check p, integrality and distinctness; the root count is checked
-        where the tree is built, so small synthetic instances pass here."""
+        """Check p and integrality.  Duplicate roots are found by
+        ``build_matrix`` and the root count where the tree is built, so
+        small synthetic instances pass here."""
         if self.p == 2:
             raise InstanceError("p = 2 is not supported: the residue characteristic must be odd")
         if not is_odd_prime(self.p):
@@ -197,14 +198,6 @@ class Instance:
                     f"non-integral root {r} at index {idx}: "
                     f"{self.p}-adic valuation is negative; supply p-integral roots"
                 )
-        dupes = [
-            (i, j)
-            for i in range(self.num_roots)
-            for j in range(i + 1, self.num_roots)
-            if self.roots[i] == self.roots[j]
-        ]
-        if dupes:
-            raise DuplicateRootsError(dupes)
 
 
 @dataclass(frozen=True)

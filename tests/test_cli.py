@@ -117,6 +117,18 @@ def test_dot_export_deterministic(fixture_a_file, tmp_path, capsys):
     assert "m=1" in tx and "χ=2" in tx
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["is-a-file", "under-a-file"])
+def test_dot_dir_that_cannot_be_written_exit_one(fixture_a_file, tmp_path, capsys, below):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    target = taken / "dots" if below else taken
+    assert main(["analyze", str(fixture_a_file), "--dot-dir", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write DOT files to {target}: ")
+    assert "Traceback" not in captured.err
+
+
 def test_dot_weight_two_drawn_doubled(tmp_path, capsys):
     from conftest import WEIGHT2
 
@@ -223,6 +235,28 @@ def test_text_output_on_a_chain_deeper_than_the_recursion_limit(tmp_path, capsys
     assert main(["analyze", str(path)]) == 0
     out = capsys.readouterr().out
     assert f"{'  ' * 1201}v1200  wt=2" in out
+
+
+K = 5000
+CHAINS = {  # p = 3 roots, one chain of depth K: (roots, tree vertices, components)
+    "even": ((0, 3**K, 1, 2, 4, 5), 5003, 10003),
+    "odd-weight": ((0, 3**K, 2 * 3**K, 1, 2, 4), 5002, 5002),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_chain_of_depth_5000(tmp_path, capsys, chain):
+    roots, n_tree, n_x = CHAINS[chain]
+    path = write_instance(tmp_path / "chain.json", dict(p=3, roots=roots))
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["vertices"]) == n_tree and doc["n_components"] == n_x
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert f"components n(X) = {n_x} " in out
+    rows = out.split("tree (wt, parity, d, D'', =?):\n")[1].splitlines()
+    assert len(rows) == n_tree
+    assert max(len(row) - len(row.lstrip()) for row in rows) == 2 * (K + 1)  # depth K, one indent deeper
 
 
 def test_text_tree_is_indented_preorder():

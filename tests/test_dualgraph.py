@@ -1,4 +1,10 @@
+import dataclasses
+
+import pytest
+
 from condisc import (
+    InternalInvariantViolation,
+    analyze,
     artin_conductor,
     build_cluster_tree,
     build_matrix,
@@ -8,9 +14,20 @@ from condisc import (
     genus_check,
     self_intersections,
 )
-from condisc.dualgraph import INSERT, LEAF, ST, component_term
+from condisc.dualgraph import INSERT, LEAF, ST, check_x_invariants, component_term
+from condisc.harness import default_specs, gen_instance
 
-from conftest import NON_MINIMAL, ODD_CHAIN, WEIGHT2, make
+from conftest import (
+    DEEP_PAIR,
+    FIXTURE_A,
+    FIXTURE_B,
+    FIXTURE_C,
+    GOOD_RED,
+    NON_MINIMAL,
+    ODD_CHAIN,
+    WEIGHT2,
+    make,
+)
 
 
 def graphs_of(inst):
@@ -179,3 +196,46 @@ def test_good_reduction_has_no_pattern(good_reduction):
     tree = build_cluster_tree(build_matrix(good_reduction))
     assert all(not v.odd for v in tree)
     assert detect_nonminimal(tree) == []
+
+
+def _models():
+    """T_X of every fixture, and of the roots and matrix twins of default_specs(200)."""
+    for fx in (FIXTURE_A, FIXTURE_B, FIXTURE_C, GOOD_RED, ODD_CHAIN, WEIGHT2, NON_MINIMAL, DEEP_PAIR):
+        yield graphs_of(make(fx))[2]
+    for spec in default_specs(200):
+        inst = gen_instance(spec)
+        for source in (inst, build_matrix(inst)):
+            yield analyze(source).xgraph
+
+
+def _edge_scan(x, cid):
+    """Neighbours of one component by a scan of the whole edge list."""
+    out = []
+    for (a, b), w in x.edges.items():
+        if a == cid:
+            out.append((b, w))
+        elif b == cid:
+            out.append((a, w))
+    return sorted(out)
+
+
+def test_neighbors_match_an_edge_scan():
+    for x in _models():
+        for c in x:
+            assert sorted(x.neighbors(c.id)) == _edge_scan(x, c.id)
+
+
+def test_conductor_from_the_edge_list_alone():
+    for x in _models():
+        per_component = sum((1 - c.m) * c.chi for c in x)
+        per_edge = sum((x[a].m + x[b].m - 1) * w for (a, b), w in x.edges.items())
+        assert artin_conductor(x) == per_component + per_edge
+
+
+def test_edge_over_non_adjacent_cover_vertices_rejected():
+    tree, y, x = graphs_of(make(ODD_CHAIN))
+    a, b = x.over[tree.root.id][0], x.n_components - 1
+    assert y.parent.get(x[b].over) != x[a].over
+    stray = dataclasses.replace(x, edges={**x.edges, (a, b): 1})
+    with pytest.raises(InternalInvariantViolation, match="non-adjacent cover vertices"):
+        check_x_invariants(stray)

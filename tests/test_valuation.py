@@ -81,7 +81,7 @@ def test_build_matrix_distinct_residues(good_reduction):
 def test_duplicate_roots_rejected():
     inst = Instance.from_values(5, [0, 1, 2, 3, 4, 1])
     with pytest.raises(DuplicateRootsError, match=r"duplicate roots at indices \(1, 5\)"):
-        inst.validate()
+        build_matrix(inst)
 
 
 def test_p_equal_two_rejected():
