@@ -27,7 +27,6 @@ from .conductor import (
     analyze,
     compare_vertex,
     local_artin,
-    local_artin_bound,
     local_shift,
 )
 from .dualgraph import (
@@ -95,7 +94,6 @@ __all__ = [
     "compare_vertex",
     "local_artin",
     "local_shift",
-    "local_artin_bound",
     "EVEN_ALL_EVEN_CHILDREN_WT2",
     "ODD_WT2",
     "ODD_WT3_NO_EVEN_CHILDREN",

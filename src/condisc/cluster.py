@@ -7,6 +7,11 @@ A cluster persisting across several depths therefore becomes a chain, one
 vertex per depth step; collapsing those chains would change the separation
 statistics that every formula downstream is stated in.
 
+The tree is built from a work list of clusters not yet split, with no
+recursion.  Each split records its vertex's separating roots and child
+clusters as soon as its classes are known, and the statistics below are
+read from those records, not reconstructed afterwards.
+
 Per vertex we track:
 
 * ``wt``       -- number of roots in the vertex's disk,
@@ -20,9 +25,14 @@ Per vertex we track:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InstanceError, InternalInvariantViolation, TooFewRootsError, UltrametricViolationError
 from .valuation import INFINITY, ValuationMatrix, validate_ultrametric
+
+# most vertices T_B may have: a chain emits one vertex per depth step, so a
+# valuation of v forces more than v of them
+TREE_VERTEX_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -81,7 +91,8 @@ def build_cluster_tree(m: ValuationMatrix, *, allow_small: bool = False) -> Clus
     """Build the annotated refinement tree from a valuation matrix.
 
     The root count must be even and at least 6 (2 with ``allow_small``) and
-    the matrix ultrametric; violations are rejected up front.  For a cluster
+    the matrix ultrametric; violations are rejected up front, and so is a
+    tree of more than :data:`TREE_VERTEX_BUDGET` vertices.  For a cluster
     whose minimum internal valuation exceeds its depth, chain vertices are
     emitted one per intermediate depth before the split.
     """
@@ -96,21 +107,31 @@ def build_cluster_tree(m: ValuationMatrix, *, allow_small: bool = False) -> Clus
     if not verdict.ok:
         raise UltrametricViolationError(verdict.violations)
 
-    # raw records: (members_sorted_tuple, depth, parent_raw_index)
-    raw: list[tuple[tuple[int, ...], int, int | None]] = []
-
-    def grow(members: tuple[int, ...], depth: int, parent: int | None) -> None:
-        me = len(raw)
-        raw.append((members, depth, parent))
-        floor = min(m.at(i, j) for ai, i in enumerate(members) for j in members[ai + 1 :])
+    # vertex records [members (ascending), depth, parent record, sep, child records],
+    # each filled in by the split that makes it; ``work`` holds those not yet split
+    root: list = [tuple(range(n)), 0, None, (), []]
+    records = [root]
+    work = [root]
+    while work:
+        rec = work.pop()
+        members, depth = rec[0], rec[1]
+        # the matrix is ultrametric, so the cluster minimum lies on its first row
+        floor = min(m.at(members[0], j) for j in members[1:])
         if floor is INFINITY:
             raise InternalInvariantViolation("infinite valuation inside a cluster", vertex=members)
-        # chain: the cluster survives unchanged until depth == floor
+        if len(records) + floor - depth > TREE_VERTEX_BUDGET:
+            raise InstanceError(
+                f"the refinement tree would exceed its budget of {TREE_VERTEX_BUDGET} vertices "
+                f"(TREE_VERTEX_BUDGET): {len(members)} roots stay together from depth {depth} to {floor}"
+            )
+        # chain: the cluster survives unchanged, one vertex per depth step, until depth == floor
         while depth < floor:
             depth += 1
-            raw.append((members, depth, me))
-            me = len(raw) - 1
-        # split at depth floor into classes of m >= floor + 1
+            link = [members, depth, rec, (), []]
+            rec[4].append(link)
+            records.append(link)
+            rec = link
+        # split at depth floor into classes of m >= floor + 1, ordered by smallest member
         classes: list[list[int]] = []
         for i in members:
             for cls in classes:
@@ -119,52 +140,38 @@ def build_cluster_tree(m: ValuationMatrix, *, allow_small: bool = False) -> Clus
                     break
             else:
                 classes.append([i])
-        for cls in sorted(classes):
+        rec[3] = tuple(cls[0] for cls in classes if len(cls) == 1)
+        for cls in classes:
             if len(cls) >= 2:
-                grow(tuple(cls), floor + 1, me)
+                child = [tuple(cls), floor + 1, rec, (), []]
+                rec[4].append(child)
+                records.append(child)
+                work.append(child)
 
-    grow(tuple(range(n)), 0, None)
-
-    # canonical ids: sort by (depth, smallest member)
-    order = sorted(range(len(raw)), key=lambda k: (raw[k][1], raw[k][0][0]))
-    newid = {old: new for new, old in enumerate(order)}
-
-    children: dict[int, list[int]] = {i: [] for i in range(len(raw))}
-    for old, (_, _, parent) in enumerate(raw):
-        if parent is not None:
-            children[newid[parent]].append(newid[old])
-
+    # canonical ids: sort by (depth, smallest member), so a parent precedes its
+    # children and siblings keep their class order; each id goes in slot 5.
+    # Clusters at one depth are disjoint, so (depth, members) is that order.
+    records.sort(key=itemgetter(1, 0))
+    for new, rec in enumerate(records):
+        rec.append(new)
     vertices: list[ClusterVertex] = []
-    f_vals: dict[int, int] = {}
-    for new, old in enumerate(order):
-        members, depth, parent = raw[old]
-        kid_ids = tuple(sorted(children[new]))
-        kid_members = set()
-        kid_wts = []
-        for k in kid_ids:
-            km, _, _ = raw[order[k]]
-            kid_members.update(km)
-            kid_wts.append(len(km))
-        sep = tuple(i for i in members if i not in kid_members)
+    for new, (members, depth, parent, sep, kids, _) in enumerate(records):
         wt = len(members)
-        r = sum(1 for w in kid_wts if w % 2 == 1)
-        s = len(kid_wts) - r
-        pid = newid[parent] if parent is not None else None
-        f_val = (f_vals[pid] + wt) if pid is not None else 0
-        f_vals[new] = f_val
+        r = sum(len(kid[0]) % 2 for kid in kids)
+        pid = parent[5] if parent is not None else None
         vertices.append(
             ClusterVertex(
                 id=new,
                 depth=depth,
                 members=frozenset(members),
                 parent=pid,
-                children=kid_ids,
+                children=tuple(kid[5] for kid in kids),
                 wt=wt,
                 l_prime=len(sep),
                 r=r,
-                s=s,
+                s=len(kids) - r,
                 l=len(sep) + r,
-                f_val=f_val,
+                f_val=vertices[pid].f_val + wt if pid is not None else 0,
                 sep_roots=sep,
             )
         )

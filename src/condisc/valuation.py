@@ -213,15 +213,6 @@ class ValuationMatrix:
     def at(self, i: int, j: int) -> ExtNat:
         return self.entries[i][j]
 
-    def max_finite(self) -> int:
-        top = 0
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                e = self.entries[i][j]
-                if e is not INFINITY and e > top:
-                    top = e
-        return top
-
     def check_shape(self) -> None:
         n = self.n
         for i, row in enumerate(self.entries):

@@ -1,9 +1,12 @@
 import json
+import time
 
 import pytest
 
 import condisc.conductor
+from condisc import Instance, build_cluster_tree, build_matrix
 from condisc.cli import main
+from condisc.harness import naive_tree_oracle, trees_agree
 
 from conftest import FIXTURE_A, FIXTURE_B, FIXTURE_C, write_instance
 
@@ -237,6 +240,17 @@ def test_text_output_on_a_chain_deeper_than_the_recursion_limit(tmp_path, capsys
     assert f"{'  ' * 1201}v1200  wt=2" in out
 
 
+def test_valuation_past_the_vertex_budget_exit_one(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"mode": "matrix", "valuations": _chain_rows(6, 10**9)}))
+    start = time.perf_counter()
+    assert main(["analyze", str(path)]) == 1
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "budget of 1000000 vertices" in captured.err
+
+
 K = 5000
 CHAINS = {  # p = 3 roots, one chain of depth K: (roots, tree vertices, components)
     "even": ((0, 3**K, 1, 2, 4, 5), 5003, 10003),
@@ -247,6 +261,8 @@ CHAINS = {  # p = 3 roots, one chain of depth K: (roots, tree vertices, componen
 @pytest.mark.parametrize("chain", sorted(CHAINS))
 def test_chain_of_depth_5000(tmp_path, capsys, chain):
     roots, n_tree, n_x = CHAINS[chain]
+    matrix = build_matrix(Instance.from_values(3, roots))
+    assert trees_agree(build_cluster_tree(matrix), naive_tree_oracle(matrix))
     path = write_instance(tmp_path / "chain.json", dict(p=3, roots=roots))
     assert main(["analyze", str(path), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

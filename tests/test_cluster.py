@@ -1,7 +1,11 @@
+import sys
+
 import pytest
 
+import condisc.cluster
 from condisc import (
     Instance,
+    InstanceError,
     TooFewRootsError,
     UltrametricViolationError,
     build_cluster_tree,
@@ -11,7 +15,7 @@ from condisc import (
     local_disc,
     matrix_from_rows,
 )
-from condisc.harness import disc_oracle
+from condisc.harness import disc_oracle, naive_tree_oracle, trees_agree
 
 from conftest import DEEP_PAIR, FIXTURE_C, make
 
@@ -131,3 +135,37 @@ def test_all_roots_congruent_gives_root_chain():
     assert root.l_prime == 0 and len(root.children) == 1
     child = tree[root.children[0]]
     assert child.members == root.members and child.depth == 1
+
+
+def _frames_above():
+    frame, count = sys._getframe(1), 0
+    while frame is not None:
+        frame, count = frame.f_back, count + 1
+    return count
+
+
+def test_caterpillar_builds_without_recursion():
+    # m[i][j] = min(i, j): root i separates at depth i, so 118 splits nest one inside the next
+    n = 120
+    m = matrix_from_rows([[None if i == j else min(i, j) for j in range(n)] for i in range(n)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames_above() + 50)
+    try:
+        tree = build_cluster_tree(m)
+        oracle = naive_tree_oracle(m)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(tree) == n - 1 and max(v.depth for v in tree) == n - 2
+    assert all(len(v.children) == 1 and v.sep_roots == (v.depth,) for v in tree if v.depth < n - 2)
+    check_tree_invariants(tree)
+    assert trees_agree(tree, oracle)
+
+
+def test_vertex_budget_bounds_the_tree(monkeypatch):
+    # six roots, of which 0 and 1 stay together down to depth 7: the root, then {0, 1} at depths 1..7
+    m = matrix_from_rows([[None if i == j else (7 if {i, j} == {0, 1} else 0) for j in range(6)] for i in range(6)])
+    monkeypatch.setattr(condisc.cluster, "TREE_VERTEX_BUDGET", 8)
+    assert len(build_cluster_tree(m)) == 8
+    monkeypatch.setattr(condisc.cluster, "TREE_VERTEX_BUDGET", 7)
+    with pytest.raises(InstanceError, match="budget of 7 vertices"):
+        build_cluster_tree(m)
