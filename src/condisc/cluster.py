@@ -31,7 +31,10 @@ from .errors import InstanceError, InternalInvariantViolation, TooFewRootsError,
 from .valuation import INFINITY, ValuationMatrix, validate_ultrametric
 
 # most vertices T_B may have: a chain emits one vertex per depth step, so a
-# valuation of v forces more than v of them
+# valuation of v forces more than v of them.  `analyze --format json` costs
+# about 0.13 ms and 5 KB per vertex (depth-10**5 chain: 12.8 s, 532 MB peak
+# RSS; 2-vCPU Xeon, Python 3.11), so a tree at the budget takes minutes and
+# about 5 GB.
 TREE_VERTEX_BUDGET = 10**6
 
 

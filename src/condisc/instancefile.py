@@ -8,10 +8,11 @@ An instance file is a JSON object in one of two modes::
     {"mode": "matrix", "valuations": [[null, 1], [1, null]],
      "label": "optional"}
 
-Roots are decimal strings, either integers or fractions ``"a/b"``, so the
-file format carries no integer-width assumptions; plain JSON integers are
-accepted as well.  The matrix diagonal must be ``null``.  Exactly the fields
-of the declared mode may appear.
+Roots are decimal strings, either integers, fractions ``"a/b"`` or decimals,
+without exponent notation, so the file format carries no integer-width
+assumptions; plain JSON integers are accepted as well.  A label must be text
+that can be written as UTF-8.  The matrix diagonal must be ``null``.
+Exactly the fields of the declared mode may appear.
 
 Reading checks only the file's fields and JSON types; the instance it
 returns is validated by :func:`condisc.conductor.analyze`.
@@ -42,6 +43,9 @@ def _parse_root(raw, index: int) -> Fraction:
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, str):
+        # Fraction("1e10000000") computes 10**10000000: its cost is not bounded by the string's length
+        if "e" in raw or "E" in raw:
+            raise InstanceError(f"root {index} must not use exponent notation: {raw!r}")
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
@@ -53,7 +57,7 @@ def parse_instance_dict(data) -> Instance | ValuationMatrix:
     if not isinstance(data, dict):
         raise InstanceError("instance file must contain a JSON object")
     mode = data.get("mode")
-    if mode not in _FIELDS:
+    if not isinstance(mode, str) or mode not in _FIELDS:
         raise InstanceError(f"mode must be 'roots' or 'matrix', got {mode!r}")
     extra = set(data) - _FIELDS[mode]
     if extra:
@@ -62,8 +66,13 @@ def parse_instance_dict(data) -> Instance | ValuationMatrix:
     if missing:
         raise InstanceError(f"missing fields for mode '{mode}': {sorted(missing)}")
     label = data.get("label")
-    if label is not None and not isinstance(label, str):
-        raise InstanceError("label must be a string")
+    if label is not None:
+        if not isinstance(label, str):
+            raise InstanceError("label must be a string")
+        try:  # a lone surrogate is valid JSON but cannot be written out
+            label.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise InstanceError(f"label cannot be written as UTF-8: {exc.reason} at position {exc.start}") from exc
 
     if mode == "roots":
         p = data["p"]

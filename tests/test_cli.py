@@ -1,7 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import condisc.conductor
 from condisc import Instance, build_cluster_tree, build_matrix
@@ -330,3 +337,89 @@ def test_roots_mode_does_not_import_sympy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, "analyze", str(path)], capture_output=True, text=True,
                           env={"PYTHONPATH": str(src)}, check=True, timeout=60)
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_batch_reads_on_past_a_mode_that_is_not_a_string(tmp_path, capsys):
+    (tmp_path / "a.json").write_text(json.dumps({"mode": []}))  # sorts first: it used to abort the run
+    for fx in (FIXTURE_A, FIXTURE_B):
+        write_instance(tmp_path / f"{fx['label']}.json", fx)
+    assert main(["batch", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert sorted(json.loads(l)["label"] for l in captured.out.splitlines()) == ["fixtureA", "fixtureB"]
+    assert "a.json: mode must be 'roots' or 'matrix', got []" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--format", "json"], ["batch"]],
+                         ids=["text", "json", "batch"])
+def test_label_that_cannot_be_written_as_utf8_exit_one(tmp_path, capsys, argv):
+    doc = {"mode": "roots", "p": 5, "roots": ["0", "25", "1", "2", "3", "4"], "label": "\ud800"}
+    (tmp_path / "lone.json").write_text(json.dumps(doc))
+    target = tmp_path if argv[0] == "batch" else tmp_path / "lone.json"
+    assert main([argv[0], str(target), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "label cannot be written as UTF-8" in captured.err
+
+
+def test_root_in_exponent_notation_exit_one_at_once(tmp_path, capsys):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"mode": "roots", "p": 5, "roots": ["0", "1e10000000", "2", "3", "4", "6"]}))
+    start = time.perf_counter()
+    assert main(["analyze", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    assert "root 1 must not use exponent notation: '1e10000000'" in capsys.readouterr().err
+
+
+_FIELD_NAMES = ["mode", "p", "roots", "valuations", "label"]
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-1000, 1000)
+    | st.floats()
+    | st.text(max_size=6)
+    | st.text(st.sampled_from("0123456789/.-+eE_ \ud800"), max_size=8),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(_FIELD_NAMES) | st.text(max_size=4), kids, max_size=4),
+    max_leaves=10,
+)
+_VALID_DOCS = (
+    {"mode": "roots", "p": 5, "roots": ["0", "25", "1", "2", "3", "4"], "label": "fixtureC"},
+    {"mode": "matrix", "valuations": _chain_rows(6, 3), "label": "chain"},
+)
+
+
+@st.composite
+def _mutated_instances(draw):
+    """A valid instance with one to three fields, rows, roots or entries replaced or deleted."""
+    doc = copy.deepcopy(draw(st.sampled_from(_VALID_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        holder, slot = doc, draw(st.sampled_from(sorted(doc) + ["extra"]))
+        while True:
+            inner = holder.get(slot) if isinstance(holder, dict) else holder[slot]
+            if not (isinstance(inner, list) and inner and draw(st.booleans())):
+                break
+            holder, slot = inner, draw(st.integers(0, len(inner) - 1))
+        if not draw(st.booleans()):
+            holder[slot] = draw(_json_values)
+        elif isinstance(holder, dict):
+            holder.pop(slot, None)
+        else:
+            del holder[slot]
+    return doc
+
+
+@given(_json_values | _mutated_instances())
+@example({"mode": []})
+@example({"mode": "roots", "p": 5, "roots": ["0", "25", "1", "2", "3", "4"], "label": "\ud800"})
+@example({"mode": "roots", "p": 5, "roots": ["0", "1e10000000", "2", "3", "4", "6"]})
+@settings(max_examples=150, deadline=None)
+def test_every_file_exits_zero_or_one(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["analyze", str(path)], ["analyze", str(path), "--format", "json"], ["batch", tmp]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1), (argv, err.getvalue())
+            out.getvalue().encode("utf-8")
