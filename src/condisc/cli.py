@@ -8,7 +8,6 @@ property of the input).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -20,8 +19,16 @@ from .instancefile import load_instance
 from .render import dot_cover, dot_model, dot_tree, render_text
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exit 1 on a usage error, which is invalid input; exit 2 means an analyzer bug."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="condisc",
         description="Exact conductor/discriminant analysis of split hyperelliptic equations "
         "over a discretely valued base",
@@ -83,19 +90,18 @@ def _cmd_batch(args) -> int:
     for path in files:
         try:
             source, label = load_instance(path)
-            report = analyze(source, allow_small=args.allow_small_genus, label=label)
+            report = analyze(source, allow_small=args.allow_small_genus,
+                             label=label if label is not None else path.stem)
         except InstanceError as exc:
             failures += 1
             print(f"{path.name}: {exc}", file=sys.stderr)
             continue
-        except InternalInvariantViolation as exc:
+        except Exception as exc:  # an analyzer bug: count it against this file and go on to the next
             invariant_trips += 1
-            print(f"{path.name}: INTERNAL: {exc}", file=sys.stderr)
+            detail = exc if isinstance(exc, InternalInvariantViolation) else f"{type(exc).__name__}: {exc}"
+            print(f"{path.name}: INTERNAL: {detail}", file=sys.stderr)
             continue
-        line = report.to_json_dict()
-        if line["label"] is None:
-            line["label"] = path.stem
-        print(json.dumps(line, separators=(",", ":")))
+        print(report.to_json_line())
     if failures or invariant_trips:
         print(f"batch: {failures} invalid, {invariant_trips} internal failures "
               f"out of {len(files)} files", file=sys.stderr)

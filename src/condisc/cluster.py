@@ -119,7 +119,8 @@ def build_cluster_tree(m: ValuationMatrix, *, allow_small: bool = False) -> Clus
         rec = work.pop()
         members, depth = rec[0], rec[1]
         # the matrix is ultrametric, so the cluster minimum lies on its first row
-        floor = min(m.at(members[0], j) for j in members[1:])
+        first = m.entries[members[0]]
+        floor = min(first[j] for j in members[1:])
         if floor is INFINITY:
             raise InternalInvariantViolation("infinite valuation inside a cluster", vertex=members)
         if len(records) + floor - depth > TREE_VERTEX_BUDGET:
@@ -137,8 +138,9 @@ def build_cluster_tree(m: ValuationMatrix, *, allow_small: bool = False) -> Clus
         # split at depth floor into classes of m >= floor + 1, ordered by smallest member
         classes: list[list[int]] = []
         for i in members:
+            row = m.entries[i]
             for cls in classes:
-                if m.at(i, cls[0]) >= floor + 1:
+                if row[cls[0]] >= floor + 1:
                     cls.append(i)
                     break
             else:
@@ -188,11 +190,7 @@ def local_disc(v: ClusterVertex, tree: ClusterTree) -> int:
 
 def equation_discriminant(m: ValuationMatrix) -> int:
     """Valuation of disc(f) as a degree-(2g+2) polynomial: twice the sum of pairwise valuations."""
-    total = 0
-    for i in range(m.n):
-        for j in range(i + 1, m.n):
-            total += m.at(i, j)
-    return 2 * total
+    return 2 * sum(sum(row[i + 1:]) for i, row in enumerate(m.entries))
 
 
 def check_tree_invariants(tree: ClusterTree) -> None:

@@ -133,10 +133,8 @@ def naive_tree_oracle(m: ValuationMatrix) -> list[OracleVertex]:
     not yet partitioned, so depth is not limited by the recursion limit.
     """
     out: list[OracleVertex] = []
-    all_idx = tuple(range(m.n))
-    base = [[m.at(i, j) for j in all_idx] for i in all_idx]
     # (indices, submatrix, depth, parent members, parent f_val)
-    stack: list[tuple] = [(all_idx, base, 0, None, None)]
+    stack: list[tuple] = [(tuple(range(m.n)), [list(row) for row in m.entries], 0, None, None)]
     while stack:
         indices, sub, depth, parent, parent_f = stack.pop()
         mine = frozenset(indices)

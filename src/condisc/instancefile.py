@@ -25,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import InstanceError
-from .valuation import INFINITY, Instance, ValuationMatrix
+from .valuation import Instance, ValuationMatrix, matrix_from_rows
 
 _FIELDS = {
     "roots": {"mode", "p", "roots", "label"},
@@ -87,7 +87,6 @@ def parse_instance_dict(data) -> Instance | ValuationMatrix:
     rows = data["valuations"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InstanceError("valuations must be a 2-D array")
-    entries = []
     for i, row in enumerate(rows):
         for j, e in enumerate(row):
             if e is None:
@@ -95,8 +94,7 @@ def parse_instance_dict(data) -> Instance | ValuationMatrix:
                     raise InstanceError(f"null entry off the diagonal at ({i}, {j})")
             elif isinstance(e, bool) or not isinstance(e, int):
                 raise InstanceError(f"matrix entry ({i}, {j}) must be an integer or null, got {e!r}")
-        entries.append(tuple(INFINITY if e is None else e for e in row))
-    return ValuationMatrix(tuple(entries))
+    return matrix_from_rows(rows)
 
 
 def load_instance(path: str | Path) -> tuple[Instance | ValuationMatrix, str | None]:

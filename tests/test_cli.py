@@ -96,6 +96,8 @@ def test_small_genus_gate_and_flag(tmp_path, capsys):
     assert main(["analyze", str(path), "--allow-small-genus", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert any("out of scope" in w for w in doc["warnings"])
+    assert main(["analyze", str(path), "--allow-small-genus"]) == 0
+    assert "\nwarning: 4 roots: genus 1 < 2 is out of scope" in capsys.readouterr().out
     # strict mode promotes the warning back to an error
     assert main(["analyze", str(path), "--allow-small-genus", "--strict"]) == 1
     assert "error (strict)" in capsys.readouterr().err
@@ -198,6 +200,33 @@ def test_batch_collects_per_file_errors(tmp_path, capsys):
     assert "bad.json" in captured.err and "1 invalid" in captured.err
 
 
+def test_batch_reports_an_unexpected_error_against_its_file_and_goes_on(tmp_path, capsys, monkeypatch):
+    for fx in (FIXTURE_A, FIXTURE_B, FIXTURE_C):
+        write_instance(tmp_path / f"{fx['label']}.json", fx)
+    true_analyze = condisc.cli.analyze
+
+    def analyze(source, **kwargs):
+        if kwargs["label"] == "fixtureB":
+            raise RuntimeError("boom")
+        return true_analyze(source, **kwargs)
+
+    monkeypatch.setattr(condisc.cli, "analyze", analyze)
+    assert main(["batch", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert [json.loads(l)["label"] for l in captured.out.splitlines()] == ["fixtureA", "fixtureC"]
+    assert "fixtureB.json: INTERNAL: RuntimeError: boom\n" in captured.err
+    assert "0 invalid, 1 internal failures out of 3 files" in captured.err
+
+
+def test_batch_labels_an_unlabelled_file_by_its_name(tmp_path, capsys):
+    doc = {"mode": "roots", "p": FIXTURE_A["p"], "roots": FIXTURE_A["roots"]}
+    (tmp_path / "nameless.json").write_text(json.dumps(doc))
+    assert main(["batch", str(tmp_path)]) == 0
+    line = capsys.readouterr().out
+    report = condisc.conductor.analyze(Instance.from_values(FIXTURE_A["p"], FIXTURE_A["roots"], label="nameless"))
+    assert line == report.to_json_line() + "\n"
+
+
 def test_fuzz_smoke(capsys):
     assert main(["fuzz", "--trials", "20", "--seed", "7"]) == 0
     assert "20 trials ok" in capsys.readouterr().out
@@ -213,6 +242,42 @@ def test_version(capsys):
 def test_no_command_prints_help(capsys):
     assert main([]) == 1
     assert "analyze" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["analyze"], "the following arguments are required: input"),
+    (["batch", "D", "--format", "csv"], "argument --format: invalid choice: 'csv'"),
+    (["fuzz", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
+], ids=["no-input", "bad-format", "bad-trials"])
+def test_usage_error_exits_one(capsys, argv, needle):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: condisc {argv[0]} ") and f"condisc {argv[0]}: error: {needle}" in err
+
+
+def test_p_above_the_digit_cap_exits_one_before_the_primality_test(tmp_path, capsys, monkeypatch):
+    import condisc.valuation as cv
+
+    def is_odd_prime(n):
+        raise AssertionError("the primality test ran on a p above the cap")
+
+    monkeypatch.setattr(cv, "is_odd_prime", is_odd_prime)
+    path = tmp_path / "huge_p.json"
+    path.write_text(json.dumps({"mode": "roots", "p": 10**cv.P_MAX_DIGITS + 1, "roots": ["0", "1", "2", "3", "4", "5"]}))
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: p has more than {cv.P_MAX_DIGITS} decimal digits (P_MAX_DIGITS)\n"
+
+
+def test_largest_prime_under_the_digit_cap_is_analyzed(tmp_path, capsys):
+    from condisc.valuation import P_MAX_DIGITS
+
+    p = 10**P_MAX_DIGITS - 1769  # the largest prime with P_MAX_DIGITS digits
+    path = tmp_path / "big_p.json"
+    path.write_text(json.dumps({"mode": "roots", "p": p, "roots": ["0", "1", "2", "3", "4", "5"]}))
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["nu_df"] == 0
 
 
 @pytest.mark.parametrize(
@@ -324,6 +389,8 @@ def test_each_gate_runs_once_per_analysis(tmp_path, capsys, monkeypatch):
     assert calls == {"validate": 1, "check_shape": 0, "count_gate": 1}
     assert main(["analyze", str(matrix)]) == 0
     assert calls == {"validate": 1, "check_shape": 1, "count_gate": 2}
+    condisc.conductor.analyze(cv.matrix_from_rows(_chain_rows(6, 3)))
+    assert calls == {"validate": 1, "check_shape": 2, "count_gate": 3}
 
 
 def test_roots_mode_does_not_import_sympy(tmp_path):

@@ -36,7 +36,7 @@ def test_max_depth_zero_forces_good_reduction():
     # with p >= 2g + 2 every root can land in its own residue class
     inst = gen_instance(GenSpec(seed=3, p=13, genus=2, max_depth=0))
     m = build_matrix(inst)
-    assert all(m.at(i, j) == 0 for i in range(m.n) for j in range(i + 1, m.n))
+    assert all(m.entries[i][j] == 0 for i in range(m.n) for j in range(i + 1, m.n))
 
 
 def test_disc_oracle_fixtures(fixture_a, fixture_b, good_reduction):
@@ -84,10 +84,10 @@ def test_mutation_probe_of_validator():
                 flagged += 1
                 # the reported triple must genuinely break the min-twice rule
                 for (a, b, c) in verdict.violations:
-                    vals = (mutated.at(a, b), mutated.at(b, c), mutated.at(a, c))
+                    vals = (mutated.entries[a][b], mutated.entries[b][c], mutated.entries[a][c])
                     lo = min(vals)
                     assert sum(1 for v in vals if v == lo) == 1
-                    assert mutated.at(a, c) < min(mutated.at(a, b), mutated.at(b, c))
+                    assert mutated.entries[a][c] < min(mutated.entries[a][b], mutated.entries[b][c])
                 with pytest.raises(UltrametricViolationError):
                     build_cluster_tree(mutated)
     assert flagged > 0

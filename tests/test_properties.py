@@ -83,7 +83,7 @@ def test_scaling_by_p_shifts_every_entry(spec):
     for i in range(n):
         for j in range(n):
             if i != j:
-                assert scaled.at(i, j) == m.at(i, j) + 1
+                assert scaled.entries[i][j] == m.entries[i][j] + 1
     assert equation_discriminant(scaled) == equation_discriminant(m) + n * (n - 1)
 
 
@@ -99,4 +99,4 @@ def test_mutated_matrices_either_pass_or_get_flagged(spec, pick):
         analyze(mutated)  # still a legal instance; pipeline must accept it
     else:
         a, b, c = verdict.violations[0]
-        assert mutated.at(a, c) < min(mutated.at(a, b), mutated.at(b, c))
+        assert mutated.entries[a][c] < min(mutated.entries[a][b], mutated.entries[b][c])

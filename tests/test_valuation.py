@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -46,36 +47,38 @@ def test_val_negative_on_denominator():
 
 
 def test_infinity_ordering_and_absorption():
+    assert INFINITY is math.inf
     assert INFINITY > 10**18
+    assert INFINITY > 10**5000  # exact: the int is not converted to a float
     assert not (INFINITY < 5)
     assert min(INFINITY, 7) == 7
-    assert INFINITY + 3 is INFINITY
-    assert 3 + INFINITY is INFINITY
+    assert INFINITY + 3 == INFINITY
+    assert 3 + INFINITY == INFINITY
     assert INFINITY == INFINITY
     assert INFINITY != 0
 
 
 def test_build_matrix_fixture_a(fixture_a):
     m = build_matrix(fixture_a)
-    ones = {(i, j) for i in range(6) for j in range(i + 1, 6) if m.at(i, j) == 1}
+    ones = {(i, j) for i in range(6) for j in range(i + 1, 6) if m.entries[i][j] == 1}
     assert ones == {(0, 3), (1, 4), (2, 5)}
     for i in range(6):
         for j in range(i + 1, 6):
-            assert m.at(i, j) == brute_val(fixture_a.roots[i] - fixture_a.roots[j], 3)
-            assert m.at(i, j) == m.at(j, i)
-        assert m.at(i, i) is INFINITY
+            assert m.entries[i][j] == brute_val(fixture_a.roots[i] - fixture_a.roots[j], 3)
+            assert m.entries[i][j] == m.entries[j][i]
+        assert m.entries[i][i] is INFINITY
 
 
 def test_build_matrix_fixture_b(fixture_b):
     m = build_matrix(fixture_b)
-    ones = {(i, j) for i in range(6) for j in range(i + 1, 6) if m.at(i, j) == 1}
+    ones = {(i, j) for i in range(6) for j in range(i + 1, 6) if m.entries[i][j] == 1}
     assert ones == {(0, 1), (0, 2), (1, 2)}
-    assert all(m.at(i, j) == 0 for i in range(6) for j in range(i + 1, 6) if (i, j) not in ones)
+    assert all(m.entries[i][j] == 0 for i in range(6) for j in range(i + 1, 6) if (i, j) not in ones)
 
 
 def test_build_matrix_distinct_residues(good_reduction):
     m = build_matrix(good_reduction)
-    assert all(m.at(i, j) == 0 for i in range(6) for j in range(i + 1, 6))
+    assert all(m.entries[i][j] == 0 for i in range(6) for j in range(i + 1, 6))
 
 
 def test_duplicate_roots_rejected():
@@ -140,7 +143,7 @@ def test_matrix_shape_gates():
     with pytest.raises(InstanceError, match="symmetric"):
         matrix_from_rows([[None, 1, 0], [2, None, 0], [0, 0, None]]).check_shape()
     with pytest.raises(InstanceError, match="nonnegative"):
-        matrix_from_rows([[None, -1], [-1, None]])
+        matrix_from_rows([[None, -1], [-1, None]]).check_shape()
     # the root-count gate sits at the analysis boundary, not on the matrix
     odd = matrix_from_rows([[None, 0, 0], [0, None, 0], [0, 0, None]])
     with pytest.raises(InstanceError, match="even"):
@@ -154,9 +157,18 @@ def test_unit_scaling_leaves_matrix_unchanged(fixture_b):
         assert build_matrix(scaled).entries == base.entries
 
 
+def test_null_off_the_diagonal_is_a_pair_of_equal_roots():
+    from condisc import analyze
+
+    rows = [[None if i == j else 0 for j in range(6)] for i in range(6)]
+    rows[2][4] = rows[4][2] = None
+    with pytest.raises(DuplicateRootsError, match=r"duplicate roots at indices \(2, 4\)"):
+        analyze(matrix_from_rows(rows))
+
+
 def test_check_shape_rejects_bool_entries():
     with pytest.raises(InstanceError, match="nonnegative integer, got True"):
-        matrix_from_rows([[None, True], [True, None]])
+        matrix_from_rows([[None, True], [True, None]]).check_shape()
 
 
 # strong pseudoprimes to every prime base up to 7, 23, 37 and 41 in turn,
