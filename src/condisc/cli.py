@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 invalid input, 2 internal invariant violation
-(the analyzer caught itself producing impossible numbers -- a bug, not a
-property of the input).
+Exit codes: 0 success, 1 invalid input, 2 internal invariant violation or
+any other unexpected error (a bug in the analyzer, not a property of the
+input).
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _describe(exc: Exception) -> str:  # an invariant's own message, any other error as `Type: message`
+    return str(exc) if isinstance(exc, InternalInvariantViolation) else f"{type(exc).__name__}: {exc}"
+
+
 def _cmd_analyze(args) -> int:
     source, label = load_instance(args.input)
     report = analyze(source, allow_small=args.allow_small_genus, label=label)
@@ -98,16 +102,13 @@ def _cmd_batch(args) -> int:
             continue
         except Exception as exc:  # an analyzer bug: count it against this file and go on to the next
             invariant_trips += 1
-            detail = exc if isinstance(exc, InternalInvariantViolation) else f"{type(exc).__name__}: {exc}"
-            print(f"{path.name}: INTERNAL: {detail}", file=sys.stderr)
+            print(f"{path.name}: INTERNAL: {_describe(exc)}", file=sys.stderr)
             continue
         print(report.to_json_line())
     if failures or invariant_trips:
         print(f"batch: {failures} invalid, {invariant_trips} internal failures "
               f"out of {len(files)} files", file=sys.stderr)
-    if invariant_trips:
-        return 2
-    return 1 if failures else 0
+    return 2 if invariant_trips else 1 if failures else 0
 
 
 def _cmd_fuzz(args) -> int:
@@ -137,8 +138,8 @@ def main(argv=None) -> int:
     except InstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InternalInvariantViolation as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
+    except Exception as exc:  # an analyzer bug, whatever its type: exit 2, never a traceback
+        print(f"internal invariant violation: {_describe(exc)}", file=sys.stderr)
         return 2
 
 

@@ -30,7 +30,6 @@ from .dualgraph import (
     artin_conductor,
     build_tx,
     build_ty,
-    component_term,
     detect_nonminimal,
     genus_check,
     self_intersections,
@@ -234,9 +233,14 @@ def _check_bound_bijection(tree: ClusterTree, ledgers) -> None:
 
 
 def _check_conductor_decomposition(tree: ClusterTree, x: XGraph, ledgers, artin: int) -> None:
+    """Split artin_conductor's sum by tree vertex and compare each share with D."""
     by_vertex = {v.id: 0 for v in tree}
     for c in x:
-        by_vertex[x.base_vertex(c.id)] += component_term(x, c.id)
+        by_vertex[x.base_vertex(c.id)] += (1 - c.m) * c.chi
+    for (a, b), w in x.edges.items():  # the upper end lies over the lower end's T_Y parent
+        up, lo = (b, a) if x.ygraph.parent.get(x[a].over) == x[b].over else (a, b)
+        by_vertex[x.base_vertex(up)] += x[lo].m * w
+        by_vertex[x.base_vertex(lo)] += (x[up].m - 1) * w
     for led in ledgers:
         if by_vertex[led.vertex] != led.D:
             raise InternalInvariantViolation(

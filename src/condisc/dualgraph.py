@@ -21,7 +21,8 @@ invariant computed here is independent of which sheet meets which; fixing
 sheet index to sheet index makes output reproducible byte for byte.
 
 ``build_tx`` only joins components over the two ends of a T_Y edge, so T_X
-keeps no adjacency of its own: ``XGraph.neighbors`` walks T_Y's.
+keeps no adjacency of its own: ``XGraph.neighbors`` walks T_Y's, for
+connectivity and self-intersections.  The conductor is read from ``edges``.
 """
 
 from __future__ import annotations
@@ -126,17 +127,18 @@ def build_ty(tree: ClusterTree) -> YGraph:
 
 
 def check_y_invariants(y: YGraph) -> None:
-    tree = y.tree
     for v in y:
         if v.odd:
             for w in y.neighbors(v.id):
                 if y[w].odd:
                     raise InternalInvariantViolation("two odd cover vertices are adjacent", vertex=(v.id, w))
-        elif y.beta(v.id) % 2 != 0:
+            continue
+        beta = y.beta(v.id)
+        if beta % 2 != 0:
             raise InternalInvariantViolation("odd branch degree at an even vertex", vertex=v.id)
-        if v.kind == ST and not v.odd:
-            b = tree[v.origin[0]]
-            if y.beta(v.id) != b.l + (b.l % 2):
+        if v.kind == ST:
+            b = y.tree[v.origin[0]]
+            if beta != b.l + (b.l % 2):
                 raise InternalInvariantViolation(
                     "branch degree != l + (l mod 2) at an even strict transform", vertex=v.id
                 )
@@ -188,7 +190,6 @@ class XGraph:
 
 
 def build_tx(y: YGraph) -> XGraph:
-    tree = y.tree
     comps: list[XComponent] = []
     over: dict[int, tuple[int, ...]] = {}
 
@@ -222,7 +223,7 @@ def build_tx(y: YGraph) -> XGraph:
         components=tuple(comps),
         edges=edges,
         over=over,
-        genus=(tree.num_roots - 2) // 2,
+        genus=(y.tree.num_roots - 2) // 2,
         ygraph=y,
     )
     _check_connected(x)
@@ -283,21 +284,10 @@ def check_x_invariants(x: XGraph) -> None:
             raise InternalInvariantViolation("odd fiber does not split as 1 + s + l'", vertex=bv.id)
 
 
-def component_term(x: XGraph, cid: int) -> int:
-    """One component's share of the conductor sum."""
-    c = x[cid]
-    term = (1 - c.m) * c.chi
-    for w, wt in x.neighbors(cid):
-        term += (x[w].m - 1) * wt
-    for v in x.ygraph.children[c.over]:
-        for w in x.over[v]:
-            term += x.weight(cid, w)
-    return term
-
-
 def artin_conductor(x: XGraph) -> int:
-    """Degeneracy of the model: -(chi of generic fiber) + chi of special fiber."""
-    return sum(component_term(x, c.id) for c in x)
+    """Degeneracy of the model: -(chi of generic fiber) + chi of special fiber,
+    sum_c (1 - m_c) chi_c + sum over edges ab of (m_a + m_b - 1) w_ab."""
+    return sum((1 - c.m) * c.chi for c in x) + sum((x[a].m + x[b].m - 1) * w for (a, b), w in x.edges.items())
 
 
 def self_intersections(x: XGraph) -> dict[int, int]:

@@ -218,6 +218,22 @@ def test_batch_reports_an_unexpected_error_against_its_file_and_goes_on(tmp_path
     assert "0 invalid, 1 internal failures out of 3 files" in captured.err
 
 
+@pytest.mark.parametrize("command, target, error", [
+    ("analyze", "analyze", RuntimeError("boom")),
+    ("fuzz", "run_trial", KeyError("boom")),
+], ids=["analyze", "fuzz"])
+def test_unexpected_error_exits_two_with_one_line(fixture_a_file, capsys, monkeypatch, command, target, error):
+    def raising(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(condisc.cli, target, raising)
+    argv = ["analyze", str(fixture_a_file)] if command == "analyze" else ["fuzz", "--trials", "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal invariant violation: {type(error).__name__}: {error}\n"
+
+
 def test_batch_labels_an_unlabelled_file_by_its_name(tmp_path, capsys):
     doc = {"mode": "roots", "p": FIXTURE_A["p"], "roots": FIXTURE_A["roots"]}
     (tmp_path / "nameless.json").write_text(json.dumps(doc))
@@ -278,6 +294,28 @@ def test_largest_prime_under_the_digit_cap_is_analyzed(tmp_path, capsys):
     path.write_text(json.dumps({"mode": "roots", "p": p, "roots": ["0", "1", "2", "3", "4", "5"]}))
     assert main(["analyze", str(path), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["nu_df"] == 0
+
+
+def test_composite_at_the_digit_cap_exits_one(tmp_path, capsys):
+    from condisc.valuation import P_MAX_DIGITS
+
+    small_primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+    def no_small_factor(start):
+        return next(n for n in range(start, start + 10**4) if all(n % q for q in small_primes))
+
+    a = no_small_factor(10 ** (P_MAX_DIGITS // 2 - 1))
+    b = no_small_factor(10 ** (P_MAX_DIGITS // 2))
+    p = a * b  # trial division up to 41 cannot reject it
+    assert len(str(p)) == P_MAX_DIGITS
+    path = tmp_path / "big_composite_p.json"
+    path.write_text(json.dumps({"mode": "roots", "p": p, "roots": ["0", "1", "2", "3", "4", "5"]}))
+    start = time.perf_counter()
+    assert main(["analyze", str(path)]) == 1
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: p = {p} is not prime\n"
 
 
 @pytest.mark.parametrize(

@@ -10,11 +10,13 @@ from condisc import (
     build_matrix,
     build_tx,
     build_ty,
+    compare_vertex,
     detect_nonminimal,
     genus_check,
     self_intersections,
 )
-from condisc.dualgraph import INSERT, LEAF, ST, check_x_invariants, component_term
+from condisc.conductor import _check_conductor_decomposition
+from condisc.dualgraph import INSERT, LEAF, ST, check_x_invariants
 from condisc.harness import default_specs, gen_instance
 
 from conftest import (
@@ -156,14 +158,6 @@ def test_semistable_conductor_is_edge_weight(fixture_a, fixture_c):
         assert artin_conductor(x) == x.total_edge_weight()
 
 
-def test_component_terms_group_by_tree_vertex(fixture_b):
-    tree, y, x = graphs_of(fixture_b)
-    grouped = {v.id: 0 for v in tree}
-    for c in x:
-        grouped[x.base_vertex(c.id)] += component_term(x, c.id)
-    assert grouped == {0: 2, 1: 4}
-
-
 def test_beta_even_and_strict_transform_count(fixture_b):
     tree, y, x = graphs_of(make(ODD_CHAIN))
     for v in y:
@@ -225,11 +219,37 @@ def test_neighbors_match_an_edge_scan():
             assert sorted(x.neighbors(c.id)) == _edge_scan(x, c.id)
 
 
-def test_conductor_from_the_edge_list_alone():
+def _walked_by_vertex(x):
+    """The conductor per tree vertex by a walk of each component's neighbours:
+    (1 - m) chi, plus (m_w - 1) wt per neighbour w, plus wt per neighbour below it."""
+    out = {v.id: 0 for v in x.ygraph.tree}
+    for c in x:
+        term = (1 - c.m) * c.chi
+        for w, wt in x.neighbors(c.id):
+            term += (x[w].m - 1) * wt
+            if x.ygraph.parent.get(x[w].over) == c.over:
+                term += wt
+        out[x.base_vertex(c.id)] += term
+    return out
+
+
+def test_conductor_matches_the_per_component_neighbour_walk(fixture_b):
     for x in _models():
-        per_component = sum((1 - c.m) * c.chi for c in x)
-        per_edge = sum((x[a].m + x[b].m - 1) * w for (a, b), w in x.edges.items())
-        assert artin_conductor(x) == per_component + per_edge
+        tree = x.ygraph.tree
+        walked = _walked_by_vertex(x)
+        assert artin_conductor(x) == sum(walked.values())
+        assert walked == {v.id: compare_vertex(v, tree).D for v in tree}
+    assert _walked_by_vertex(graphs_of(fixture_b)[2]) == {0: 2, 1: 4}
+
+
+def test_conductor_decomposition_names_the_vertex_an_edge_weight_breaks(fixture_b):
+    report = analyze(fixture_b)
+    x = report.xgraph
+    (root_comp,) = x.over[report.tree.root.id]
+    edge = next(e for e in x.edges if root_comp in e)
+    broken = dataclasses.replace(x, edges={**x.edges, edge: x.edges[edge] + 1})
+    with pytest.raises(InternalInvariantViolation, match=r"formula gives 2 \(at vertex 0\)"):
+        _check_conductor_decomposition(report.tree, broken, report.ledgers, artin_conductor(broken))
 
 
 def test_edge_over_non_adjacent_cover_vertices_rejected():
