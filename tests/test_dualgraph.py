@@ -233,13 +233,25 @@ def _walked_by_vertex(x):
     return out
 
 
-def test_conductor_matches_the_per_component_neighbour_walk(fixture_b):
+def test_component_terms_group_by_tree_vertex(fixture_b):
+    tree, y, x = graphs_of(fixture_b)
+    grouped = _walked_by_vertex(x)
+    assert grouped == {0: 2, 1: 4}
+    assert grouped == {v.id: compare_vertex(v, tree).D for v in tree}
+
+
+def test_conductor_from_the_edge_list_alone():
+    for x in _models():
+        per_component = sum((1 - c.m) * c.chi for c in x)
+        per_edge = sum((x[a].m + x[b].m - 1) * w for (a, b), w in x.edges.items())
+        assert artin_conductor(x) == per_component + per_edge
+        assert artin_conductor(x) == sum(_walked_by_vertex(x).values())
+
+
+def test_conductor_matches_the_per_component_neighbour_walk():
     for x in _models():
         tree = x.ygraph.tree
-        walked = _walked_by_vertex(x)
-        assert artin_conductor(x) == sum(walked.values())
-        assert walked == {v.id: compare_vertex(v, tree).D for v in tree}
-    assert _walked_by_vertex(graphs_of(fixture_b)[2]) == {0: 2, 1: 4}
+        assert _walked_by_vertex(x) == {v.id: compare_vertex(v, tree).D for v in tree}
 
 
 def test_conductor_decomposition_names_the_vertex_an_edge_weight_breaks(fixture_b):
