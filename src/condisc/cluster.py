@@ -12,6 +12,17 @@ recursion.  Each split records its vertex's separating roots and child
 clusters as soon as its classes are known, and the statistics below are
 read from those records, not reconstructed afterwards.
 
+The same loop certifies that the matrix is ultrametric.  At each split,
+every pair of roots in two different classes must have valuation exactly
+the split's depth.  Each pair is checked once, at its lowest common
+ancestor, so the check costs O(n^2) in all, and when it passes the matrix
+equals the ultrametric of the tree, which proves it ultrametric (a matrix is
+ultrametric exactly when it equals the ultrametric of its single-linkage
+tree; Gower and Ross, 1969).  On any failure of the loop -- a pair that
+disagrees, the vertex budget, an infinite valuation inside a cluster -- the
+O(n^3) triple scan :func:`~condisc.valuation.validate_ultrametric` runs
+first and its verdict, listing every violating triple, takes precedence.
+
 Per vertex we track:
 
 * ``wt``       -- number of roots in the vertex's disk,
@@ -90,35 +101,17 @@ class ClusterTree:
         return v.parent is not None and self[v.parent].odd
 
 
-def build_cluster_tree(m: ValuationMatrix, *, allow_small: bool = False) -> ClusterTree:
-    """Build the annotated refinement tree from a valuation matrix.
-
-    The root count must be even and at least 6 (2 with ``allow_small``) and
-    the matrix ultrametric; violations are rejected up front, and so is a
-    tree of more than :data:`TREE_VERTEX_BUDGET` vertices.  For a cluster
-    whose minimum internal valuation exceeds its depth, chain vertices are
-    emitted one per intermediate depth before the split.
-    """
-    n = m.n
-    if n % 2 != 0:
-        raise InstanceError(f"root count must be even (2g + 2), got {n}")
-    if n < 2:
-        raise InstanceError(f"need at least 2 roots, got {n}")
-    if n < 6 and not allow_small:
-        raise TooFewRootsError(n)
-    verdict = validate_ultrametric(m)
-    if not verdict.ok:
-        raise UltrametricViolationError(verdict.violations)
-
-    # vertex records [members (ascending), depth, parent record, sep, child records],
-    # each filled in by the split that makes it; ``work`` holds those not yet split
-    root: list = [tuple(range(n)), 0, None, (), []]
+def _grow(m: ValuationMatrix) -> list[list]:
+    """Split clusters from a work list, certifying each split; returns the vertex
+    records [members (ascending), depth, parent record, sep, child records]."""
+    root: list = [tuple(range(m.n)), 0, None, (), []]
     records = [root]
     work = [root]
     while work:
         rec = work.pop()
         members, depth = rec[0], rec[1]
-        # the matrix is ultrametric, so the cluster minimum lies on its first row
+        # the cluster minimum, taken on the first row: a smaller pair elsewhere in the
+        # cluster would meet this floor or a deeper one in the certificate and fail
         first = m.entries[members[0]]
         floor = min(first[j] for j in members[1:])
         if floor is INFINITY:
@@ -145,6 +138,17 @@ def build_cluster_tree(m: ValuationMatrix, *, allow_small: bool = False) -> Clus
                     break
             else:
                 classes.append([i])
+        # certificate: every pair across two classes has valuation exactly floor
+        later: list[int] = []
+        for cls in reversed(classes):
+            for i in cls:
+                row = m.entries[i]
+                if [row[j] for j in later].count(floor) != len(later):
+                    j = next(j for j in later if row[j] != floor)
+                    raise InternalInvariantViolation(
+                        f"valuation {row[j]} differs from the split depth {floor}", vertex=(i, j)
+                    )
+            later += cls
         rec[3] = tuple(cls[0] for cls in classes if len(cls) == 1)
         for cls in classes:
             if len(cls) >= 2:
@@ -152,6 +156,38 @@ def build_cluster_tree(m: ValuationMatrix, *, allow_small: bool = False) -> Clus
                 rec[4].append(child)
                 records.append(child)
                 work.append(child)
+    return records
+
+
+def build_cluster_tree(m: ValuationMatrix, *, allow_small: bool = False) -> ClusterTree:
+    """Build the annotated refinement tree from a valuation matrix.
+
+    The root count must be even and at least 6 (2 with ``allow_small``); a
+    matrix that is not ultrametric, and a tree of more than
+    :data:`TREE_VERTEX_BUDGET` vertices, are rejected.  For a cluster whose
+    minimum internal valuation exceeds its depth, chain vertices are emitted
+    one per intermediate depth before the split.
+
+    The ultrametric rule is certified while the tree grows, in O(n^2): see
+    the module docstring.  Any failure of the loop runs
+    :func:`validate_ultrametric` first, so a matrix that is not ultrametric
+    always gets the scan's :class:`UltrametricViolationError`, whatever else
+    is wrong with it.  ``m`` must be symmetric, as ``check_shape`` ensures.
+    """
+    n = m.n
+    if n % 2 != 0:
+        raise InstanceError(f"root count must be even (2g + 2), got {n}")
+    if n < 2:
+        raise InstanceError(f"need at least 2 roots, got {n}")
+    if n < 6 and not allow_small:
+        raise TooFewRootsError(n)
+    try:
+        records = _grow(m)
+    except (InstanceError, InternalInvariantViolation):
+        verdict = validate_ultrametric(m)
+        if not verdict.ok:
+            raise UltrametricViolationError(verdict.violations) from None
+        raise
 
     # canonical ids: sort by (depth, smallest member), so a parent precedes its
     # children and siblings keep their class order; each id goes in slot 5.

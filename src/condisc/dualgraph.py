@@ -22,7 +22,8 @@ sheet index to sheet index makes output reproducible byte for byte.
 
 ``build_tx`` only joins components over the two ends of a T_Y edge, so T_X
 keeps no adjacency of its own: ``XGraph.neighbors`` walks T_Y's, for
-connectivity and self-intersections.  The conductor is read from ``edges``.
+connectivity.  The conductor and the self-intersections are read from
+``edges``, one pass each.
 """
 
 from __future__ import annotations
@@ -292,9 +293,13 @@ def artin_conductor(x: XGraph) -> int:
 
 def self_intersections(x: XGraph) -> dict[int, int]:
     """Self-intersection of each component, from (whole fiber) . (component) = 0."""
+    sums = [0] * x.n_components  # sum of m_w * wt over c's neighbours w, from each edge's two ends
+    for (a, b), wt in x.edges.items():
+        sums[a] += x[b].m * wt
+        sums[b] += x[a].m * wt
     out: dict[int, int] = {}
     for c in x:
-        s = sum(x[w].m * wt for w, wt in x.neighbors(c.id))
+        s = sums[c.id]
         q, rem = divmod(-s, c.m)
         if rem:
             raise NonIntegralSelfIntersection(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isqrt
+from math import inf, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .errors import DuplicateRootsError, InstanceError
@@ -202,16 +202,23 @@ class ValuationMatrix:
 
 
 def build_matrix(inst: Instance) -> ValuationMatrix:
-    """Pairwise valuation matrix m[i][j] = val(b_i - b_j, p)."""
-    n = inst.num_roots
+    """Pairwise valuation matrix m[i][j] = val(b_i - b_j, p).
+
+    Computed on integers: with L the lcm of the roots' denominators,
+    v(b_i - b_j) = v(L b_i - L b_j) - v(L), and v(L) = 0 for p-integral roots."""
+    n, p = inst.num_roots, inst.p
+    scale = lcm(*(r.denominator for r in inst.roots))
+    shift = _int_val(scale, p)
+    ints = [r.numerator * (scale // r.denominator) for r in inst.roots]
     rows = [[INFINITY] * n for _ in range(n)]
     dupes = []
-    for i in range(n):
+    for i, a in enumerate(ints):
         for j in range(i + 1, n):
-            v = val(inst.roots[i] - inst.roots[j], inst.p)
-            if v is INFINITY:
+            d = a - ints[j]
+            if d:
+                rows[i][j] = rows[j][i] = _int_val(d, p) - shift
+            else:
                 dupes.append((i, j))
-            rows[i][j] = rows[j][i] = v
     if dupes:
         raise DuplicateRootsError(dupes)
     return ValuationMatrix(tuple(tuple(row) for row in rows))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import condisc.cluster
 import condisc.conductor
 from condisc import Instance, build_cluster_tree, build_matrix
 from condisc.cli import main
@@ -407,7 +408,7 @@ def test_text_tree_is_indented_preorder():
 def test_each_gate_runs_once_per_analysis(tmp_path, capsys, monkeypatch):
     import condisc.valuation as cv
 
-    calls = {"validate": 0, "check_shape": 0, "count_gate": 0}
+    calls = {"validate": 0, "check_shape": 0, "count_gate": 0, "scan": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -420,15 +421,24 @@ def test_each_gate_runs_once_per_analysis(tmp_path, capsys, monkeypatch):
     # build_cluster_tree holds the root-count gate
     monkeypatch.setattr(condisc.conductor, "build_cluster_tree",
                         counted("count_gate", condisc.conductor.build_cluster_tree))
+    # the O(n^3) ultrametric scan runs only when the tree's certificate fails
+    monkeypatch.setattr(condisc.cluster, "validate_ultrametric",
+                        counted("scan", condisc.cluster.validate_ultrametric))
     roots = write_instance(tmp_path / "roots.json", FIXTURE_A)
     matrix = tmp_path / "matrix.json"
     matrix.write_text(json.dumps({"mode": "matrix", "valuations": _chain_rows(6, 3)}))
     assert main(["analyze", str(roots)]) == 0
-    assert calls == {"validate": 1, "check_shape": 0, "count_gate": 1}
+    assert calls == {"validate": 1, "check_shape": 0, "count_gate": 1, "scan": 0}
     assert main(["analyze", str(matrix)]) == 0
-    assert calls == {"validate": 1, "check_shape": 1, "count_gate": 2}
+    assert calls == {"validate": 1, "check_shape": 1, "count_gate": 2, "scan": 0}
     condisc.conductor.analyze(cv.matrix_from_rows(_chain_rows(6, 3)))
-    assert calls == {"validate": 1, "check_shape": 2, "count_gate": 3}
+    assert calls == {"validate": 1, "check_shape": 2, "count_gate": 3, "scan": 0}
+    rows = _chain_rows(6, 3)
+    rows[2][3] = rows[3][2] = rows[3][4] = rows[4][3] = 1  # but v(2, 4) = 0: not ultrametric
+    matrix.write_text(json.dumps({"mode": "matrix", "valuations": rows}))
+    assert main(["analyze", str(matrix)]) == 1
+    assert "ultrametric violation" in capsys.readouterr().err
+    assert calls == {"validate": 1, "check_shape": 3, "count_gate": 4, "scan": 1}
 
 
 def test_roots_mode_does_not_import_sympy(tmp_path):

@@ -8,14 +8,17 @@ from condisc import (
     InstanceError,
     TooFewRootsError,
     UltrametricViolationError,
+    InternalInvariantViolation,
     build_cluster_tree,
     build_matrix,
     check_tree_invariants,
     equation_discriminant,
     local_disc,
     matrix_from_rows,
+    validate_ultrametric,
 )
-from condisc.harness import disc_oracle, naive_tree_oracle, trees_agree
+from condisc.harness import default_specs, disc_oracle, gen_instance, mutate_entry, naive_tree_oracle, trees_agree
+from condisc.valuation import UltrametricVerdict
 
 from conftest import DEEP_PAIR, FIXTURE_C, make
 
@@ -169,3 +172,58 @@ def test_vertex_budget_bounds_the_tree(monkeypatch):
     monkeypatch.setattr(condisc.cluster, "TREE_VERTEX_BUDGET", 7)
     with pytest.raises(InstanceError, match="budget of 7 vertices"):
         build_cluster_tree(m)
+
+
+def test_certificate_agrees_with_the_triple_scan():
+    # single-entry mutations, +1 or -1 (kept nonnegative), of generated matrices
+    checked = rejected = 0
+    for spec in default_specs(250, base_seed=3000):
+        m = build_matrix(gen_instance(spec))
+        pairs = [(i, j) for i in range(m.n) for j in range(i + 1, m.n)]
+        for k in range(5):
+            i, j = pairs[(spec.seed * 7 + 11 * k) % len(pairs)]
+            delta = 1 if k % 2 == 0 or m.entries[i][j] == 0 else -1
+            mutated = mutate_entry(m, i, j, delta)
+            verdict = validate_ultrametric(mutated)
+            checked += 1
+            if verdict.ok:
+                tree = build_cluster_tree(mutated)
+                assert trees_agree(tree, naive_tree_oracle(mutated))
+                continue
+            rejected += 1
+            with pytest.raises(UltrametricViolationError) as err:
+                build_cluster_tree(mutated)
+            assert err.value.violations == verdict.violations
+    assert checked >= 1000
+    assert 0 < rejected < checked
+
+
+def _violation_beside_a_long_chain():
+    # {0, 1, 2} breaks the strong triangle rule at depth 1; {4, 5} stay together to depth 10**9,
+    # and the work list reaches them first
+    rows = [[None if i == j else 0 for j in range(6)] for i in range(6)]
+    for (i, j), v in {(0, 1): 2, (1, 2): 2, (0, 2): 1, (4, 5): 10**9}.items():
+        rows[i][j] = rows[j][i] = v
+    return matrix_from_rows(rows)
+
+
+def test_non_ultrametric_matrix_past_the_budget_gets_the_ultrametric_error():
+    m = _violation_beside_a_long_chain()
+    with pytest.raises(UltrametricViolationError, match=r"triples \(0, 1, 2\)$"):
+        build_cluster_tree(m)
+
+
+def test_certificate_mismatch_under_a_clean_scan_is_internal(monkeypatch):
+    monkeypatch.setattr(condisc.cluster, "validate_ultrametric", lambda m: UltrametricVerdict(()))
+    with pytest.raises(InternalInvariantViolation, match="differs from the split depth"):
+        build_cluster_tree(matrix_from_rows(
+            [[None, 2, 0, 0, 0, 0],
+             [2, None, 2, 0, 0, 0],
+             [0, 2, None, 0, 0, 0],
+             [0, 0, 0, None, 0, 0],
+             [0, 0, 0, 0, None, 0],
+             [0, 0, 0, 0, 0, None]]
+        ))
+    # a failure the scan does not explain is raised as it is
+    with pytest.raises(InstanceError, match="budget"):
+        build_cluster_tree(_violation_beside_a_long_chain())

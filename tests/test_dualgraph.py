@@ -219,6 +219,12 @@ def test_neighbors_match_an_edge_scan():
             assert sorted(x.neighbors(c.id)) == _edge_scan(x, c.id)
 
 
+def test_self_intersections_match_the_neighbour_walk():
+    for x in _models():
+        walked = {c.id: -sum(x[w].m * wt for w, wt in x.neighbors(c.id)) // c.m for c in x}
+        assert self_intersections(x) == walked
+
+
 def _walked_by_vertex(x):
     """The conductor per tree vertex by a walk of each component's neighbours:
     (1 - m) chi, plus (m_w - 1) wt per neighbour w, plus wt per neighbour below it."""

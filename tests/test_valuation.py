@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,29 @@ def test_build_matrix_fixture_b(fixture_b):
 def test_build_matrix_distinct_residues(good_reduction):
     m = build_matrix(good_reduction)
     assert all(m.entries[i][j] == 0 for i in range(6) for j in range(i + 1, 6))
+
+
+def test_integer_build_matrix_matches_the_fraction_route():
+    # denominators mixing p-units and powers of p: the instance is not p-integral, so
+    # build_matrix's v(L) term is what keeps the entries equal to val and brute_val
+    rng = random.Random(5)
+    for p in (3, 5, 13):
+        for _ in range(20):
+            roots = [Fraction(rng.randrange(-p**6, p**6), rng.choice((1, 2, p, 4 * p**2, p**3 + 1)))
+                     for _ in range(8)]
+            if len(set(roots)) != len(roots):
+                continue
+            m = build_matrix(Instance.from_values(p, roots))
+            for i in range(8):
+                for j in range(i + 1, 8):
+                    assert m.entries[i][j] == val(roots[i] - roots[j], p) == brute_val(roots[i] - roots[j], p)
+
+
+def test_duplicate_roots_listed_in_index_order():
+    inst = Instance.from_values(5, ["1/2", 0, 3, "2/4", 0, 3, 0])
+    with pytest.raises(DuplicateRootsError) as err:
+        build_matrix(inst)
+    assert err.value.pairs == ((0, 3), (1, 4), (1, 6), (2, 5), (4, 6))
 
 
 def test_duplicate_roots_rejected():
