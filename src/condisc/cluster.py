@@ -43,9 +43,9 @@ from .valuation import INFINITY, ValuationMatrix, validate_ultrametric
 
 # most vertices T_B may have: a chain emits one vertex per depth step, so a
 # valuation of v forces more than v of them.  `analyze --format json` costs
-# about 0.13 ms and 5 KB per vertex (depth-10**5 chain: 12.8 s, 532 MB peak
-# RSS; 2-vCPU Xeon, Python 3.11), so a tree at the budget takes minutes and
-# about 5 GB.
+# about 0.05 ms and 3 KB per vertex (depth-10**5 chain: 5.0-5.7 s, 301 MB peak
+# RSS; 2-vCPU Xeon, Python 3.11), so a tree at the budget takes about a
+# minute and 3 GB.
 TREE_VERTEX_BUDGET = 10**6
 
 
@@ -230,38 +230,48 @@ def equation_discriminant(m: ValuationMatrix) -> int:
 
 
 def check_tree_invariants(tree: ClusterTree) -> None:
-    """Structural identities every refinement tree satisfies; bugs raise."""
+    """Structural identities every refinement tree satisfies; bugs raise.
+
+    Each vertex's id must equal its position, since the checks below and the
+    per-vertex ledgers index ``tree.vertices`` by id directly."""
+    verts = tree.vertices
+    for pos, v in enumerate(verts):
+        if v.id != pos:
+            raise InternalInvariantViolation(f"vertex id differs from its position {pos}", vertex=v.id)
     root = tree.root
     if root.depth != 0 or root.members != frozenset(range(tree.num_roots)):
         raise InternalInvariantViolation("root must hold all roots at depth 0", vertex=root.id)
     if root.l % 2 != 0:
         raise InternalInvariantViolation("root must have even l", vertex=root.id)
-    for v in tree:
+    for v in verts:
+        kids = [verts[c] for c in v.children]
         if v.wt < 2:
             raise InternalInvariantViolation("vertex weight below 2", vertex=v.id)
-        if v.wt != v.l_prime + sum(tree[c].wt for c in v.children):
+        if v.wt != v.l_prime + sum(c.wt for c in kids):
             raise InternalInvariantViolation("wt != l_prime + sum of child weights", vertex=v.id)
         if v.wt < v.l_prime + 3 * v.r + 2 * v.s:
             raise InternalInvariantViolation("wt < l_prime + 3r + 2s", vertex=v.id)
         if v.r == v.s == 0 and v.wt != v.l_prime:
             raise InternalInvariantViolation("leaf with wt != l_prime", vertex=v.id)
+        parent_odd = False
         if v.parent is not None:
-            p = tree[v.parent]
+            p = verts[v.parent]
+            parent_odd = p.odd
             if not v.members <= p.members:
                 raise InternalInvariantViolation("child members not inside parent", vertex=v.id)
             if v.depth != p.depth + 1:
                 raise InternalInvariantViolation("child depth != parent depth + 1", vertex=v.id)
             # parity table: odd child of even parent <=> odd weight, of odd parent <=> even weight
-            expect_odd = (v.wt % 2 == 1) if not p.odd else (v.wt % 2 == 0)
+            expect_odd = (v.wt % 2 == 1) if not parent_odd else (v.wt % 2 == 0)
             if v.odd != expect_odd:
                 raise InternalInvariantViolation("child parity contradicts weight parity rule", vertex=v.id)
         if not v.odd:
             # an even vertex has odd l exactly when its parent exists and is odd
-            if (v.l % 2 == 1) != tree.parent_odd(v):
+            if (v.l % 2 == 1) != parent_odd:
                 raise InternalInvariantViolation("even vertex with l parity contradicting parent parity", vertex=v.id)
         # children of one vertex hold disjoint member sets
         seen: set[int] = set()
-        for c in v.children:
-            if seen & tree[c].members:
+        for c in kids:
+            if seen & c.members:
                 raise InternalInvariantViolation("overlapping child member sets", vertex=v.id)
-            seen |= tree[c].members
+            seen |= c.members

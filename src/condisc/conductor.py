@@ -22,7 +22,6 @@ from .cluster import (
     build_cluster_tree,
     check_tree_invariants,
     equation_discriminant,
-    local_disc,
 )
 from .dualgraph import (
     XGraph,
@@ -56,23 +55,17 @@ def _odd_child_shift(v: ClusterVertex, tree: ClusterTree) -> int:
     return sum(2 - tree[c].wt * (tree[c].wt - 1) for c in v.children if tree[c].odd)
 
 
+def _shift(v: ClusterVertex, parent_odd: bool, odd_child_shift: int) -> int:
+    """E from the vertex, its parent's parity and sum(2 - wt(wt-1)) over its odd children."""
+    if not v.odd:
+        return -(v.l % 2) - odd_child_shift
+    base = 2 if not parent_odd else 1
+    return v.r + v.s + base - v.wt * (v.wt - 1) - odd_child_shift
+
+
 def local_shift(v: ClusterVertex, tree: ClusterTree) -> int:
     """Rebalancing term E; sums to zero over the whole tree."""
-    if not v.odd:
-        return -(v.l % 2) - _odd_child_shift(v, tree)
-    base = 2 if not tree.parent_odd(v) else 1
-    return v.r + v.s + base - v.wt * (v.wt - 1) - _odd_child_shift(v, tree)
-
-
-def _shifted_closed_form(v: ClusterVertex, tree: ClusterTree) -> int:
-    odd_child_sq = sum(tree[c].wt * (tree[c].wt - 1) for c in v.children if tree[c].odd)
-    if not v.odd:
-        return 2 * v.s + odd_child_sq
-    return 2 * (v.l + v.s) - v.wt * (v.wt - 1) + odd_child_sq
-
-
-def weight2_children(v: ClusterVertex, tree: ClusterTree) -> int:
-    return sum(1 for c in v.children if tree[c].wt == 2)
+    return _shift(v, tree.parent_odd(v), _odd_child_shift(v, tree))
 
 
 @dataclass(frozen=True)
@@ -92,22 +85,38 @@ def compare_vertex(v: ClusterVertex, tree: ClusterTree) -> VertexLedger:
     """Evaluate all local terms at one vertex and classify the comparison.
 
     The comparison quantity is D'': the shifted share D' = D + E, with 2
-    moved from each odd weight-2 leaf to the ancestor where its chain begins."""
-    d = local_disc(v, tree)
+    moved from each odd weight-2 leaf to the ancestor where its chain begins.
+    The children are scanned once, for every sum over them below."""
+    verts = tree.vertices
+    d = odd_sq = odd_shift = wt2 = 0
+    odd_only = even_wt2 = True  # every child is odd / every even child has weight 2
+    for c in v.children:
+        child = verts[c]
+        q = child.wt * (child.wt - 1)
+        d += q
+        wt2 += child.wt == 2
+        if child.odd:
+            odd_sq += q
+            odd_shift += 2 - q
+        else:
+            odd_only = False
+            even_wt2 = even_wt2 and child.wt == 2
+    odd = v.odd
     D = local_artin(v, tree)
-    E = local_shift(v, tree)
+    E = _shift(v, v.parent is not None and verts[v.parent].odd, odd_shift)
     dp = D + E
-    if dp != _shifted_closed_form(v, tree):
+    closed = 2 * (v.l + v.s) - v.wt * (v.wt - 1) + odd_sq if odd else 2 * v.s + odd_sq
+    if dp != closed:
         raise InternalInvariantViolation("D + E disagrees with the closed form of D'", vertex=v.id)
-    l_count = weight2_children(v, tree) if v.odd and v.wt > 2 else 0
-    dpp = dp - 2 if v.odd and v.wt == 2 and v.is_leaf else dp + 2 * l_count
+    l_count = wt2 if odd and v.wt > 2 else 0
+    dpp = dp - 2 if odd and v.wt == 2 and v.is_leaf else dp + 2 * l_count
 
-    if not v.odd:
-        eq = all(tree[c].wt == 2 for c in v.children if not tree[c].odd)
+    if not odd:
+        eq = even_wt2
         reason = EVEN_ALL_EVEN_CHILDREN_WT2 if eq else STRICT
     elif v.wt == 2:
         eq, reason = True, ODD_WT2
-    elif v.wt == 3 and all(tree[c].odd for c in v.children):
+    elif v.wt == 3 and odd_only:
         eq, reason = True, ODD_WT3_NO_EVEN_CHILDREN
     else:
         eq, reason = False, STRICT
@@ -120,6 +129,27 @@ def compare_vertex(v: ClusterVertex, tree: ClusterTree) -> VertexLedger:
         vertex=v.id, d=d, D=D, E=E, D_prime=dp, D_double_prime=dpp,
         L_count=l_count, equality=eq, reason=reason,
     )
+
+
+# one entry of Report.to_json's "vertices", as json.dumps(..., indent=2) writes it
+_VERTEX_JSON = """\
+    {
+      "id": %d,
+      "depth": %d,
+      "wt": %d,
+      "l_prime": %d,
+      "r": %d,
+      "s": %d,
+      "l": %d,
+      "parity": "%s",
+      "d": %d,
+      "D": %d,
+      "E": %d,
+      "D_prime": %d,
+      "D_double_prime": %d,
+      "equality": %s,
+      "reason": "%s"
+    }"""
 
 
 @dataclass
@@ -147,29 +177,7 @@ class Report:
     warnings: tuple[str, ...] = ()
     contractible: tuple[int, ...] = ()
 
-    def to_json_dict(self) -> dict:
-        vertices = []
-        for led in self.ledgers:
-            v = self.tree[led.vertex]
-            vertices.append(
-                {
-                    "id": v.id,
-                    "depth": v.depth,
-                    "wt": v.wt,
-                    "l_prime": v.l_prime,
-                    "r": v.r,
-                    "s": v.s,
-                    "l": v.l,
-                    "parity": v.parity,
-                    "d": led.d,
-                    "D": led.D,
-                    "E": led.E,
-                    "D_prime": led.D_prime,
-                    "D_double_prime": led.D_double_prime,
-                    "equality": led.equality,
-                    "reason": led.reason,
-                }
-            )
+    def _header(self) -> dict:
         return {
             "label": self.label,
             "nu_df": self.nu_df,
@@ -182,11 +190,53 @@ class Report:
             "x_minimal": self.x_minimal,
             "component_bound_ok": self.component_bound_ok,
             "warnings": list(self.warnings),
-            "vertices": vertices,
         }
 
+    def _vertex_rows(self):
+        """(tree vertex, ledger) per vertex, in ledger order."""
+        verts = self.tree.vertices
+        return ((verts[led.vertex], led) for led in self.ledgers)
+
+    def to_json_dict(self) -> dict:
+        vertices = [
+            {
+                "id": v.id,
+                "depth": v.depth,
+                "wt": v.wt,
+                "l_prime": v.l_prime,
+                "r": v.r,
+                "s": v.s,
+                "l": v.l,
+                "parity": v.parity,
+                "d": led.d,
+                "D": led.D,
+                "E": led.E,
+                "D_prime": led.D_prime,
+                "D_double_prime": led.D_double_prime,
+                "equality": led.equality,
+                "reason": led.reason,
+            }
+            for v, led in self._vertex_rows()
+        ]
+        return {**self._header(), "vertices": vertices}
+
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """``json.dumps(self.to_json_dict(), indent=2)``, byte for byte.
+
+        json's indented form runs its pure-Python encoder, so only the header
+        goes through json; each vertex is written from one template, which
+        holds because its values are ints, two ASCII tags and a bool."""
+        head = json.dumps(self._header(), indent=2)  # ends with "\n}"
+        rows = ",\n".join(
+            _VERTEX_JSON % (
+                v.id, v.depth, v.wt, v.l_prime, v.r, v.s, v.l, v.parity,
+                led.d, led.D, led.E, led.D_prime, led.D_double_prime,
+                "true" if led.equality else "false", led.reason,
+            )
+            for v, led in self._vertex_rows()
+        )
+        vertices = f"[\n{rows}\n  ]" if rows else "[]"
+        return f'{head[:-2]},\n  "vertices": {vertices}\n}}'
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
@@ -195,26 +245,23 @@ class Report:
 def _check_shift_identities(tree: ClusterTree, ledgers) -> None:
     """The three cancellation identities behind sum(E) = 0, each accumulated
     from its own side so agreement is informative."""
-    lhs1 = sum(
-        -(2 - tree[c].wt * (tree[c].wt - 1))
-        for v in tree
-        if not v.odd
-        for c in v.children
-        if tree[c].odd
-    )
-    rhs1 = sum(
-        2 - v.wt * (v.wt - 1) - _odd_child_shift(v, tree)
-        for v in tree
-        if v.odd
-    )
+    verts = tree.vertices
+    lhs1 = rhs1 = lhs2 = rhs2 = lhs3 = rhs3 = 0
+    for v in verts:
+        kids = [verts[c] for c in v.children]
+        odd_child_shift = sum(2 - c.wt * (c.wt - 1) for c in kids if c.odd)
+        if v.odd:
+            rhs1 += 2 - v.wt * (v.wt - 1) - odd_child_shift
+            rhs2 += v.r
+            rhs3 += v.s
+            lhs3 -= v.parent is not None and verts[v.parent].odd
+        else:
+            lhs1 -= odd_child_shift
+            lhs2 -= v.l % 2
     if lhs1 + rhs1 != 0:
         raise InternalInvariantViolation("odd/even weight rebalancing does not cancel")
-    lhs2 = sum(-(v.l % 2) for v in tree if not v.odd)
-    rhs2 = sum(v.r for v in tree if v.odd)
     if lhs2 + rhs2 != 0:
         raise InternalInvariantViolation("parent-parity rebalancing does not cancel")
-    lhs3 = sum(-1 for v in tree if v.odd and tree.parent_odd(v))
-    rhs3 = sum(v.s for v in tree if v.odd)
     if lhs3 + rhs3 != 0:
         raise InternalInvariantViolation("odd-parent count rebalancing does not cancel")
     if sum(led.E for led in ledgers) != 0:
@@ -234,13 +281,16 @@ def _check_bound_bijection(tree: ClusterTree, ledgers) -> None:
 
 def _check_conductor_decomposition(tree: ClusterTree, x: XGraph, ledgers, artin: int) -> None:
     """Split artin_conductor's sum by tree vertex and compare each share with D."""
-    by_vertex = {v.id: 0 for v in tree}
-    for c in x:
-        by_vertex[x.base_vertex(c.id)] += (1 - c.m) * c.chi
+    comps, yverts, yparent = x.components, x.ygraph.vertices, x.ygraph.parent
+    by_vertex = [0] * len(tree)
+    for c in comps:
+        by_vertex[yverts[c.over].origin[0]] += (1 - c.m) * c.chi
     for (a, b), w in x.edges.items():  # the upper end lies over the lower end's T_Y parent
-        up, lo = (b, a) if x.ygraph.parent.get(x[a].over) == x[b].over else (a, b)
-        by_vertex[x.base_vertex(up)] += x[lo].m * w
-        by_vertex[x.base_vertex(lo)] += (x[up].m - 1) * w
+        up, lo = comps[a], comps[b]
+        if yparent.get(up.over) == lo.over:
+            up, lo = lo, up
+        by_vertex[yverts[up.over].origin[0]] += lo.m * w
+        by_vertex[yverts[lo.over].origin[0]] += (up.m - 1) * w
     for led in ledgers:
         if by_vertex[led.vertex] != led.D:
             raise InternalInvariantViolation(
@@ -287,9 +337,6 @@ def analyze(
     check_tree_invariants(tree)
 
     nu_df = equation_discriminant(matrix)
-    if sum(local_disc(v, tree) for v in tree) != nu_df:
-        raise InternalInvariantViolation("local discriminant shares do not sum to nu(d_f)")
-
     y = build_ty(tree)
     x = build_tx(y)
     artin = artin_conductor(x)
@@ -304,6 +351,8 @@ def analyze(
         raise InternalInvariantViolation("reduced special fiber but conductor != number of nodes")
 
     ledgers = tuple(compare_vertex(v, tree) for v in tree)
+    if sum(led.d for led in ledgers) != nu_df:
+        raise InternalInvariantViolation("local discriminant shares do not sum to nu(d_f)")
     _check_conductor_decomposition(tree, x, ledgers, artin)
     _check_shift_identities(tree, ledgers)
     _check_bound_bijection(tree, ledgers)

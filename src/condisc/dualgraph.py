@@ -20,10 +20,16 @@ split region are interchangeable by a graph automorphism, so every numeric
 invariant computed here is independent of which sheet meets which; fixing
 sheet index to sheet index makes output reproducible byte for byte.
 
+``build_ty`` computes each cover vertex's branch degree ``beta`` once, in
+one pass over the T_Y edges, and stores it on the graph; ``build_tx`` and
+both invariant checks read it there, while ``check_y_invariants`` still
+compares it with ``l + (l mod 2)`` read from the refinement tree.
+
 ``build_tx`` only joins components over the two ends of a T_Y edge, so T_X
-keeps no adjacency of its own: ``XGraph.neighbors`` walks T_Y's, for
-connectivity.  The conductor and the self-intersections are read from
-``edges``, one pass each.
+keeps no adjacency of its own: ``XGraph.neighbors`` walks T_Y's, and nothing
+on the analysis path calls it.  Connectivity (a union-find), the
+conductor and the self-intersections are each read from ``edges`` in one
+pass, and the checks index ``components`` and T_Y's ``vertices`` directly.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .errors import (
 ST = "strict"    # strict transform of a tree vertex
 INSERT = "insert"  # subdivision vertex on an odd-odd edge
 LEAF = "leaf"    # blow-up of an odd component / root divisor intersection
+_KIND_SLOT = {ST: 0, INSERT: 1, LEAF: 2}
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,7 @@ class YGraph:
     parent: dict[int, int]
     children: dict[int, tuple[int, ...]]
     tree: ClusterTree
+    branch_degrees: tuple[int, ...]          # beta of each vertex, by id
 
     def __iter__(self):
         return iter(self.vertices)
@@ -74,8 +82,7 @@ class YGraph:
 
     def beta(self, vid: int) -> int:
         """Branch-locus intersections: odd neighbors plus attached roots."""
-        v = self.vertices[vid]
-        return sum(1 for w in self.neighbors(vid) if self.vertices[w].odd) + len(v.attached_roots)
+        return self.branch_degrees[vid]
 
     def base_vertex(self, vid: int) -> int:
         """Tree vertex a cover vertex sits over (inserts map to the parent side)."""
@@ -117,28 +124,33 @@ def build_ty(tree: ClusterTree) -> YGraph:
                 children[leaf] = []
                 connect(v.id, leaf)
 
+    beta = [len(v.attached_roots) for v in vertices]
+    for c, p in parent.items():  # each T_Y edge once
+        beta[c] += vertices[p].odd
+        beta[p] += vertices[c].odd
     g = YGraph(
         vertices=tuple(vertices),
         parent=parent,
         children={k: tuple(v) for k, v in children.items()},
         tree=tree,
+        branch_degrees=tuple(beta),
     )
     check_y_invariants(g)
     return g
 
 
 def check_y_invariants(y: YGraph) -> None:
-    for v in y:
+    verts, tverts = y.vertices, y.tree.vertices
+    for c, p in y.parent.items():
+        if verts[c].odd and verts[p].odd:
+            raise InternalInvariantViolation("two odd cover vertices are adjacent", vertex=(p, c))
+    for v, beta in zip(verts, y.branch_degrees):
         if v.odd:
-            for w in y.neighbors(v.id):
-                if y[w].odd:
-                    raise InternalInvariantViolation("two odd cover vertices are adjacent", vertex=(v.id, w))
             continue
-        beta = y.beta(v.id)
         if beta % 2 != 0:
             raise InternalInvariantViolation("odd branch degree at an even vertex", vertex=v.id)
         if v.kind == ST:
-            b = y.tree[v.origin[0]]
+            b = tverts[v.origin[0]]
             if beta != b.l + (b.l % 2):
                 raise InternalInvariantViolation(
                     "branch degree != l + (l mod 2) at an even strict transform", vertex=v.id
@@ -194,12 +206,11 @@ def build_tx(y: YGraph) -> XGraph:
     comps: list[XComponent] = []
     over: dict[int, tuple[int, ...]] = {}
 
-    for v in y:
+    for v, b in zip(y.vertices, y.branch_degrees):
         if v.odd:
             ids = (len(comps),)
             comps.append(XComponent(id=ids[0], over=v.id, sheet=None, m=2, chi=2))
         else:
-            b = y.beta(v.id)
             if b == 0:
                 ids = (len(comps), len(comps) + 1)
                 comps.append(XComponent(id=ids[0], over=v.id, sheet=0, m=1, chi=2))
@@ -210,13 +221,14 @@ def build_tx(y: YGraph) -> XGraph:
                 comps.append(XComponent(id=ids[0], over=v.id, sheet=None, m=mult, chi=4 - b))
         over[v.id] = ids
 
+    verts = y.vertices
     edges: dict[tuple[int, int], int] = {}
     for p_id in sorted(y.children):
         up = over[p_id]
         for c_id in y.children[p_id]:
             dn = over[c_id]
             pairs = zip(up, dn) if len(up) == len(dn) == 2 else product(up, dn)
-            w = 2 if len(up) == len(dn) == 1 and not y[p_id].odd and not y[c_id].odd else 1
+            w = 2 if len(up) == len(dn) == 1 and not verts[p_id].odd and not verts[c_id].odd else 1
             for a, b in pairs:
                 edges[(min(a, b), max(a, b))] = w
 
@@ -233,72 +245,82 @@ def build_tx(y: YGraph) -> XGraph:
 
 
 def _check_connected(x: XGraph) -> None:
-    if not x.components:
+    """Union-find over the edge list: connected iff n - 1 edges join two classes."""
+    n = x.n_components
+    if not n:
         raise DisconnectedCover("cover graph has no components")
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w, _ in x.neighbors(stack.pop()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != x.n_components:
+    root = list(range(n))
+    joined = 0
+    for a, b in x.edges:
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a != b:
+            root[a] = b
+            joined += 1
+    if joined != n - 1:
         raise DisconnectedCover("cover graph is disconnected; construction rule violated")
 
 
 def check_x_invariants(x: XGraph) -> None:
     y = x.ygraph
-    tree = y.tree
-    fibers: dict[int, list[XComponent]] = {}
-    for c in x:
-        base = x.base_vertex(c.id)
-        fibers.setdefault(base, []).append(c)
-        expect_m2 = tree[base].odd and y[c.over].kind != LEAF
+    comps, verts, parent, beta = x.components, y.vertices, y.parent, y.branch_degrees
+    tverts = y.tree.vertices
+    split: dict[int, list[int]] = {}  # odd tree vertex -> components over [ST, INSERT, LEAF] cover vertices
+    for c in comps:
+        yv = verts[c.over]
+        base = yv.origin[0]
+        odd_base = tverts[base].odd
+        expect_m2 = odd_base and yv.kind != LEAF
         if (c.m == 2) != expect_m2:
             raise InternalInvariantViolation("multiplicity contradicts the cover rule", vertex=c.id)
         if c.m == 2 and c.chi != 2:
             raise InternalInvariantViolation("multiplicity-2 component must be rational", vertex=c.id)
+        if odd_base:
+            if base not in split:
+                split[base] = [0, 0, 0]
+            split[base][_KIND_SLOT[yv.kind]] += 1
     for (a, b), w in x.edges.items():
-        va, vb = x[a].over, x[b].over
-        if y.parent.get(va) != vb and y.parent.get(vb) != va:
+        ca, cb = comps[a], comps[b]
+        va, vb = ca.over, cb.over
+        if parent.get(va) != vb and parent.get(vb) != va:
             raise InternalInvariantViolation("edge joins components over non-adjacent cover vertices", vertex=(a, b))
         if w == 2:
             ok = (
-                not y[va].odd
-                and not y[vb].odd
-                and y.beta(va) > 0
-                and y.beta(vb) > 0
-                and x[a].m == 1
-                and x[b].m == 1
+                not verts[va].odd
+                and not verts[vb].odd
+                and beta[va] > 0
+                and beta[vb] > 0
+                and ca.m == 1
+                and cb.m == 1
             )
             if not ok:
                 raise InternalInvariantViolation("weight-2 intersection in a forbidden position", vertex=(a, b))
     # over an odd tree vertex the fiber splits as 1 + s + l' components
-    for bv in tree:
-        if not bv.odd:
-            continue
-        fiber = fibers[bv.id]
-        strict = [c for c in fiber if y[c.over].kind == ST]
-        inserts = [c for c in fiber if y[c.over].kind == INSERT]
-        leaves = [c for c in fiber if y[c.over].kind == LEAF]
-        if len(strict) != 1 or len(inserts) != bv.s or len(leaves) != bv.l_prime:
+    for bv in tverts:
+        if bv.odd and split.get(bv.id) != [1, bv.s, bv.l_prime]:
             raise InternalInvariantViolation("odd fiber does not split as 1 + s + l'", vertex=bv.id)
 
 
 def artin_conductor(x: XGraph) -> int:
     """Degeneracy of the model: -(chi of generic fiber) + chi of special fiber,
     sum_c (1 - m_c) chi_c + sum over edges ab of (m_a + m_b - 1) w_ab."""
-    return sum((1 - c.m) * c.chi for c in x) + sum((x[a].m + x[b].m - 1) * w for (a, b), w in x.edges.items())
+    comps = x.components
+    return sum((1 - c.m) * c.chi for c in comps) + sum(
+        (comps[a].m + comps[b].m - 1) * w for (a, b), w in x.edges.items()
+    )
 
 
 def self_intersections(x: XGraph) -> dict[int, int]:
     """Self-intersection of each component, from (whole fiber) . (component) = 0."""
-    sums = [0] * x.n_components  # sum of m_w * wt over c's neighbours w, from each edge's two ends
+    comps = x.components
+    sums = [0] * len(comps)  # sum of m_w * wt over c's neighbours w, from each edge's two ends
     for (a, b), wt in x.edges.items():
-        sums[a] += x[b].m * wt
-        sums[b] += x[a].m * wt
+        sums[a] += comps[b].m * wt
+        sums[b] += comps[a].m * wt
     out: dict[int, int] = {}
-    for c in x:
+    for c in comps:
         s = sums[c.id]
         q, rem = divmod(-s, c.m)
         if rem:

@@ -25,12 +25,21 @@ ExtNat = int | float
 
 
 def _int_val(n: int, p: int) -> int:
-    # caller guarantees n != 0
-    v = 0
+    """v_p(n) for n != 0 in O(log v) big divisions: divide by p, p^2, p^4, ...
+    while each divides, then try the same powers once each, largest first."""
     n = abs(n)
-    while n % p == 0:
-        n //= p
-        v += 1
+    powers = []  # powers[k] = p^(2^k)
+    pk = p
+    while n % pk == 0:
+        n //= pk
+        powers.append(pk)
+        pk *= pk
+    v = (1 << len(powers)) - 1  # what remains of v is below 2^len(powers)
+    for k in reversed(range(len(powers))):
+        q, r = divmod(n, powers[k])
+        if not r:
+            n = q
+            v += 1 << k
     return v
 
 
@@ -215,8 +224,8 @@ def build_matrix(inst: Instance) -> ValuationMatrix:
     for i, a in enumerate(ints):
         for j in range(i + 1, n):
             d = a - ints[j]
-            if d:
-                rows[i][j] = rows[j][i] = _int_val(d, p) - shift
+            if d:  # most pairs differ mod p: skip the call
+                rows[i][j] = rows[j][i] = (_int_val(d, p) if d % p == 0 else 0) - shift
             else:
                 dupes.append((i, j))
     if dupes:

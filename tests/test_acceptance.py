@@ -179,11 +179,12 @@ def test_criterion_8_validation_gates(tmp_path, capsys, monkeypatch):
             assert main(["analyze", str(path)]) == 1
             assert needle in capsys.readouterr().err
 
-        # mutation build: corrupt a local formula, expect exit code 2
+        # mutation build: corrupt a local formula (E, which compare_vertex reads
+        # through _shift), expect exit code 2
         ok = write_instance(tmp_path / "fixtureA.json", FIXTURE_A)
-        true_formula = condisc.conductor.local_shift
-        monkeypatch.setattr(condisc.conductor, "local_shift",
-                            lambda v, tree: true_formula(v, tree) + 1)
+        true_formula = condisc.conductor._shift
+        monkeypatch.setattr(condisc.conductor, "_shift",
+                            lambda v, parent_odd, shift: true_formula(v, parent_odd, shift) + 1)
         assert main(["analyze", str(ok)]) == 2
         assert "internal invariant violation" in capsys.readouterr().err
         monkeypatch.undo()

@@ -319,6 +319,25 @@ def test_composite_at_the_digit_cap_exits_one(tmp_path, capsys):
     assert captured.err == f"error: p = {p} is not prime\n"
 
 
+def test_twenty_roots_of_3800_digits(tmp_path, capsys):
+    # every pair has valuation 8000 + v_3(i - j), so each of the 190 differences is
+    # divisible by 3**8000: a division per unit of valuation took seconds here
+    base = 3**8000
+    common = 10**3818 + 12345
+    roots = [common + i * base for i in range(20)]
+    assert {len(str(r)) for r in roots} == {3819}
+    path = tmp_path / "big_roots.json"
+    path.write_text(json.dumps({"mode": "roots", "p": 3, "roots": [str(r) for r in roots]}))
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+
+    def v3(n):
+        return 0 if n % 3 else 1 + v3(n // 3)
+
+    assert doc["nu_df"] == 2 * sum(8000 + v3(j - i) for i in range(20) for j in range(i + 1, 20))
+    assert doc["inequality_holds"] and len(doc["vertices"]) > 8000
+
+
 @pytest.mark.parametrize(
     "rows, needle",
     [

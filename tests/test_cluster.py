@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import pytest
@@ -227,3 +228,12 @@ def test_certificate_mismatch_under_a_clean_scan_is_internal(monkeypatch):
     # a failure the scan does not explain is raised as it is
     with pytest.raises(InstanceError, match="budget"):
         build_cluster_tree(_violation_beside_a_long_chain())
+
+
+def test_ids_out_of_position_rejected(fixture_a):
+    tree = tree_of(fixture_a)
+    check_tree_invariants(tree)
+    verts = list(tree.vertices)
+    verts[1], verts[2] = verts[2], verts[1]
+    with pytest.raises(InternalInvariantViolation, match=r"vertex id differs from its position 1 \(at vertex 2\)"):
+        check_tree_invariants(dataclasses.replace(tree, vertices=tuple(verts)))

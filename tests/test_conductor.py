@@ -1,17 +1,25 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condisc import (
     EVEN_ALL_EVEN_CHILDREN_WT2,
     ODD_WT2,
     ODD_WT3_NO_EVEN_CHILDREN,
     STRICT,
+    Instance,
     analyze,
     build_cluster_tree,
     build_matrix,
     compare_vertex,
+    local_artin,
+    local_disc,
+    local_shift,
 )
+from condisc.harness import default_specs, gen_instance
 
 from conftest import (
     DEEP_PAIR,
@@ -169,3 +177,45 @@ def test_small_genus_flag():
     r = analyze(inst, allow_small=True)
     assert r.genus == 1
     assert any("out of scope" in w for w in r.warnings)
+
+
+def _fixtures_and_specs(count):
+    for fx in (FIXTURE_A, FIXTURE_B, FIXTURE_C, GOOD_RED, ODD_CHAIN, WEIGHT2, NON_MINIMAL, DEEP_PAIR):
+        yield make(fx)
+    for spec in default_specs(count):
+        yield gen_instance(spec)
+
+
+def test_one_scan_ledger_matches_the_per_term_walks():
+    for inst in _fixtures_and_specs(200):
+        tree = build_cluster_tree(build_matrix(inst))
+        for v in tree:
+            led = compare_vertex(v, tree)
+            assert (led.d, led.D, led.E) == (local_disc(v, tree), local_artin(v, tree), local_shift(v, tree))
+            wt2 = sum(1 for c in v.children if tree[c].wt == 2)
+            assert led.L_count == (wt2 if v.odd and v.wt > 2 else 0)
+
+
+def test_to_json_is_json_dumps_with_indent_two():
+    reports = []
+    for inst in _fixtures_and_specs(200):
+        reports += [analyze(inst), analyze(build_matrix(inst))]
+    reports.append(analyze(Instance.from_values(3, (0, 3**400, 1, 2, 4, 5))))  # a chain of depth 400
+    reports.append(dataclasses.replace(reports[0], ledgers=()))  # "vertices": []
+    for r in reports:
+        assert r.to_json() == json.dumps(r.to_json_dict(), indent=2)
+
+
+_TEXT = st.text(
+    st.one_of(
+        st.characters(categories=["Cc", "Cs", "Zs", "Ll", "Lo", "So"]),  # controls, lone surrogates, non-BMP
+        st.sampled_from('"\\/\n\r\t\x7f\u2028\U0001F600'),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(label=st.none() | _TEXT, warnings=st.lists(_TEXT, max_size=3))
+def test_to_json_writes_any_label_and_warnings_as_json_does(label, warnings):
+    r = dataclasses.replace(analyze(make(FIXTURE_B)), label=label, warnings=tuple(warnings))
+    assert r.to_json() == json.dumps(r.to_json_dict(), indent=2)

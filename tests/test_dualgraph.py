@@ -16,7 +16,8 @@ from condisc import (
     self_intersections,
 )
 from condisc.conductor import _check_conductor_decomposition
-from condisc.dualgraph import INSERT, LEAF, ST, check_x_invariants
+from condisc.dualgraph import INSERT, LEAF, ST, _check_connected, check_x_invariants, check_y_invariants
+from condisc.errors import DisconnectedCover
 from condisc.harness import default_specs, gen_instance
 
 from conftest import (
@@ -277,3 +278,59 @@ def test_edge_over_non_adjacent_cover_vertices_rejected():
     stray = dataclasses.replace(x, edges={**x.edges, (a, b): 1})
     with pytest.raises(InternalInvariantViolation, match="non-adjacent cover vertices"):
         check_x_invariants(stray)
+
+
+def test_branch_degrees_match_the_neighbour_count():
+    for x in _models():
+        y = x.ygraph
+        counted = tuple(sum(1 for w in y.neighbors(v.id) if y[w].odd) + len(v.attached_roots) for v in y)
+        assert y.branch_degrees == counted
+
+
+def test_branch_degree_that_disagrees_with_the_tree_rejected(fixture_b):
+    tree, y, _ = graphs_of(fixture_b)
+    beta = list(y.branch_degrees)
+    beta[tree.root.id] += 2  # still even, so only the comparison with l + (l mod 2) can see it
+    with pytest.raises(InternalInvariantViolation, match=r"branch degree != l \+ \(l mod 2\)"):
+        check_y_invariants(dataclasses.replace(y, branch_degrees=tuple(beta)))
+
+
+def test_adjacent_odd_cover_vertices_rejected():
+    _, y, _ = graphs_of(make(ODD_CHAIN))
+    ins = next(v for v in y if v.kind == INSERT)  # sits between two odd vertices
+    verts = list(y.vertices)
+    verts[ins.id] = dataclasses.replace(ins, odd=True)
+    with pytest.raises(InternalInvariantViolation, match="two odd cover vertices are adjacent"):
+        check_y_invariants(dataclasses.replace(y, vertices=tuple(verts)))
+
+
+def _reached_by_neighbour_walk(x):
+    seen, stack = {0}, [0]
+    while stack:
+        for w, _ in x.neighbors(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen)
+
+
+def test_cover_with_one_edge_removed_is_disconnected(fixture_b):
+    _, _, x = graphs_of(fixture_b)  # a star through the multiplicity-2 component
+    edge = next(iter(x.edges))
+    cut = dataclasses.replace(x, edges={e: w for e, w in x.edges.items() if e != edge})
+    with pytest.raises(DisconnectedCover, match="cover graph is disconnected"):
+        _check_connected(cut)
+
+
+def test_union_find_agrees_with_the_neighbour_walk():
+    # each edge removed in turn: bridges disconnect, edges on a cycle do not
+    for x in list(_models())[:60]:
+        _check_connected(x)
+        assert _reached_by_neighbour_walk(x) == x.n_components
+        for edge in x.edges:
+            cut = dataclasses.replace(x, edges={e: w for e, w in x.edges.items() if e != edge})
+            if _reached_by_neighbour_walk(cut) == x.n_components:
+                _check_connected(cut)
+            else:
+                with pytest.raises(DisconnectedCover):
+                    _check_connected(cut)

@@ -181,6 +181,19 @@ def test_unit_scaling_leaves_matrix_unchanged(fixture_b):
         assert build_matrix(scaled).entries == base.entries
 
 
+
+def test_doubling_valuation_matches_the_division_loop():
+    from condisc.valuation import _int_val
+
+    rng = random.Random(9)
+    for p in (3, 5, 13, 10007, 2**61 - 1):
+        cap = int(4000 / math.log10(p))  # p**cap has about 4000 digits
+        ks = [0, 1, 2, 3, 7, 8, 15, 16, 17, cap] + [rng.randrange(cap) for _ in range(6)]
+        for k in ks:
+            unit_digits = rng.randrange(1, 4001 - int(k * math.log10(p)) + 1)
+            n = rng.randrange(1, 10**unit_digits) * p**k * rng.choice((1, -1))
+            assert _int_val(n, p) == brute_val(Fraction(n), p), (p, k)
+
 def test_null_off_the_diagonal_is_a_pair_of_equal_roots():
     from condisc import analyze
 
