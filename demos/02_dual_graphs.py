@@ -53,8 +53,9 @@ print("intersections:", {e: w for e, w in sorted(x.edges.items())})
 report = analyze(inst)
 outdir = Path(__file__).parent / "dot_out"
 outdir.mkdir(exist_ok=True)
+ygraph, xgraph = report.per_depth_graphs()  # the report's own graphs, unless a long chain was cut
 (outdir / "t_b.dot").write_text(dot_tree(report))
-(outdir / "t_y.dot").write_text(dot_cover(report.ygraph))
-(outdir / "t_x.dot").write_text(dot_model(report.xgraph))
+(outdir / "t_y.dot").write_text(dot_cover(ygraph))
+(outdir / "t_x.dot").write_text(dot_model(xgraph))
 print(f"\nDOT files written to {outdir}/")
 print("conductor by both routes:", report.artin, "=", report.artin_local_sum)

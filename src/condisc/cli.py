@@ -68,11 +68,12 @@ def _cmd_analyze(args) -> int:
         return 1
     if args.dot_dir:
         outdir = Path(args.dot_dir)
+        ygraph, xgraph = report.per_depth_graphs()
         try:
             outdir.mkdir(parents=True, exist_ok=True)
             (outdir / "t_b.dot").write_text(dot_tree(report))
-            (outdir / "t_y.dot").write_text(dot_cover(report.ygraph))
-            (outdir / "t_x.dot").write_text(dot_model(report.xgraph))
+            (outdir / "t_y.dot").write_text(dot_cover(ygraph))
+            (outdir / "t_x.dot").write_text(dot_model(xgraph))
         except OSError as exc:
             print(f"error: cannot write DOT files to {args.dot_dir}: {exc}", file=sys.stderr)
             return 1

@@ -4,8 +4,31 @@ Vertices are in bijection with blow-up generations: one vertex per depth
 ``d >= 1`` and per equivalence class of indices under ``m[i][j] >= d`` that
 still holds two or more roots, plus the root vertex (all indices, depth 0).
 A cluster persisting across several depths therefore becomes a chain, one
-vertex per depth step; collapsing those chains would change the separation
-statistics that every formula downstream is stated in.
+vertex per depth step.
+
+Long chains are cut, so that the tree analyzed does not grow with valuation
+depth.  Every term computed downstream is local: a vertex's share of the
+discriminant, of the conductor and of the shifts, and the T_Y and T_X pieces
+it owns, read only the vertex's own statistics, the parity of its parent,
+and the weights and parities of the vertices at most two steps below it (the
+components over a child depend on the child's branch degree, which reads the
+grandchild's parity).  Inside a chain -- the cluster's first vertex, whose
+parent lies outside it, down to the split vertex at depth ``floor`` --
+every vertex but the last has the chain's weight, ``l' = 0`` and one child
+of the same weight, and parity is constant (even weight) or alternates (odd
+weight).  So a chain of ``L >= 8`` vertices is cut by an even number of
+steps to 6 or 7 vertices (the length keeping the parity of ``L``), and its
+third and fourth vertices, each at least two steps from both ends, carry
+``repeat = 1 + cut / 2``: they stand for the ``cut / 2`` pairs removed.  Each
+removed pair had, up to two steps in every direction, the same statistics
+and parities as the kept pair, so each of its terms equals the kept pair's
+term, and every total over the per-depth tree is the total over the cut
+tree with each vertex weighted by its ``repeat``.  The cut tree is itself
+the refinement tree of the matrix with the valuations inside the cut
+cluster lowered by the cut, so every per-vertex check holds on it as it
+stands.  :attr:`ClusterTree.expansion` and :meth:`ClusterTree.expand` give
+back the per-depth tree, for output: its ids ordered by depth, then by
+smallest member, and its depths.
 
 The tree is built from a work list of clusters not yet split, with no
 recursion.  Each split records its vertex's separating roots and child
@@ -30,23 +53,30 @@ Per vertex we track:
 * ``r`` / ``s``-- children of odd / even weight,
 * ``l``        -- l_prime + r,
 * ``f_val``    -- order of vanishing of f along the component (root: 0,
-  child: parent + child weight), whose parity drives the double cover.
+  child: parent + child weight), whose parity drives the double cover,
+* ``odd``      -- ``f_val`` odd, stored once when the vertex is built,
+* ``repeat``   -- copies of the vertex in the per-depth tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 from .errors import InstanceError, InternalInvariantViolation, TooFewRootsError, UltrametricViolationError
 from .valuation import INFINITY, ValuationMatrix, validate_ultrametric
 
-# most vertices T_B may have: a chain emits one vertex per depth step, so a
-# valuation of v forces more than v of them.  `analyze --format json` costs
-# about 0.05 ms and 3 KB per vertex (depth-10**5 chain: 5.0-5.7 s, 301 MB peak
-# RSS; 2-vCPU Xeon, Python 3.11), so a tree at the budget takes about a
-# minute and 3 GB.
+# most vertices the per-depth tree may have: a chain has one vertex per depth
+# step, so a valuation of v forces more than v of them.  A cut chain is
+# analyzed as 6 or 7 vertices, but output still writes every vertex, so the
+# budget bounds the output: `analyze --format json` on a 6-root depth-10**5
+# chain takes 0.6 s and 136 MB peak RSS (2-vCPU Xeon, Python 3.11), nearly all
+# of it output, and text output grows with the square of the depth.
 TREE_VERTEX_BUDGET = 10**6
+
+SHORTEST_CUT_CHAIN = 8  # a chain of 6 or 7 vertices keeps a pair two steps from both ends
 
 
 @dataclass(frozen=True)
@@ -62,11 +92,9 @@ class ClusterVertex:
     s: int
     l: int
     f_val: int
+    odd: bool
     sep_roots: tuple[int, ...]
-
-    @property
-    def odd(self) -> bool:
-        return self.f_val % 2 == 1
+    repeat: int = 1
 
     @property
     def parity(self) -> str:
@@ -77,10 +105,26 @@ class ClusterVertex:
         return not self.children
 
 
+class Expansion(NamedTuple):
+    """The per-depth tree a cut tree stands for, indexed by per-depth id."""
+
+    rep: Sequence[int]                  # the vertex of the cut tree each one copies
+    depth: Sequence[int]
+    parent: Sequence[int | None]
+    children: Sequence[Sequence[int]]   # ascending, as in ClusterVertex.children
+
+
 @dataclass(frozen=True)
 class ClusterTree:
     vertices: tuple[ClusterVertex, ...]
     num_roots: int
+    # the repeat of each vertex whose repeat is not 1, by id: empty when nothing
+    # is cut, so a total over the per-depth tree is the plain sum plus
+    # (repeat - 1) times the term of each vertex listed
+    repeats: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "repeats", {v.id: v.repeat for v in self.vertices if v.repeat != 1})
 
     @property
     def root(self) -> ClusterVertex:
@@ -100,34 +144,99 @@ class ClusterTree:
     def parent_odd(self, v: ClusterVertex) -> bool:
         return v.parent is not None and self[v.parent].odd
 
+    @cached_property
+    def expansion(self) -> Expansion:
+        """Per-depth ids, ordered by depth and then by smallest member as
+        :func:`build_cluster_tree` orders them; O(size of the per-depth tree)."""
+        verts = self.vertices
+        if not self.repeats:
+            return Expansion(
+                range(len(verts)), [v.depth for v in verts], [v.parent for v in verts], [v.children for v in verts]
+            )
+        lift = [0] * len(verts)  # depth in the per-depth tree less depth in this one
+        keys = []
+        for v in verts:
+            if v.parent is not None:
+                p = verts[v.parent]
+                # the child of a pair's second vertex sits below every copy of the pair
+                lift[v.id] = lift[p.id] + (2 * (p.repeat - 1) if p.repeat > v.repeat else 0)
+            top, low = v.depth + lift[v.id], min(v.members)
+            keys += [(top + 2 * j, low, v.id) for j in range(v.repeat)]
+        keys.sort()
+        rep = [k[2] for k in keys]
+        copies: list[list[int]] = [[] for _ in verts]  # per-depth ids of each vertex, by depth
+        for fid, vid in enumerate(rep):
+            copies[vid].append(fid)
+        parent: list[int | None] = [None] * len(rep)
+        for v in verts:
+            if v.parent is None:
+                continue
+            mine, above = copies[v.id], copies[v.parent]
+            if len(mine) == 1:
+                parent[mine[0]] = above[-1]
+            elif len(above) == 1:  # first of a pair: its copies alternate with the second's
+                run = [above[0]] + [f for pair in zip(mine, copies[v.children[0]]) for f in pair]
+                for up, down in zip(run, run[1:]):
+                    parent[down] = up
+        children: list[list[int]] = [[] for _ in rep]
+        for fid, up in enumerate(parent):
+            if up is not None:
+                children[up].append(fid)
+        return Expansion(rep, [k[0] for k in keys], parent, children)
 
-def _grow(m: ValuationMatrix) -> list[list]:
+    def expand(self) -> ClusterTree:
+        """The per-depth tree: this tree if nothing is cut, else one vertex per copy."""
+        exp = self.expansion
+        if len(exp.rep) == len(self.vertices):
+            return self
+        verts = self.vertices
+        out: list[ClusterVertex] = []
+        for fid, (vid, depth, up, kids) in enumerate(zip(*exp)):
+            v = verts[vid]
+            out.append(replace(
+                v, id=fid, depth=depth, parent=up, children=tuple(kids), repeat=1,
+                f_val=out[up].f_val + v.wt if up is not None else 0,
+            ))
+        return ClusterTree(tuple(out), self.num_roots)
+
+
+def _grow(m: ValuationMatrix, cut_chains: bool) -> list[list]:
     """Split clusters from a work list, certifying each split; returns the vertex
-    records [members (ascending), depth, parent record, sep, child records]."""
-    root: list = [tuple(range(m.n)), 0, None, (), []]
+    records [members (ascending), depth, parent record, sep, child records,
+    repeat, lift], where lift is the steps cut from the chains above the
+    vertex, so that its depth in the per-depth tree is depth + lift."""
+    root: list = [tuple(range(m.n)), 0, None, (), [], 1, 0]
     records = [root]
     work = [root]
+    size = 1  # vertices of the per-depth tree so far
     while work:
         rec = work.pop()
-        members, depth = rec[0], rec[1]
+        members, depth, lift = rec[0], rec[1], rec[6]
+        top = depth + lift
         # the cluster minimum, taken on the first row: a smaller pair elsewhere in the
         # cluster would meet this floor or a deeper one in the certificate and fail
         first = m.entries[members[0]]
         floor = min(first[j] for j in members[1:])
         if floor is INFINITY:
             raise InternalInvariantViolation("infinite valuation inside a cluster", vertex=members)
-        if len(records) + floor - depth > TREE_VERTEX_BUDGET:
+        if size + floor - top > TREE_VERTEX_BUDGET:
             raise InstanceError(
                 f"the refinement tree would exceed its budget of {TREE_VERTEX_BUDGET} vertices "
-                f"(TREE_VERTEX_BUDGET): {len(members)} roots stay together from depth {depth} to {floor}"
+                f"(TREE_VERTEX_BUDGET): {len(members)} roots stay together from depth {top} to {floor}"
             )
-        # chain: the cluster survives unchanged, one vertex per depth step, until depth == floor
-        while depth < floor:
-            depth += 1
-            link = [members, depth, rec, (), []]
+        size += floor - top
+        # chain: the cluster survives unchanged from depth top to floor, one vertex per
+        # step; a long one loses an even number of steps and its third and fourth
+        # vertices stand for the pairs lost
+        length = floor - top + 1
+        cut = length - 6 - length % 2 if cut_chains and length >= SHORTEST_CUT_CHAIN else 0
+        for step in range(1, length - cut):
+            link = [members, depth + step, rec, (), [], 1 + cut // 2 if step in (2, 3) else 1, lift]
             rec[4].append(link)
             records.append(link)
             rec = link
+        lift += cut
+        depth = floor - lift
         # split at depth floor into classes of m >= floor + 1, ordered by smallest member
         classes: list[list[int]] = []
         for i in members:
@@ -152,21 +261,25 @@ def _grow(m: ValuationMatrix) -> list[list]:
         rec[3] = tuple(cls[0] for cls in classes if len(cls) == 1)
         for cls in classes:
             if len(cls) >= 2:
-                child = [tuple(cls), floor + 1, rec, (), []]
+                child = [tuple(cls), depth + 1, rec, (), [], 1, lift]
                 rec[4].append(child)
                 records.append(child)
                 work.append(child)
+                size += 1
     return records
 
 
-def build_cluster_tree(m: ValuationMatrix, *, allow_small: bool = False) -> ClusterTree:
+def build_cluster_tree(m: ValuationMatrix, *, allow_small: bool = False, cut_chains: bool = True) -> ClusterTree:
     """Build the annotated refinement tree from a valuation matrix.
 
     The root count must be even and at least 6 (2 with ``allow_small``); a
-    matrix that is not ultrametric, and a tree of more than
+    matrix that is not ultrametric, and a per-depth tree of more than
     :data:`TREE_VERTEX_BUDGET` vertices, are rejected.  For a cluster whose
     minimum internal valuation exceeds its depth, chain vertices are emitted
-    one per intermediate depth before the split.
+    one per intermediate depth before the split; a chain of
+    :data:`SHORTEST_CUT_CHAIN` or more vertices is cut as the module
+    docstring describes, unless ``cut_chains`` is false, which gives the
+    per-depth tree.
 
     The ultrametric rule is certified while the tree grows, in O(n^2): see
     the module docstring.  Any failure of the loop runs
@@ -182,7 +295,7 @@ def build_cluster_tree(m: ValuationMatrix, *, allow_small: bool = False) -> Clus
     if n < 6 and not allow_small:
         raise TooFewRootsError(n)
     try:
-        records = _grow(m)
+        records = _grow(m, cut_chains)
     except (InstanceError, InternalInvariantViolation):
         verdict = validate_ultrametric(m)
         if not verdict.ok:
@@ -190,32 +303,23 @@ def build_cluster_tree(m: ValuationMatrix, *, allow_small: bool = False) -> Clus
         raise
 
     # canonical ids: sort by (depth, smallest member), so a parent precedes its
-    # children and siblings keep their class order; each id goes in slot 5.
+    # children and siblings keep their class order; each id goes in slot 7.
     # Clusters at one depth are disjoint, so (depth, members) is that order.
     records.sort(key=itemgetter(1, 0))
     for new, rec in enumerate(records):
         rec.append(new)
     vertices: list[ClusterVertex] = []
-    for new, (members, depth, parent, sep, kids, _) in enumerate(records):
+    for new, (members, depth, parent, sep, kids, repeat, _, _) in enumerate(records):
         wt = len(members)
         r = sum(len(kid[0]) % 2 for kid in kids)
-        pid = parent[5] if parent is not None else None
-        vertices.append(
-            ClusterVertex(
-                id=new,
-                depth=depth,
-                members=frozenset(members),
-                parent=pid,
-                children=tuple(kid[5] for kid in kids),
-                wt=wt,
-                l_prime=len(sep),
-                r=r,
-                s=len(kids) - r,
-                l=len(sep) + r,
-                f_val=vertices[pid].f_val + wt if pid is not None else 0,
-                sep_roots=sep,
-            )
-        )
+        pid = parent[7] if parent is not None else None
+        f_val = vertices[pid].f_val + wt if pid is not None else 0
+        # positional, in field order: keyword arguments cost about half again as
+        # much, and building the vertices is about half of this function on small trees
+        vertices.append(ClusterVertex(
+            new, depth, frozenset(members), pid, tuple([kid[7] for kid in kids]), wt, len(sep), r,
+            len(kids) - r, len(sep) + r, f_val, f_val % 2 == 1, sep, repeat,
+        ))
     return ClusterTree(tuple(vertices), num_roots=n)
 
 
@@ -227,6 +331,28 @@ def local_disc(v: ClusterVertex, tree: ClusterTree) -> int:
 def equation_discriminant(m: ValuationMatrix) -> int:
     """Valuation of disc(f) as a degree-(2g+2) polynomial: twice the sum of pairwise valuations."""
     return 2 * sum(sum(row[i + 1:]) for i, row in enumerate(m.entries))
+
+
+def _check_repeats(verts) -> None:
+    """A vertex with repeat > 1 stands for its copies only as the first of a
+    pair of equal repeat with its only child, inside one chain that reaches
+    two steps above the pair and two steps below it (see the module docstring)."""
+    for v in verts:
+        if v.repeat == 1:
+            continue
+        if v.repeat > 1 and v.parent is not None and verts[v.parent].repeat == v.repeat:
+            continue  # second of its pair: checked with the first
+        path = [v]
+        while len(path) < 3 and path[0].parent is not None:
+            path.insert(0, verts[path[0].parent])
+        while len(path) < 6 and len(path[-1].children) == 1:
+            path.append(verts[path[-1].children[0]])
+        if (
+            v.repeat < 1
+            or [u.repeat for u in path] != [1, 1, v.repeat, v.repeat, 1, 1]
+            or any(u.members != v.members for u in path)
+        ):
+            raise InternalInvariantViolation("repeated vertex outside the middle of a chain", vertex=v.id)
 
 
 def check_tree_invariants(tree: ClusterTree) -> None:
@@ -243,6 +369,7 @@ def check_tree_invariants(tree: ClusterTree) -> None:
         raise InternalInvariantViolation("root must hold all roots at depth 0", vertex=root.id)
     if root.l % 2 != 0:
         raise InternalInvariantViolation("root must have even l", vertex=root.id)
+    _check_repeats(verts)
     for v in verts:
         kids = [verts[c] for c in v.children]
         if v.wt < 2:

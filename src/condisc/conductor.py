@@ -9,12 +9,19 @@ odd leaf of weight 2 to the ancestor where its chain begins.  After both
 passes ``D''(v) <= d(v)`` holds vertex by vertex, which summed over the tree
 gives the conductor-discriminant inequality.  Every intermediate identity is
 asserted on concrete data; all arithmetic is exact.
+
+The pipeline runs on the cut refinement tree of :mod:`condisc.cluster`: each
+per-vertex check on each of its vertices, and each total over the per-depth
+tree as the sum over its vertices weighted by ``repeat``.  A report's
+output, and :attr:`Report.contractible`, expand it back to the per-depth
+tree, so they cost the size of the output.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import count
 
 from .cluster import (
     ClusterTree,
@@ -175,7 +182,23 @@ class Report:
     xgraph: XGraph
     self_int: dict[int, int]
     warnings: tuple[str, ...] = ()
-    contractible: tuple[int, ...] = ()
+    nonminimal: tuple[int, ...] = ()  # vertices detect_nonminimal flags, in the cut tree
+
+    @property
+    def contractible(self) -> tuple[int, ...]:
+        """Per-depth ids of the vertices whose component chain contracts."""
+        flagged = set(self.nonminimal)
+        return tuple(fid for fid, vid in enumerate(self.tree.expansion.rep) if vid in flagged)
+
+    def per_depth_graphs(self) -> tuple[YGraph, XGraph]:
+        """T_Y and T_X of the per-depth tree, for output: this report's graphs
+        when nothing is cut, else built again, with their checks, on the
+        expanded tree."""
+        full = self.tree.expand()
+        if full is self.tree:
+            return self.ygraph, self.xgraph
+        y = build_ty(full)
+        return y, build_tx(y)
 
     def _header(self) -> dict:
         return {
@@ -193,15 +216,24 @@ class Report:
         }
 
     def _vertex_rows(self):
-        """(tree vertex, ledger) per vertex, in ledger order."""
-        verts = self.tree.vertices
-        return ((verts[led.vertex], led) for led in self.ledgers)
+        """(id, vertex of the cut tree, depth) per vertex of the per-depth
+        tree, by id; none for a report without ledgers."""
+        tree = self.tree
+        if not self.ledgers:
+            return ()
+        if not tree.repeats:  # nothing cut: the tree is its own per-depth tree
+            return ((v.id, v.id, v.depth) for v in tree.vertices)
+        exp = tree.expansion
+        return zip(count(), exp.rep, exp.depth)
 
     def to_json_dict(self) -> dict:
-        vertices = [
-            {
-                "id": v.id,
-                "depth": v.depth,
+        verts, ledgers = self.tree.vertices, self.ledgers
+        vertices = []
+        for fid, vid, depth in self._vertex_rows():
+            v, led = verts[vid], ledgers[vid]
+            vertices.append({
+                "id": fid,
+                "depth": depth,
                 "wt": v.wt,
                 "l_prime": v.l_prime,
                 "r": v.r,
@@ -215,9 +247,7 @@ class Report:
                 "D_double_prime": led.D_double_prime,
                 "equality": led.equality,
                 "reason": led.reason,
-            }
-            for v, led in self._vertex_rows()
-        ]
+            })
         return {**self._header(), "vertices": vertices}
 
     def to_json(self) -> str:
@@ -227,19 +257,28 @@ class Report:
         goes through json; each vertex is written from one template, which
         holds because its values are ints, two ASCII tags and a bool."""
         head = json.dumps(self._header(), indent=2)  # ends with "\n}"
-        rows = ",\n".join(
-            _VERTEX_JSON % (
-                v.id, v.depth, v.wt, v.l_prime, v.r, v.s, v.l, v.parity,
+        cells = [
+            (
+                v.wt, v.l_prime, v.r, v.s, v.l, v.parity,
                 led.d, led.D, led.E, led.D_prime, led.D_double_prime,
                 "true" if led.equality else "false", led.reason,
             )
-            for v, led in self._vertex_rows()
-        )
+            for v, led in zip(self.tree.vertices, self.ledgers)
+        ]
+        rows = ",\n".join(_VERTEX_JSON % ((fid, depth) + cells[vid]) for fid, vid, depth in self._vertex_rows())
         vertices = f"[\n{rows}\n  ]" if rows else "[]"
         return f'{head[:-2]},\n  "vertices": {vertices}\n}}'
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
+
+
+def _total(tree: ClusterTree, values: list[int]) -> int:
+    """Sum over the per-depth tree of per-vertex values given in vertex order."""
+    total = sum(values)
+    for vid, r in tree.repeats.items():
+        total += values[vid] * (r - 1)
+    return total
 
 
 def _check_shift_identities(tree: ClusterTree, ledgers) -> None:
@@ -248,39 +287,44 @@ def _check_shift_identities(tree: ClusterTree, ledgers) -> None:
     verts = tree.vertices
     lhs1 = rhs1 = lhs2 = rhs2 = lhs3 = rhs3 = 0
     for v in verts:
+        k = v.repeat
         kids = [verts[c] for c in v.children]
         odd_child_shift = sum(2 - c.wt * (c.wt - 1) for c in kids if c.odd)
         if v.odd:
-            rhs1 += 2 - v.wt * (v.wt - 1) - odd_child_shift
-            rhs2 += v.r
-            rhs3 += v.s
-            lhs3 -= v.parent is not None and verts[v.parent].odd
+            rhs1 += (2 - v.wt * (v.wt - 1) - odd_child_shift) * k
+            rhs2 += v.r * k
+            rhs3 += v.s * k
+            lhs3 -= (v.parent is not None and verts[v.parent].odd) * k
         else:
-            lhs1 -= odd_child_shift
-            lhs2 -= v.l % 2
+            lhs1 -= odd_child_shift * k
+            lhs2 -= v.l % 2 * k
     if lhs1 + rhs1 != 0:
         raise InternalInvariantViolation("odd/even weight rebalancing does not cancel")
     if lhs2 + rhs2 != 0:
         raise InternalInvariantViolation("parent-parity rebalancing does not cancel")
     if lhs3 + rhs3 != 0:
         raise InternalInvariantViolation("odd-parent count rebalancing does not cancel")
-    if sum(led.E for led in ledgers) != 0:
+    if _total(tree, [led.E for led in ledgers]) != 0:
         raise InternalInvariantViolation("shift terms E do not sum to zero")
 
 
-def _check_bound_bijection(tree: ClusterTree, ledgers) -> None:
-    odd_wt2_leaves = sum(1 for v in tree if v.odd and v.wt == 2 and v.is_leaf)
-    chain_heads = sum(led.L_count for led in ledgers)
+def _check_bound_bijection(tree: ClusterTree, ledgers) -> int:
+    """Checks the moves from D' to D'' and returns the sum of D''."""
+    odd_wt2_leaves = sum(v.repeat for v in tree if v.odd and v.wt == 2 and v.is_leaf)
+    chain_heads = _total(tree, [led.L_count for led in ledgers])
     if odd_wt2_leaves != chain_heads:
         raise InternalInvariantViolation(
             f"odd weight-2 leaves ({odd_wt2_leaves}) != weight-2 chain heads ({chain_heads})"
         )
-    if sum(led.D_double_prime for led in ledgers) != sum(led.D_prime for led in ledgers):
+    bound_sum = _total(tree, [led.D_double_prime for led in ledgers])
+    if bound_sum != _total(tree, [led.D_prime for led in ledgers]):
         raise InternalInvariantViolation("sum of D'' differs from sum of D'")
+    return bound_sum
 
 
-def _check_conductor_decomposition(tree: ClusterTree, x: XGraph, ledgers, artin: int) -> None:
-    """Split artin_conductor's sum by tree vertex and compare each share with D."""
+def _check_conductor_decomposition(tree: ClusterTree, x: XGraph, ledgers, artin: int) -> int:
+    """Split artin_conductor's sum by tree vertex and compare each share with D;
+    returns the sum of D over the per-depth tree."""
     comps, yverts, yparent = x.components, x.ygraph.vertices, x.ygraph.parent
     by_vertex = [0] * len(tree)
     for c in comps:
@@ -297,8 +341,10 @@ def _check_conductor_decomposition(tree: ClusterTree, x: XGraph, ledgers, artin:
                 f"component terms over the vertex sum to {by_vertex[led.vertex]}, formula gives {led.D}",
                 vertex=led.vertex,
             )
-    if sum(led.D for led in ledgers) != artin:
+    local_sum = _total(tree, [led.D for led in ledgers])
+    if local_sum != artin:
         raise InternalInvariantViolation("local conductor terms do not sum to the graph conductor")
+    return local_sum
 
 
 def analyze(
@@ -306,6 +352,7 @@ def analyze(
     *,
     allow_small: bool = False,
     label: str | None = None,
+    cut_chains: bool = True,
 ) -> Report:
     """Run the full pipeline and return a fully cross-checked report.
 
@@ -316,6 +363,9 @@ def analyze(
     :class:`InstanceError` for bad input and
     :class:`InternalInvariantViolation` (or a subclass) if any proved
     identity fails, which would mean a bug in this package.
+
+    ``cut_chains=False`` analyzes the per-depth tree instead of the cut one;
+    :func:`~condisc.harness.per_depth_oracle` compares the two.
     """
     warnings: list[str] = []
     if isinstance(source, Instance):
@@ -333,7 +383,7 @@ def analyze(
     if n < 6:
         warnings.append(f"{n} roots: genus {genus} < 2 is out of scope for the underlying theory")
 
-    tree = build_cluster_tree(matrix, allow_small=allow_small)
+    tree = build_cluster_tree(matrix, allow_small=allow_small, cut_chains=cut_chains)
     check_tree_invariants(tree)
 
     nu_df = equation_discriminant(matrix)
@@ -344,30 +394,33 @@ def analyze(
     genus_check(x, selfint)
 
     # second route to the conductor: 2g - 2 plus chi of the special fiber
-    chi_special = sum(c.chi for c in x) - x.total_edge_weight()
+    nodes = x.total_edge_weight()
+    chi_special = sum(c.chi for c in x) - nodes
+    for c, r in x.repeats.items():
+        chi_special += x[c].chi * (r - 1)
     if artin != (2 * genus - 2) + chi_special:
         raise InternalInvariantViolation("conductor disagrees with the Euler-characteristic route")
-    if all(c.m == 1 for c in x) and artin != x.total_edge_weight():
+    if all(c.m == 1 for c in x) and artin != nodes:
         raise InternalInvariantViolation("reduced special fiber but conductor != number of nodes")
 
     ledgers = tuple(compare_vertex(v, tree) for v in tree)
-    if sum(led.d for led in ledgers) != nu_df:
+    if _total(tree, [led.d for led in ledgers]) != nu_df:
         raise InternalInvariantViolation("local discriminant shares do not sum to nu(d_f)")
-    _check_conductor_decomposition(tree, x, ledgers, artin)
+    artin_local_sum = _check_conductor_decomposition(tree, x, ledgers, artin)
     _check_shift_identities(tree, ledgers)
-    _check_bound_bijection(tree, ledgers)
+    bound_sum = _check_bound_bijection(tree, ledgers)
 
-    bound_sum = sum(led.D_double_prime for led in ledgers)
     if bound_sum > nu_df:
         raise InequalityViolated(f"sum of D'' = {bound_sum} exceeds nu(d_f) = {nu_df}")
     if artin > nu_df:
         raise InequalityViolated(f"conductor {artin} exceeds discriminant {nu_df}")
 
-    contractible = tuple(detect_nonminimal(tree))
+    nonminimal = tuple(detect_nonminimal(tree))
     equality = artin == nu_df
-    if equality != all(led.equality for led in ledgers):
+    ledger_equality = all(led.equality for led in ledgers)
+    if equality != ledger_equality:
         raise InternalInvariantViolation("global equality disagrees with the per-vertex ledger")
-    if equality != (all(led.equality for led in ledgers) and not contractible):
+    if equality != (ledger_equality and not nonminimal):
         raise InternalInvariantViolation("equality with a contractible component present")
 
     n_x = x.n_components
@@ -383,12 +436,12 @@ def analyze(
         genus=genus,
         nu_df=nu_df,
         artin=artin,
-        artin_local_sum=sum(led.D for led in ledgers),
+        artin_local_sum=artin_local_sum,
         n_components=n_x,
         f_tilde=f_tilde,
         inequality_holds=artin <= nu_df,
         equality_holds=equality,
-        x_minimal=not contractible,
+        x_minimal=not nonminimal,
         component_bound_ok=component_bound_ok,
         ledgers=ledgers,
         tree=tree,
@@ -396,5 +449,5 @@ def analyze(
         xgraph=x,
         self_int=selfint,
         warnings=tuple(warnings),
-        contractible=contractible,
+        nonminimal=nonminimal,
     )

@@ -30,6 +30,13 @@ keeps no adjacency of its own: ``XGraph.neighbors`` walks T_Y's, and nothing
 on the analysis path calls it.  Connectivity (a union-find), the
 conductor and the self-intersections are each read from ``edges`` in one
 pass, and the checks index ``components`` and T_Y's ``vertices`` directly.
+
+Both graphs are built on the cut refinement tree (see :mod:`condisc.cluster`),
+and every check runs on each of their vertices as it stands.  A component
+belongs to the tree vertex its cover vertex sits over (``origin[0]``), and an
+edge to the tree vertex under its upper end; each stands for ``repeat`` of
+that vertex's copies in the per-depth fiber, so the conductor, the component
+count, the edge total and the adjunction total weight it by that repeat.
 """
 
 from __future__ import annotations
@@ -173,6 +180,8 @@ class XGraph:
     over: dict[int, tuple[int, ...]]           # YVertex id -> component ids
     genus: int
     ygraph: YGraph
+    repeats: dict[int, int]                    # component id -> repeat, where it is not 1
+    edge_repeats: dict[tuple[int, int], int]   # edge -> repeat, where it is not 1
 
     def __iter__(self):
         return iter(self.components)
@@ -182,7 +191,11 @@ class XGraph:
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        """Components of the per-depth fiber: each counted ``repeat`` times."""
+        n = len(self.components)
+        for r in self.repeats.values():
+            n += r - 1
+        return n
 
     def weight(self, a: int, b: int) -> int:
         return self.edges.get((min(a, b), max(a, b)), 0)
@@ -199,7 +212,12 @@ class XGraph:
         return self.ygraph.base_vertex(self.components[cid].over)
 
     def total_edge_weight(self) -> int:
-        return sum(self.edges.values())
+        """Intersection points of the per-depth fiber: each edge weighted by its repeat."""
+        edges = self.edges
+        total = sum(edges.values())
+        for e, r in self.edge_repeats.items():
+            total += edges[e] * (r - 1)
+        return total
 
 
 def build_tx(y: YGraph) -> XGraph:
@@ -232,12 +250,29 @@ def build_tx(y: YGraph) -> XGraph:
             for a, b in pairs:
                 edges[(min(a, b), max(a, b))] = w
 
+    # a repeated tree vertex owns the components over its strict transform and over
+    # the inserts and leaves hanging from it, and the edges from those down to T_Y
+    # children: each stands for the vertex's copies
+    repeats: dict[int, int] = {}
+    edge_repeats: dict[tuple[int, int], int] = {}
+    for b, r in y.tree.repeats.items():
+        for owned in (b, *y.children[b]):
+            if verts[owned].origin[0] != b:
+                continue  # the strict transform of a child in T_B, owned by that child
+            repeats.update(dict.fromkeys(over[owned], r))
+            for c_id in y.children[owned]:
+                for a, d in product(over[owned], over[c_id]):
+                    if (min(a, d), max(a, d)) in edges:
+                        edge_repeats[(min(a, d), max(a, d))] = r
+
     x = XGraph(
         components=tuple(comps),
         edges=edges,
         over=over,
         genus=(y.tree.num_roots - 2) // 2,
         ygraph=y,
+        repeats=repeats,
+        edge_repeats=edge_repeats,
     )
     _check_connected(x)
     check_x_invariants(x)
@@ -246,7 +281,7 @@ def build_tx(y: YGraph) -> XGraph:
 
 def _check_connected(x: XGraph) -> None:
     """Union-find over the edge list: connected iff n - 1 edges join two classes."""
-    n = x.n_components
+    n = len(x.components)
     if not n:
         raise DisconnectedCover("cover graph has no components")
     root = list(range(n))
@@ -305,11 +340,17 @@ def check_x_invariants(x: XGraph) -> None:
 
 def artin_conductor(x: XGraph) -> int:
     """Degeneracy of the model: -(chi of generic fiber) + chi of special fiber,
-    sum_c (1 - m_c) chi_c + sum over edges ab of (m_a + m_b - 1) w_ab."""
-    comps = x.components
-    return sum((1 - c.m) * c.chi for c in comps) + sum(
-        (comps[a].m + comps[b].m - 1) * w for (a, b), w in x.edges.items()
+    sum_c (1 - m_c) chi_c + sum over edges ab of (m_a + m_b - 1) w_ab, each
+    term weighted by its repeat."""
+    comps, edges = x.components, x.edges
+    total = sum((1 - c.m) * c.chi for c in comps) + sum(
+        (comps[a].m + comps[b].m - 1) * w for (a, b), w in edges.items()
     )
+    for c, r in x.repeats.items():
+        total += (1 - comps[c].m) * comps[c].chi * (r - 1)
+    for (a, b), r in x.edge_repeats.items():
+        total += (comps[a].m + comps[b].m - 1) * edges[a, b] * (r - 1)
+    return total
 
 
 def self_intersections(x: XGraph) -> dict[int, int]:
@@ -332,8 +373,12 @@ def self_intersections(x: XGraph) -> dict[int, int]:
 
 
 def genus_check(x: XGraph, selfint: dict[int, int]) -> int:
-    """Recompute 2g - 2 from the graph via adjunction; raises on mismatch."""
-    total = sum(c.m * (-c.chi - selfint[c.id]) for c in x)
+    """Recompute 2g - 2 from the graph via adjunction, each component weighted
+    by its repeat; raises on mismatch."""
+    comps = x.components
+    total = sum(c.m * (-c.chi - selfint[c.id]) for c in comps)
+    for c, r in x.repeats.items():
+        total += comps[c].m * (-comps[c].chi - selfint[c]) * (r - 1)
     if total != 2 * x.genus - 2:
         raise GenusMismatch(f"adjunction total {total} != 2g - 2 = {2 * x.genus - 2}")
     return total

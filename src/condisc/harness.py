@@ -9,6 +9,9 @@ pipeline so that agreement is evidence rather than tautology:
 * :func:`naive_tree_oracle` builds the refinement tree by the
   shift-and-divide route (partition one depth at a time on a decremented
   submatrix) instead of global depth slicing with chain jumps.
+* :func:`per_depth_oracle` runs the whole pipeline on the per-depth tree,
+  one vertex per depth step, where :func:`~condisc.conductor.analyze` runs it
+  on the tree with long chains cut and weights its totals by ``repeat``.
 
 :func:`gen_instance` realizes a randomly sampled nesting shape with actual
 integers: roots inside a cluster at depth d share everything up to p**d and
@@ -180,8 +183,16 @@ def naive_tree_oracle(m: ValuationMatrix) -> list[OracleVertex]:
     return out
 
 
+def per_depth_oracle(source: Instance | ValuationMatrix, **kwargs) -> Report:
+    """The report of the pipeline run on the per-depth tree; its output, totals
+    and headline fields must equal :func:`~condisc.conductor.analyze`'s."""
+    return analyze(source, cut_chains=False, **kwargs)
+
+
 def trees_agree(tree: ClusterTree, oracle: list[OracleVertex]) -> bool:
-    """Isomorphism with identical annotations, keyed by (depth, member set)."""
+    """Isomorphism with identical annotations, keyed by (depth, member set);
+    a tree with cut chains is compared as the per-depth tree it stands for."""
+    tree = tree.expand()
     ours = {
         (v.depth, v.members): (
             v.wt,

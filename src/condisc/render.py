@@ -33,28 +33,31 @@ def render_text(report: Report) -> str:
         lines.append(f"warning: {w}")
     lines.append("")
     lines.append("tree (wt, parity, d, D'', =?):")
-    led = {entry.vertex: entry for entry in report.ledgers}
 
-    stack = [(report.tree.root.id, 1)]  # explicit stack: chains can be deeper than the recursion limit
-    while stack:
-        vid, indent = stack.pop()
-        v = report.tree[vid]
-        row = led[vid]
+    tail = []  # each row after its id, once per vertex of the cut tree
+    for v, row in zip(report.tree, report.ledgers):
         eq = "=" if row.equality else f"<  (defect {row.d - row.D_double_prime})"
-        lines.append(
-            f"{'  ' * indent}v{vid}  wt={v.wt}  {v.parity:4}  d={row.d}  D''={row.D_double_prime}  {eq}"
-        )
-        stack.extend((c, indent + 1) for c in reversed(v.children))
+        tail.append(f"  wt={v.wt}  {v.parity:4}  d={row.d}  D''={row.D_double_prime}  {eq}")
+    # the per-depth tree, in preorder; an explicit stack, since chains can be deeper than the recursion limit
+    exp = report.tree.expansion
+    stack = [0]
+    while stack:
+        fid = stack.pop()
+        lines.append(f"{'  ' * (exp.depth[fid] + 1)}v{fid}{tail[exp.rep[fid]]}")
+        stack.extend(reversed(exp.children[fid]))
     return "\n".join(lines) + "\n"
 
 
 def dot_tree(report: Report) -> str:
+    """T_B as DOT: the per-depth tree, vertices and then edges by id."""
+    exp, verts = report.tree.expansion, report.tree.vertices
     lines = ["graph t_b {"]
-    for v in report.tree:
-        lines.append(f'  v{v.id} [label="wt={v.wt}/{v.parity}"];')
-    for v in report.tree:
-        for c in v.children:
-            lines.append(f"  v{v.id} -- v{c};")
+    for fid, vid in enumerate(exp.rep):
+        v = verts[vid]
+        lines.append(f'  v{fid} [label="wt={v.wt}/{v.parity}"];')
+    for fid, kids in enumerate(exp.children):
+        for c in kids:
+            lines.append(f"  v{fid} -- v{c};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -1,0 +1,134 @@
+"""Cut chains against the per-depth pipeline.
+
+``analyze`` runs on the refinement tree with each long chain cut to 6 or 7
+vertices, two of them carrying a ``repeat``; ``per_depth_oracle`` runs the
+same pipeline on the per-depth tree.  Every report field, every ledger total
+and every output must agree.
+"""
+
+import dataclasses
+
+import pytest
+
+from condisc import (
+    InternalInvariantViolation,
+    analyze,
+    build_cluster_tree,
+    build_matrix,
+    check_tree_invariants,
+    matrix_from_rows,
+)
+from condisc.harness import default_specs, gen_instance, naive_tree_oracle, per_depth_oracle, trees_agree
+from condisc.render import dot_cover, dot_model, dot_tree, render_text
+
+LEDGER_FIELDS = ("d", "D", "E", "D_prime", "D_double_prime", "L_count", "equality")
+REPORT_FIELDS = (
+    "label", "p", "num_roots", "genus", "nu_df", "artin", "artin_local_sum", "n_components", "f_tilde",
+    "inequality_holds", "equality_holds", "x_minimal", "component_bound_ok", "warnings", "contractible",
+)
+
+
+def _rows(n, clusters):
+    """Matrix whose entry (i, j) is the deepest floor of a cluster holding both, else 0;
+    nested clusters with deeper floors give an ultrametric."""
+    rows = [[None if i == j else 0 for j in range(n)] for i in range(n)]
+    for members, floor in clusters:
+        for i in members:
+            for j in members:
+                if i != j:
+                    rows[i][j] = max(rows[i][j], floor)
+    return rows
+
+
+def _chains(length):
+    """(name, rows) with a chain of `length` vertices: at the root, under an even
+    parent (the root) and under an odd parent (weight 7 at depth 1), of even and
+    odd weight, and one between two more chains."""
+    yield "root", _rows(6, [(range(6), length - 1), ((0, 1), length + 1)])
+    for w in (2, 3, 4, 5):
+        yield f"even-parent-w{w}", _rows(6, [(range(w), length)])
+    for w in (2, 3, 4, 5, 6):
+        yield f"odd-parent-w{w}", _rows(8, [(range(7), 1), (range(w), 1 + length)])
+    yield "nested", _rows(8, [(range(6), length), (range(5), length + 9), ((0, 1), 2 * length + 9)])
+
+
+def _totals(report):
+    """Each ledger field summed over the per-depth tree."""
+    verts = report.tree.vertices
+    return {f: sum(getattr(led, f) * verts[led.vertex].repeat for led in report.ledgers) for f in LEDGER_FIELDS}
+
+
+def _outputs(report, graphs):
+    y, x = graphs
+    return (report.to_json(), report.to_json_line(), render_text(report), dot_tree(report), dot_cover(y), dot_model(x))
+
+
+def test_cut_chains_agree_with_the_per_depth_pipeline():
+    covered = 0
+    for length in range(1, 51):
+        for name, rows in _chains(length):
+            m = matrix_from_rows(rows)
+            ours, oracle = analyze(m, label=name), per_depth_oracle(m, label=name)
+            assert all(v.repeat == 1 for v in oracle.tree)
+            # every chain of 8 or more vertices is cut, and the nested case has one of 9
+            assert (len(ours.tree) < len(oracle.tree)) == (length >= 8 or name == "nested")
+            covered += 1
+            for field in REPORT_FIELDS:
+                assert getattr(ours, field) == getattr(oracle, field), (name, length, field)
+            assert _totals(ours) == _totals(oracle), (name, length)
+            assert ours.tree.expand() == oracle.tree
+            assert _outputs(ours, ours.per_depth_graphs()) == _outputs(oracle, (oracle.ygraph, oracle.xgraph))
+    assert covered == 50 * 11
+
+
+@pytest.mark.parametrize("length", [8, 9, 10, 11, 50])
+def test_cut_chain_keeps_six_or_seven_vertices(length):
+    tree = build_cluster_tree(matrix_from_rows(_rows(6, [((0, 1), length)])))
+    chain = [v for v in tree if v.members == frozenset((0, 1))]
+    kept = 6 if length % 2 == 0 else 7
+    assert len(chain) == kept and len(tree) == 1 + kept
+    assert [v.repeat for v in chain] == [1, 1, 1 + (length - kept) // 2, 1 + (length - kept) // 2] + [1] * (kept - 4)
+    assert sum(v.repeat for v in tree) == 1 + length
+
+
+def _twins():
+    for spec in default_specs(200):
+        inst = gen_instance(spec)
+        yield build_matrix(inst)
+    for length in (8, 9, 23, 50):
+        for _, rows in _chains(length):
+            yield matrix_from_rows(rows)
+
+
+def test_expansion_is_the_per_depth_tree():
+    for m in _twins():
+        tree = build_cluster_tree(m)
+        check_tree_invariants(tree)
+        assert tree.expand() == build_cluster_tree(m, cut_chains=False)
+        assert trees_agree(tree, naive_tree_oracle(m))
+
+
+def test_deep_matrix_chain_is_analyzed_on_a_tree_of_constant_size():
+    n, depth = 6, 10**5
+    m = matrix_from_rows(_rows(n, [((0, 1), depth)]))
+    report = analyze(m)
+    assert len(report.tree) <= 2 * n + 7
+    assert sum(v.repeat for v in report.tree) == depth + 1
+    # a chain of depth d (d <= 50 checked against the per-depth pipeline above) has 2d components
+    assert report.n_components == report.nu_df == report.artin == 2 * depth
+
+
+def test_repeat_outside_the_middle_of_a_chain_rejected():
+    tree = build_cluster_tree(matrix_from_rows(_rows(6, [((0, 1), 12)])))
+    chain = [v.id for v in tree if v.members == frozenset((0, 1))]
+    first = next(vid for vid in chain if tree[vid].repeat > 1)
+    for moved in (first - 1, first + 1, chain[-1], tree.root.id):  # one step up, the second alone, the split, the root
+        verts = [dataclasses.replace(v, repeat=1) for v in tree]
+        verts[moved] = dataclasses.replace(verts[moved], repeat=4)
+        with pytest.raises(InternalInvariantViolation, match="repeated vertex outside the middle of a chain"):
+            check_tree_invariants(dataclasses.replace(tree, vertices=tuple(verts)))
+    verts = list(tree.vertices)
+    verts[first] = dataclasses.replace(verts[first], repeat=0)
+    with pytest.raises(InternalInvariantViolation, match="repeated vertex outside the middle of a chain"):
+        check_tree_invariants(dataclasses.replace(tree, vertices=tuple(verts)))
+
