@@ -60,7 +60,7 @@ Per vertex we track:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -118,13 +118,6 @@ class Expansion(NamedTuple):
 class ClusterTree:
     vertices: tuple[ClusterVertex, ...]
     num_roots: int
-    # the repeat of each vertex whose repeat is not 1, by id: empty when nothing
-    # is cut, so a total over the per-depth tree is the plain sum plus
-    # (repeat - 1) times the term of each vertex listed
-    repeats: dict[int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "repeats", {v.id: v.repeat for v in self.vertices if v.repeat != 1})
 
     @property
     def root(self) -> ClusterVertex:
@@ -143,6 +136,12 @@ class ClusterTree:
 
     def parent_odd(self, v: ClusterVertex) -> bool:
         return v.parent is not None and self[v.parent].odd
+
+    @cached_property
+    def repeats(self) -> dict[int, int]:
+        """The repeat of each vertex whose repeat is not 1, by id: empty when
+        nothing is cut.  See :func:`per_depth_total`."""
+        return {v.id: v.repeat for v in self.vertices if v.repeat != 1}
 
     @cached_property
     def expansion(self) -> Expansion:
@@ -198,6 +197,16 @@ class ClusterTree:
                 f_val=out[up].f_val + v.wt if up is not None else 0,
             ))
         return ClusterTree(tuple(out), self.num_roots)
+
+
+def per_depth_total(terms, repeats: dict) -> int:
+    """Total over the per-depth tree of one term per item of the cut tree: the
+    plain sum plus ``(repeat - 1)`` times the term of each item ``repeats``
+    lists.  ``terms`` is a list indexed by id or a dict keyed like ``repeats``."""
+    total = sum(terms.values() if isinstance(terms, dict) else terms)
+    for k, r in repeats.items():
+        total += terms[k] * (r - 1)
+    return total
 
 
 def _grow(m: ValuationMatrix, cut_chains: bool) -> list[list]:

@@ -29,6 +29,7 @@ from .cluster import (
     build_cluster_tree,
     check_tree_invariants,
     equation_discriminant,
+    per_depth_total,
 )
 from .dualgraph import (
     XGraph,
@@ -273,51 +274,35 @@ class Report:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
-def _total(tree: ClusterTree, values: list[int]) -> int:
-    """Sum over the per-depth tree of per-vertex values given in vertex order."""
-    total = sum(values)
-    for vid, r in tree.repeats.items():
-        total += values[vid] * (r - 1)
-    return total
-
-
 def _check_shift_identities(tree: ClusterTree, ledgers) -> None:
-    """The three cancellation identities behind sum(E) = 0, each accumulated
-    from its own side so agreement is informative."""
+    """The three cancellation identities behind sum(E) = 0.  Each sums one
+    term per vertex: in the first two, the terms at odd vertices cancel those
+    at even vertices; in the third, each odd vertex under an odd parent is
+    counted once from the parent (its ``s``) and once from itself, so
+    agreement is informative."""
     verts = tree.vertices
-    lhs1 = rhs1 = lhs2 = rhs2 = lhs3 = rhs3 = 0
-    for v in verts:
-        k = v.repeat
-        kids = [verts[c] for c in v.children]
-        odd_child_shift = sum(2 - c.wt * (c.wt - 1) for c in kids if c.odd)
-        if v.odd:
-            rhs1 += (2 - v.wt * (v.wt - 1) - odd_child_shift) * k
-            rhs2 += v.r * k
-            rhs3 += v.s * k
-            lhs3 -= (v.parent is not None and verts[v.parent].odd) * k
-        else:
-            lhs1 -= odd_child_shift * k
-            lhs2 -= v.l % 2 * k
-    if lhs1 + rhs1 != 0:
-        raise InternalInvariantViolation("odd/even weight rebalancing does not cancel")
-    if lhs2 + rhs2 != 0:
-        raise InternalInvariantViolation("parent-parity rebalancing does not cancel")
-    if lhs3 + rhs3 != 0:
-        raise InternalInvariantViolation("odd-parent count rebalancing does not cancel")
-    if _total(tree, [led.E for led in ledgers]) != 0:
+    odd_child_shift = [sum(2 - verts[c].wt * (verts[c].wt - 1) for c in v.children if verts[c].odd) for v in verts]
+    for terms, what in (
+        ([2 - v.wt * (v.wt - 1) - k if v.odd else -k for v, k in zip(verts, odd_child_shift)], "odd/even weight"),
+        ([v.r if v.odd else -(v.l % 2) for v in verts], "parent-parity"),
+        ([v.s - (v.parent is not None and verts[v.parent].odd) if v.odd else 0 for v in verts], "odd-parent count"),
+    ):
+        if per_depth_total(terms, tree.repeats) != 0:
+            raise InternalInvariantViolation(f"{what} rebalancing does not cancel")
+    if per_depth_total([led.E for led in ledgers], tree.repeats) != 0:
         raise InternalInvariantViolation("shift terms E do not sum to zero")
 
 
 def _check_bound_bijection(tree: ClusterTree, ledgers) -> int:
     """Checks the moves from D' to D'' and returns the sum of D''."""
-    odd_wt2_leaves = sum(v.repeat for v in tree if v.odd and v.wt == 2 and v.is_leaf)
-    chain_heads = _total(tree, [led.L_count for led in ledgers])
+    odd_wt2_leaves = per_depth_total([v.odd and v.wt == 2 and v.is_leaf for v in tree], tree.repeats)
+    chain_heads = per_depth_total([led.L_count for led in ledgers], tree.repeats)
     if odd_wt2_leaves != chain_heads:
         raise InternalInvariantViolation(
             f"odd weight-2 leaves ({odd_wt2_leaves}) != weight-2 chain heads ({chain_heads})"
         )
-    bound_sum = _total(tree, [led.D_double_prime for led in ledgers])
-    if bound_sum != _total(tree, [led.D_prime for led in ledgers]):
+    bound_sum = per_depth_total([led.D_double_prime for led in ledgers], tree.repeats)
+    if bound_sum != per_depth_total([led.D_prime for led in ledgers], tree.repeats):
         raise InternalInvariantViolation("sum of D'' differs from sum of D'")
     return bound_sum
 
@@ -341,7 +326,7 @@ def _check_conductor_decomposition(tree: ClusterTree, x: XGraph, ledgers, artin:
                 f"component terms over the vertex sum to {by_vertex[led.vertex]}, formula gives {led.D}",
                 vertex=led.vertex,
             )
-    local_sum = _total(tree, [led.D for led in ledgers])
+    local_sum = per_depth_total([led.D for led in ledgers], tree.repeats)
     if local_sum != artin:
         raise InternalInvariantViolation("local conductor terms do not sum to the graph conductor")
     return local_sum
@@ -395,16 +380,14 @@ def analyze(
 
     # second route to the conductor: 2g - 2 plus chi of the special fiber
     nodes = x.total_edge_weight()
-    chi_special = sum(c.chi for c in x) - nodes
-    for c, r in x.repeats.items():
-        chi_special += x[c].chi * (r - 1)
+    chi_special = per_depth_total([c.chi for c in x], x.repeats) - nodes
     if artin != (2 * genus - 2) + chi_special:
         raise InternalInvariantViolation("conductor disagrees with the Euler-characteristic route")
     if all(c.m == 1 for c in x) and artin != nodes:
         raise InternalInvariantViolation("reduced special fiber but conductor != number of nodes")
 
     ledgers = tuple(compare_vertex(v, tree) for v in tree)
-    if _total(tree, [led.d for led in ledgers]) != nu_df:
+    if per_depth_total([led.d for led in ledgers], tree.repeats) != nu_df:
         raise InternalInvariantViolation("local discriminant shares do not sum to nu(d_f)")
     artin_local_sum = _check_conductor_decomposition(tree, x, ledgers, artin)
     _check_shift_identities(tree, ledgers)

@@ -32,11 +32,14 @@ conductor and the self-intersections are each read from ``edges`` in one
 pass, and the checks index ``components`` and T_Y's ``vertices`` directly.
 
 Both graphs are built on the cut refinement tree (see :mod:`condisc.cluster`),
-and every check runs on each of their vertices as it stands.  A component
-belongs to the tree vertex its cover vertex sits over (``origin[0]``), and an
-edge to the tree vertex under its upper end; each stands for ``repeat`` of
-that vertex's copies in the per-depth fiber, so the conductor, the component
-count, the edge total and the adjunction total weight it by that repeat.
+and every check runs on each of their vertices as it stands.  The ownership
+rule: a component belongs to the tree vertex its cover vertex sits over
+(``origin[0]``), and an edge to the tree vertex its upper end sits over; each
+stands for ``repeat`` of that vertex's copies in the per-depth fiber.
+``build_tx`` records it as it creates each component and edge, in
+``XGraph.repeats`` and ``XGraph.edge_repeats``, and every total over the
+per-depth fiber (the conductor, the component count, the edge total, the
+adjunction total) is :func:`~condisc.cluster.per_depth_total` over them.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .cluster import ClusterTree
+from .cluster import ClusterTree, per_depth_total
 from .errors import (
     DisconnectedCover,
     GenusMismatch,
@@ -86,14 +89,6 @@ class YGraph:
         if vid in self.parent:
             out.append(self.parent[vid])
         return out
-
-    def beta(self, vid: int) -> int:
-        """Branch-locus intersections: odd neighbors plus attached roots."""
-        return self.branch_degrees[vid]
-
-    def base_vertex(self, vid: int) -> int:
-        """Tree vertex a cover vertex sits over (inserts map to the parent side)."""
-        return self.vertices[vid].origin[0]
 
 
 def build_ty(tree: ClusterTree) -> YGraph:
@@ -192,10 +187,7 @@ class XGraph:
     @property
     def n_components(self) -> int:
         """Components of the per-depth fiber: each counted ``repeat`` times."""
-        n = len(self.components)
-        for r in self.repeats.values():
-            n += r - 1
-        return n
+        return len(self.components) + sum(r - 1 for r in self.repeats.values())
 
     def weight(self, a: int, b: int) -> int:
         return self.edges.get((min(a, b), max(a, b)), 0)
@@ -207,22 +199,17 @@ class XGraph:
                 if wt:
                     yield w, wt
 
-    def base_vertex(self, cid: int) -> int:
-        """Tree vertex under a component (composite of the two projections)."""
-        return self.ygraph.base_vertex(self.components[cid].over)
-
     def total_edge_weight(self) -> int:
         """Intersection points of the per-depth fiber: each edge weighted by its repeat."""
-        edges = self.edges
-        total = sum(edges.values())
-        for e, r in self.edge_repeats.items():
-            total += edges[e] * (r - 1)
-        return total
+        return per_depth_total(self.edges, self.edge_repeats)
 
 
 def build_tx(y: YGraph) -> XGraph:
     comps: list[XComponent] = []
     over: dict[int, tuple[int, ...]] = {}
+    tverts = y.tree.vertices
+    repeats: dict[int, int] = {}
+    edge_repeats: dict[tuple[int, int], int] = {}
 
     for v, b in zip(y.vertices, y.branch_degrees):
         if v.odd:
@@ -238,32 +225,24 @@ def build_tx(y: YGraph) -> XGraph:
                 mult = 2 if v.kind == INSERT else 1
                 comps.append(XComponent(id=ids[0], over=v.id, sheet=None, m=mult, chi=4 - b))
         over[v.id] = ids
+        r = tverts[v.origin[0]].repeat
+        if r != 1:
+            repeats.update(dict.fromkeys(ids, r))
 
     verts = y.vertices
     edges: dict[tuple[int, int], int] = {}
     for p_id in sorted(y.children):
         up = over[p_id]
+        r = tverts[verts[p_id].origin[0]].repeat
         for c_id in y.children[p_id]:
             dn = over[c_id]
             pairs = zip(up, dn) if len(up) == len(dn) == 2 else product(up, dn)
             w = 2 if len(up) == len(dn) == 1 and not verts[p_id].odd and not verts[c_id].odd else 1
             for a, b in pairs:
-                edges[(min(a, b), max(a, b))] = w
-
-    # a repeated tree vertex owns the components over its strict transform and over
-    # the inserts and leaves hanging from it, and the edges from those down to T_Y
-    # children: each stands for the vertex's copies
-    repeats: dict[int, int] = {}
-    edge_repeats: dict[tuple[int, int], int] = {}
-    for b, r in y.tree.repeats.items():
-        for owned in (b, *y.children[b]):
-            if verts[owned].origin[0] != b:
-                continue  # the strict transform of a child in T_B, owned by that child
-            repeats.update(dict.fromkeys(over[owned], r))
-            for c_id in y.children[owned]:
-                for a, d in product(over[owned], over[c_id]):
-                    if (min(a, d), max(a, d)) in edges:
-                        edge_repeats[(min(a, d), max(a, d))] = r
+                edge = (min(a, b), max(a, b))
+                edges[edge] = w
+                if r != 1:
+                    edge_repeats[edge] = r
 
     x = XGraph(
         components=tuple(comps),
@@ -342,15 +321,10 @@ def artin_conductor(x: XGraph) -> int:
     """Degeneracy of the model: -(chi of generic fiber) + chi of special fiber,
     sum_c (1 - m_c) chi_c + sum over edges ab of (m_a + m_b - 1) w_ab, each
     term weighted by its repeat."""
-    comps, edges = x.components, x.edges
-    total = sum((1 - c.m) * c.chi for c in comps) + sum(
-        (comps[a].m + comps[b].m - 1) * w for (a, b), w in edges.items()
+    comps = x.components
+    return per_depth_total([(1 - c.m) * c.chi for c in comps], x.repeats) + per_depth_total(
+        {(a, b): (comps[a].m + comps[b].m - 1) * w for (a, b), w in x.edges.items()}, x.edge_repeats
     )
-    for c, r in x.repeats.items():
-        total += (1 - comps[c].m) * comps[c].chi * (r - 1)
-    for (a, b), r in x.edge_repeats.items():
-        total += (comps[a].m + comps[b].m - 1) * edges[a, b] * (r - 1)
-    return total
 
 
 def self_intersections(x: XGraph) -> dict[int, int]:
@@ -375,10 +349,7 @@ def self_intersections(x: XGraph) -> dict[int, int]:
 def genus_check(x: XGraph, selfint: dict[int, int]) -> int:
     """Recompute 2g - 2 from the graph via adjunction, each component weighted
     by its repeat; raises on mismatch."""
-    comps = x.components
-    total = sum(c.m * (-c.chi - selfint[c.id]) for c in comps)
-    for c, r in x.repeats.items():
-        total += comps[c].m * (-comps[c].chi - selfint[c]) * (r - 1)
+    total = per_depth_total([c.m * (-c.chi - selfint[c.id]) for c in x.components], x.repeats)
     if total != 2 * x.genus - 2:
         raise GenusMismatch(f"adjunction total {total} != 2g - 2 = {2 * x.genus - 2}")
     return total

@@ -27,8 +27,9 @@ def render_text(report: Report) -> str:
     verdict = "HOLDS with equality" if report.equality_holds else "HOLDS strictly"
     lines.append(f"inequality -Art(X/S) <= nu(d_f): {verdict}")
     lines.append(f"X minimal: {'yes' if report.x_minimal else 'no'}")
-    if report.contractible:
-        lines.append(f"contractible chain vertices: {list(report.contractible)}")
+    contractible = report.contractible  # a scan of the per-depth tree
+    if contractible:
+        lines.append(f"contractible chain vertices: {list(contractible)}")
     for w in report.warnings:
         lines.append(f"warning: {w}")
     lines.append("")

@@ -131,7 +131,7 @@ def test_odd_fiber_partition():
     odd_vertices = [v for v in tree if v.odd]
     assert len(odd_vertices) == 2
     for bv in odd_vertices:
-        fiber = [c for c in x if x.base_vertex(c.id) == bv.id]
+        fiber = [c for c in x if x.ygraph.vertices[c.over].origin[0] == bv.id]
         strict = [c for c in fiber if y[c.over].kind == ST]
         ins = [c for c in fiber if y[c.over].kind == INSERT]
         leaf = [c for c in fiber if y[c.over].kind == LEAF]
@@ -145,7 +145,7 @@ def test_weight_two_edges():
     assert sorted(x.edges.values()) == [2, 2]
     for (a, b), w in x.edges.items():
         assert not y[x[a].over].odd and not y[x[b].over].odd
-        assert y.beta(x[a].over) > 0 and y.beta(x[b].over) > 0
+        assert y.branch_degrees[x[a].over] > 0 and y.branch_degrees[x[b].over] > 0
     assert artin_conductor(x) == 4
     si = self_intersections(x)
     assert sorted(si.values()) == [-4, -2, -2]
@@ -163,10 +163,10 @@ def test_beta_even_and_strict_transform_count(fixture_b):
     tree, y, x = graphs_of(make(ODD_CHAIN))
     for v in y:
         if not v.odd:
-            assert y.beta(v.id) % 2 == 0
+            assert y.branch_degrees[v.id] % 2 == 0
         if v.kind == ST and not tree[v.origin[0]].odd:
             bvert = tree[v.origin[0]]
-            assert y.beta(v.id) == bvert.l + (bvert.l % 2)
+            assert y.branch_degrees[v.id] == bvert.l + (bvert.l % 2)
 
 
 def test_detect_nonminimal(fixture_a, fixture_b, fixture_c):
@@ -184,7 +184,7 @@ def test_detect_nonminimal(fixture_a, fixture_b, fixture_c):
     si = self_intersections(x)
     contractible = [c.id for c in x if si[c.id] == -1 and c.chi == 2]
     assert len(contractible) == 1
-    assert x.base_vertex(contractible[0]) == v.id
+    assert x.ygraph.vertices[x[contractible[0]].over].origin[0] == v.id
 
 
 def test_good_reduction_has_no_pattern(good_reduction):
@@ -236,7 +236,7 @@ def _walked_by_vertex(x):
             term += (x[w].m - 1) * wt
             if x.ygraph.parent.get(x[w].over) == c.over:
                 term += wt
-        out[x.base_vertex(c.id)] += term
+        out[x.ygraph.vertices[c.over].origin[0]] += term
     return out
 
 

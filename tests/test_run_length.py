@@ -13,9 +13,13 @@ import pytest
 from condisc import (
     InternalInvariantViolation,
     analyze,
+    artin_conductor,
     build_cluster_tree,
     build_matrix,
+    build_tx,
+    build_ty,
     check_tree_invariants,
+    genus_check,
     matrix_from_rows,
 )
 from condisc.harness import default_specs, gen_instance, naive_tree_oracle, per_depth_oracle, trees_agree
@@ -53,9 +57,13 @@ def _chains(length):
 
 
 def _totals(report):
-    """Each ledger field summed over the per-depth tree."""
-    verts = report.tree.vertices
-    return {f: sum(getattr(led, f) * verts[led.vertex].repeat for led in report.ledgers) for f in LEDGER_FIELDS}
+    """Each ledger field summed over the per-depth tree, and T_X's repeat-weighted totals."""
+    verts, x = report.tree.vertices, report.xgraph
+    totals = {f: sum(getattr(led, f) * verts[led.vertex].repeat for led in report.ledgers) for f in LEDGER_FIELDS}
+    totals.update(
+        edge_weight=x.total_edge_weight(), artin=artin_conductor(x), adjunction=genus_check(x, report.self_int)
+    )
+    return totals
 
 
 def _outputs(report, graphs):
@@ -106,6 +114,25 @@ def test_expansion_is_the_per_depth_tree():
         check_tree_invariants(tree)
         assert tree.expand() == build_cluster_tree(m, cut_chains=False)
         assert trees_agree(tree, naive_tree_oracle(m))
+
+
+def test_components_and_edges_carry_the_repeat_of_their_owner():
+    """A component is owned by the tree vertex its cover vertex sits over, an
+    edge by the tree vertex under its upper end."""
+    cut = 0
+    for m in _twins():
+        tree = build_cluster_tree(m)
+        y = build_ty(tree)
+        x = build_tx(y)
+        owner = [tree[v.origin[0]] for v in y]
+        for c in x:
+            assert x.repeats.get(c.id, 1) == owner[c.over].repeat
+        for a, b in x.edges:
+            up = a if y.parent.get(x[b].over) == x[a].over else b
+            assert x.edge_repeats.get((a, b), 1) == owner[x[up].over].repeat
+        assert 1 not in x.repeats.values() and 1 not in x.edge_repeats.values()
+        cut += bool(x.repeats)
+    assert cut >= 4 * 11  # every chain instance of length 8, 9, 23 and 50
 
 
 def test_deep_matrix_chain_is_analyzed_on_a_tree_of_constant_size():
