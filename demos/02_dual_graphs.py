@@ -37,14 +37,14 @@ for v in tree:
           f"{v.parity}, separates {list(v.sep_roots)}")
 
 y = build_ty(tree)
-print("\ncover graph adds", sum(1 for v in y if v.kind != "strict"), "vertices:")
-for v in y:
+print("\ncover graph adds", sum(1 for v in y.vertices if v.kind != "strict"), "vertices:")
+for v in y.vertices:
     if v.kind != "strict":
         print(f"  y{v.id}: {v.kind} over {v.origin}, attached roots {list(v.attached_roots)}")
 
 x = build_tx(y)
 print("\nmodel components:")
-for c in x:
+for c in x.components:
     print(f"  x{c.id}: over y{c.over}, multiplicity {c.m}, chi {c.chi}")
 print("intersections:", {e: w for e, w in sorted(x.edges.items())})
 

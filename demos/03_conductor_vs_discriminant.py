@@ -11,7 +11,8 @@ equality occurs, and dissect one strict example vertex by vertex.
 
 from collections import Counter
 
-from condisc import GenSpec, Instance, analyze, gen_instance
+from condisc import Instance, analyze
+from condisc.harness import GenSpec, gen_instance
 
 stats = Counter()
 gaps = []

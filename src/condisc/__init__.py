@@ -49,7 +49,6 @@ from .errors import (
     TooFewRootsError,
     UltrametricViolationError,
 )
-from .harness import GenSpec, disc_oracle, gen_instance, naive_tree_oracle, run_trial, trees_agree
 from .instancefile import load_instance, parse_instance_dict
 from .render import dot_cover, dot_model, dot_tree, render_text
 from .valuation import (
@@ -98,12 +97,6 @@ __all__ = [
     "ODD_WT2",
     "ODD_WT3_NO_EVEN_CHILDREN",
     "STRICT",
-    "GenSpec",
-    "gen_instance",
-    "disc_oracle",
-    "naive_tree_oracle",
-    "trees_agree",
-    "run_trial",
     "load_instance",
     "parse_instance_dict",
     "render_text",

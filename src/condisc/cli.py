@@ -14,7 +14,6 @@ from pathlib import Path
 from . import __version__
 from .conductor import analyze
 from .errors import InstanceError, InternalInvariantViolation
-from .harness import default_specs, run_trial
 from .instancefile import load_instance
 from .render import dot_cover, dot_model, dot_tree, render_text
 
@@ -113,6 +112,8 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from .harness import default_specs, run_trial  # the oracles load only for this command
+
     equal = strict = 0
     for spec in default_specs(args.trials, base_seed=args.seed):
         report = run_trial(spec)

@@ -15,13 +15,18 @@ per-vertex check on each of its vertices, and each total over the per-depth
 tree as the sum over its vertices weighted by ``repeat``.  A report's
 output, and :attr:`Report.contractible`, expand it back to the per-depth
 tree, so they cost the size of the output.
+
+A :class:`VertexLedger` is a named tuple.  A :class:`Report` is a namespace
+built by keyword, and stays mutable: its attributes can be set after
+:func:`analyze` returns it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import count
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .cluster import (
     ClusterTree,
@@ -76,8 +81,7 @@ def local_shift(v: ClusterVertex, tree: ClusterTree) -> int:
     return _shift(v, tree.parent_odd(v), _odd_child_shift(v, tree))
 
 
-@dataclass(frozen=True)
-class VertexLedger:
+class VertexLedger(NamedTuple):
     vertex: int
     d: int
     D: int
@@ -160,9 +164,9 @@ _VERTEX_JSON = """\
     }"""
 
 
-@dataclass
-class Report:
-    """Everything the analysis pipeline establishes about one instance."""
+class Report(SimpleNamespace):
+    """Everything the analysis pipeline establishes about one instance; the
+    annotations list the keywords :func:`analyze` builds it with."""
 
     label: str | None
     p: int | None                     # None in matrix mode
@@ -380,10 +384,10 @@ def analyze(
 
     # second route to the conductor: 2g - 2 plus chi of the special fiber
     nodes = x.total_edge_weight()
-    chi_special = per_depth_total([c.chi for c in x], x.repeats) - nodes
+    chi_special = per_depth_total([c.chi for c in x.components], x.repeats) - nodes
     if artin != (2 * genus - 2) + chi_special:
         raise InternalInvariantViolation("conductor disagrees with the Euler-characteristic route")
-    if all(c.m == 1 for c in x) and artin != nodes:
+    if all(c.m == 1 for c in x.components) and artin != nodes:
         raise InternalInvariantViolation("reduced special fiber but conductor != number of nodes")
 
     ledgers = tuple(compare_vertex(v, tree) for v in tree)

@@ -31,6 +31,10 @@ on the analysis path calls it.  Connectivity (a union-find), the
 conductor and the self-intersections are each read from ``edges`` in one
 pass, and the checks index ``components`` and T_Y's ``vertices`` directly.
 
+Both graphs and their vertices are named tuples.  A graph is read through
+``YGraph.vertices`` and ``XGraph.components``, each indexed by id: iterating
+a graph itself yields its fields, as for any tuple.
+
 Both graphs are built on the cut refinement tree (see :mod:`condisc.cluster`),
 and every check runs on each of their vertices as it stands.  The ownership
 rule: a component belongs to the tree vertex its cover vertex sits over
@@ -44,8 +48,8 @@ adjunction total) is :func:`~condisc.cluster.per_depth_total` over them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .cluster import ClusterTree, per_depth_total
 from .errors import (
@@ -61,8 +65,7 @@ LEAF = "leaf"    # blow-up of an odd component / root divisor intersection
 _KIND_SLOT = {ST: 0, INSERT: 1, LEAF: 2}
 
 
-@dataclass(frozen=True)
-class YVertex:
+class YVertex(NamedTuple):
     id: int
     kind: str                      # ST | INSERT | LEAF
     origin: tuple[int, ...]        # ST: (b,)  INSERT: (parent_b, child_b)  LEAF: (b, root_index)
@@ -70,19 +73,12 @@ class YVertex:
     attached_roots: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class YGraph:
+class YGraph(NamedTuple):
     vertices: tuple[YVertex, ...]
     parent: dict[int, int]
     children: dict[int, tuple[int, ...]]
     tree: ClusterTree
     branch_degrees: tuple[int, ...]          # beta of each vertex, by id
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __getitem__(self, vid: int) -> YVertex:
-        return self.vertices[vid]
 
     def neighbors(self, vid: int):
         out = list(self.children[vid])
@@ -159,8 +155,7 @@ def check_y_invariants(y: YGraph) -> None:
                 )
 
 
-@dataclass(frozen=True)
-class XComponent:
+class XComponent(NamedTuple):
     id: int
     over: int              # YVertex id
     sheet: int | None      # 0 / 1 when the cover splits over `over`
@@ -168,8 +163,7 @@ class XComponent:
     chi: int               # etale Euler characteristic
 
 
-@dataclass(frozen=True)
-class XGraph:
+class XGraph(NamedTuple):
     components: tuple[XComponent, ...]
     edges: dict[tuple[int, int], int]          # (a, b) with a < b -> intersection number
     over: dict[int, tuple[int, ...]]           # YVertex id -> component ids
@@ -177,12 +171,6 @@ class XGraph:
     ygraph: YGraph
     repeats: dict[int, int]                    # component id -> repeat, where it is not 1
     edge_repeats: dict[tuple[int, int], int]   # edge -> repeat, where it is not 1
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __getitem__(self, cid: int) -> XComponent:
-        return self.components[cid]
 
     @property
     def n_components(self) -> int:

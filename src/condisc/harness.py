@@ -22,8 +22,8 @@ is the sampled shape by construction and collisions are impossible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cluster import ClusterTree
 from .conductor import Report, analyze
@@ -33,8 +33,7 @@ from .valuation import INFINITY, Instance, ValuationMatrix, build_matrix
 GEN_PRIMES = (3, 5, 7, 11, 13)
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(NamedTuple):
     """Deterministic recipe for one random instance."""
 
     seed: int
@@ -113,8 +112,7 @@ def disc_oracle(inst: Instance) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class OracleVertex:
+class OracleVertex(NamedTuple):
     depth: int
     members: frozenset[int]
     parent_members: frozenset[int] | None

@@ -64,7 +64,7 @@ def dot_tree(report: Report) -> str:
 
 
 def _y_label(y: YGraph, vid: int) -> str:
-    v = y[vid]
+    v = y.vertices[vid]
     if v.kind == INSERT:
         core = f"insert({v.origin[0]},{v.origin[1]})"
     elif v.kind == LEAF:
@@ -78,7 +78,7 @@ def _y_label(y: YGraph, vid: int) -> str:
 
 def dot_cover(y: YGraph) -> str:
     lines = ["graph t_y {"]
-    for v in y:
+    for v in y.vertices:
         lines.append(f'  y{v.id} [label="{_y_label(y, v.id)}"];')
     for pid in sorted(y.children):
         for c in y.children[pid]:
@@ -89,7 +89,7 @@ def dot_cover(y: YGraph) -> str:
 
 def dot_model(x: XGraph) -> str:
     lines = ["graph t_x {"]
-    for c in x:
+    for c in x.components:
         lines.append(f'  x{c.id} [label="m={c.m}, χ={c.chi}"];')
     for (a, b), w in sorted(x.edges.items()):
         for _ in range(w):

@@ -10,10 +10,9 @@ converts raw rows, and ``analyze`` checks their shape, once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isqrt, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DuplicateRootsError, InstanceError
 
@@ -138,8 +137,7 @@ def is_odd_prime(n: int) -> bool:
     return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """A split Weierstrass input: a prime and the roots of f.
 
     Roots must be p-integral (valuation >= 0) and pairwise distinct; the
@@ -180,8 +178,7 @@ class Instance:
                 )
 
 
-@dataclass(frozen=True)
-class ValuationMatrix:
+class ValuationMatrix(NamedTuple):
     """Symmetric matrix of pairwise valuations with INFINITY diagonal."""
 
     entries: tuple[tuple[ExtNat, ...], ...]
@@ -233,8 +230,7 @@ def build_matrix(inst: Instance) -> ValuationMatrix:
     return ValuationMatrix(tuple(tuple(row) for row in rows))
 
 
-@dataclass(frozen=True)
-class UltrametricVerdict:
+class UltrametricVerdict(NamedTuple):
     violations: tuple[tuple[int, int, int], ...]
 
     @property

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import condisc.cli
 import condisc.cluster
 import condisc.conductor
+import condisc.harness
 from condisc import Instance, build_cluster_tree, build_matrix
 from condisc.cli import main
 from condisc.harness import naive_tree_oracle, trees_agree
@@ -219,15 +221,15 @@ def test_batch_reports_an_unexpected_error_against_its_file_and_goes_on(tmp_path
     assert "0 invalid, 1 internal failures out of 3 files" in captured.err
 
 
-@pytest.mark.parametrize("command, target, error", [
-    ("analyze", "analyze", RuntimeError("boom")),
-    ("fuzz", "run_trial", KeyError("boom")),
+@pytest.mark.parametrize("command, owner, target, error", [
+    ("analyze", condisc.cli, "analyze", RuntimeError("boom")),
+    ("fuzz", condisc.harness, "run_trial", KeyError("boom")),  # fuzz imports it when it runs
 ], ids=["analyze", "fuzz"])
-def test_unexpected_error_exits_two_with_one_line(fixture_a_file, capsys, monkeypatch, command, target, error):
+def test_unexpected_error_exits_two_with_one_line(fixture_a_file, capsys, monkeypatch, command, owner, target, error):
     def raising(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(condisc.cli, target, raising)
+    monkeypatch.setattr(owner, target, raising)
     argv = ["analyze", str(fixture_a_file)] if command == "analyze" else ["fuzz", "--trials", "3"]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -471,6 +473,30 @@ def test_roots_mode_does_not_import_sympy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, "analyze", str(path)], capture_output=True, text=True,
                           env={"PYTHONPATH": str(src)}, check=True, timeout=60)
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_cli_does_not_import_dataclasses_or_the_harness(tmp_path):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    path = write_instance(tmp_path / "a.json", FIXTURE_A)
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write_instance(batch / "b.json", FIXTURE_B)
+    matrix = [[None if i == j else 1 for j in range(6)] for i in range(6)]
+    (batch / "m.json").write_text(json.dumps({"mode": "matrix", "valuations": matrix}))
+    code = (
+        "import sys; import condisc.cli; "
+        "assert condisc.cli.main(['analyze', sys.argv[1], '--format', 'json']) == 0; "
+        "assert condisc.cli.main(['batch', sys.argv[2]]) == 0; "
+        "print([m for m in ('dataclasses', 'inspect', 'condisc.harness') if m in sys.modules])"
+    )
+    src = Path(condisc.conductor.__file__).resolve().parents[1]
+    # -S: the interpreter's site packages import modules of their own at start-up
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(path), str(batch)], capture_output=True,
+                          text=True, env={"PYTHONPATH": str(src)}, check=True, timeout=60)
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_batch_reads_on_past_a_mode_that_is_not_a_string(tmp_path, capsys):

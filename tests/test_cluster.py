@@ -1,10 +1,10 @@
-import dataclasses
 import sys
 
 import pytest
 
 import condisc.cluster
 from condisc import (
+    ClusterTree,
     Instance,
     InstanceError,
     TooFewRootsError,
@@ -236,4 +236,4 @@ def test_ids_out_of_position_rejected(fixture_a):
     verts = list(tree.vertices)
     verts[1], verts[2] = verts[2], verts[1]
     with pytest.raises(InternalInvariantViolation, match=r"vertex id differs from its position 1 \(at vertex 2\)"):
-        check_tree_invariants(dataclasses.replace(tree, vertices=tuple(verts)))
+        check_tree_invariants(ClusterTree(tuple(verts), tree.num_roots))

@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import json
 
 import pytest
@@ -201,7 +201,9 @@ def test_to_json_is_json_dumps_with_indent_two():
     for inst in _fixtures_and_specs(200):
         reports += [analyze(inst), analyze(build_matrix(inst))]
     reports.append(analyze(Instance.from_values(3, (0, 3**400, 1, 2, 4, 5))))  # a chain of depth 400
-    reports.append(dataclasses.replace(reports[0], ledgers=()))  # "vertices": []
+    empty = copy.copy(reports[0])
+    empty.ledgers = ()  # "vertices": []
+    reports.append(empty)
     for r in reports:
         assert r.to_json() == json.dumps(r.to_json_dict(), indent=2)
 
@@ -217,5 +219,6 @@ _TEXT = st.text(
 @settings(max_examples=150, deadline=None)
 @given(label=st.none() | _TEXT, warnings=st.lists(_TEXT, max_size=3))
 def test_to_json_writes_any_label_and_warnings_as_json_does(label, warnings):
-    r = dataclasses.replace(analyze(make(FIXTURE_B)), label=label, warnings=tuple(warnings))
+    r = analyze(make(FIXTURE_B))
+    r.label, r.warnings = label, tuple(warnings)
     assert r.to_json() == json.dumps(r.to_json_dict(), indent=2)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from condisc import (
@@ -43,15 +41,15 @@ def test_fixture_a_cover_and_model(fixture_a):
     tree, y, x = graphs_of(fixture_a)
     # no odd vertices: the cover graph adds nothing
     assert len(y.vertices) == len(tree)
-    assert all(v.kind == ST for v in y)
-    assert y[tree.root.id].attached_roots == ()
+    assert all(v.kind == ST for v in y.vertices)
+    assert y.vertices[tree.root.id].attached_roots == ()
     for c in tree.root.children:
-        assert len(y[c].attached_roots) == 2
+        assert len(y.vertices[c].attached_roots) == 2
     # root splits into two sheets, children stay irreducible
-    sheets = [c for c in x if c.over == tree.root.id]
+    sheets = [c for c in x.components if c.over == tree.root.id]
     assert [c.sheet for c in sheets] == [0, 1]
     assert all((c.m, c.chi) == (1, 2) for c in sheets)
-    others = [c for c in x if c.over != tree.root.id]
+    others = [c for c in x.components if c.over != tree.root.id]
     assert len(others) == 3 and all((c.m, c.chi) == (1, 2) for c in others)
     assert x.n_components == 5
     assert sorted(x.edges.values()) == [1] * 6
@@ -64,17 +62,17 @@ def test_fixture_a_cover_and_model(fixture_a):
 
 def test_fixture_b_cover_and_model(fixture_b):
     tree, y, x = graphs_of(fixture_b)
-    leaves = [v for v in y if v.kind == LEAF]
+    leaves = [v for v in y.vertices if v.kind == LEAF]
     assert len(leaves) == 3
     assert all(y.parent[v.id] == 1 for v in leaves)  # all under the odd vertex
-    assert len(y[tree.root.id].attached_roots) == 3
+    assert len(y.vertices[tree.root.id].attached_roots) == 3
     assert all(len(v.attached_roots) == 1 for v in leaves)
 
     root_comp = x.over[tree.root.id]
     odd_comp = x.over[1]
     assert len(root_comp) == 1 and len(odd_comp) == 1
-    assert (x[root_comp[0]].m, x[root_comp[0]].chi) == (1, 0)   # beta = 4
-    assert (x[odd_comp[0]].m, x[odd_comp[0]].chi) == (2, 2)
+    assert (x.components[root_comp[0]].m, x.components[root_comp[0]].chi) == (1, 0)   # beta = 4
+    assert (x.components[odd_comp[0]].m, x.components[odd_comp[0]].chi) == (2, 2)
     assert x.n_components == 5
     # star through the multiplicity-2 component
     hub = odd_comp[0]
@@ -90,12 +88,12 @@ def test_fixture_c_four_cycle(fixture_c):
     tree, y, x = graphs_of(fixture_c)
     assert x.n_components == 4
     root_comp = x.over[tree.root.id][0]
-    assert x[root_comp].chi == 0
-    split = [v.id for v in y if len(x.over[v.id]) == 2]
+    assert x.components[root_comp].chi == 0
+    split = [v.id for v in y.vertices if len(x.over[v.id]) == 2]
     assert len(split) == 1
     s0, s1 = x.over[split[0]]
     # the two sheets join the root component and the deeper component: a 4-cycle
-    degrees = {c.id: sum(1 for e in x.edges if c.id in e) for c in x}
+    degrees = {c.id: sum(1 for e in x.edges if c.id in e) for c in x.components}
     assert set(degrees.values()) == {2}
     assert x.weight(root_comp, s0) == 1 and x.weight(root_comp, s1) == 1
     assert artin_conductor(x) == 4
@@ -115,14 +113,14 @@ def test_good_reduction_single_component(good_reduction):
 
 def test_odd_odd_edge_gets_one_insert():
     tree, y, x = graphs_of(make(ODD_CHAIN))
-    inserts = [v for v in y if v.kind == INSERT]
+    inserts = [v for v in y.vertices if v.kind == INSERT]
     assert len(inserts) == 1
     ins = inserts[0]
     assert not ins.odd
     a, b = ins.origin
     assert tree[a].odd and tree[b].odd
     comp = x.over[ins.id]
-    assert len(comp) == 1 and (x[comp[0]].m, x[comp[0]].chi) == (2, 2)
+    assert len(comp) == 1 and (x.components[comp[0]].m, x.components[comp[0]].chi) == (2, 2)
     assert artin_conductor(x) == 8
 
 
@@ -131,10 +129,10 @@ def test_odd_fiber_partition():
     odd_vertices = [v for v in tree if v.odd]
     assert len(odd_vertices) == 2
     for bv in odd_vertices:
-        fiber = [c for c in x if x.ygraph.vertices[c.over].origin[0] == bv.id]
-        strict = [c for c in fiber if y[c.over].kind == ST]
-        ins = [c for c in fiber if y[c.over].kind == INSERT]
-        leaf = [c for c in fiber if y[c.over].kind == LEAF]
+        fiber = [c for c in x.components if x.ygraph.vertices[c.over].origin[0] == bv.id]
+        strict = [c for c in fiber if y.vertices[c.over].kind == ST]
+        ins = [c for c in fiber if y.vertices[c.over].kind == INSERT]
+        leaf = [c for c in fiber if y.vertices[c.over].kind == LEAF]
         assert len(strict) == 1 and strict[0].m == 2
         assert len(ins) == bv.s and all(c.m == 2 for c in ins)
         assert len(leaf) == bv.l_prime and all(c.m == 1 for c in leaf)
@@ -144,8 +142,8 @@ def test_weight_two_edges():
     tree, y, x = graphs_of(make(WEIGHT2))
     assert sorted(x.edges.values()) == [2, 2]
     for (a, b), w in x.edges.items():
-        assert not y[x[a].over].odd and not y[x[b].over].odd
-        assert y.branch_degrees[x[a].over] > 0 and y.branch_degrees[x[b].over] > 0
+        assert not y.vertices[x.components[a].over].odd and not y.vertices[x.components[b].over].odd
+        assert y.branch_degrees[x.components[a].over] > 0 and y.branch_degrees[x.components[b].over] > 0
     assert artin_conductor(x) == 4
     si = self_intersections(x)
     assert sorted(si.values()) == [-4, -2, -2]
@@ -155,13 +153,13 @@ def test_weight_two_edges():
 def test_semistable_conductor_is_edge_weight(fixture_a, fixture_c):
     for inst in (fixture_a, fixture_c):
         _, _, x = graphs_of(inst)
-        assert all(c.m == 1 for c in x)
+        assert all(c.m == 1 for c in x.components)
         assert artin_conductor(x) == x.total_edge_weight()
 
 
 def test_beta_even_and_strict_transform_count(fixture_b):
     tree, y, x = graphs_of(make(ODD_CHAIN))
-    for v in y:
+    for v in y.vertices:
         if not v.odd:
             assert y.branch_degrees[v.id] % 2 == 0
         if v.kind == ST and not tree[v.origin[0]].odd:
@@ -182,9 +180,9 @@ def test_detect_nonminimal(fixture_a, fixture_b, fixture_c):
     # the flagged chain carries the contractible rational curve
     _, y, x = graphs_of(make(NON_MINIMAL))
     si = self_intersections(x)
-    contractible = [c.id for c in x if si[c.id] == -1 and c.chi == 2]
+    contractible = [c.id for c in x.components if si[c.id] == -1 and c.chi == 2]
     assert len(contractible) == 1
-    assert x.ygraph.vertices[x[contractible[0]].over].origin[0] == v.id
+    assert x.ygraph.vertices[x.components[contractible[0]].over].origin[0] == v.id
 
 
 def test_good_reduction_has_no_pattern(good_reduction):
@@ -216,13 +214,14 @@ def _edge_scan(x, cid):
 
 def test_neighbors_match_an_edge_scan():
     for x in _models():
-        for c in x:
+        for c in x.components:
             assert sorted(x.neighbors(c.id)) == _edge_scan(x, c.id)
 
 
 def test_self_intersections_match_the_neighbour_walk():
     for x in _models():
-        walked = {c.id: -sum(x[w].m * wt for w, wt in x.neighbors(c.id)) // c.m for c in x}
+        comps = x.components
+        walked = {c.id: -sum(comps[w].m * wt for w, wt in x.neighbors(c.id)) // c.m for c in comps}
         assert self_intersections(x) == walked
 
 
@@ -230,11 +229,11 @@ def _walked_by_vertex(x):
     """The conductor per tree vertex by a walk of each component's neighbours:
     (1 - m) chi, plus (m_w - 1) wt per neighbour w, plus wt per neighbour below it."""
     out = {v.id: 0 for v in x.ygraph.tree}
-    for c in x:
+    for c in x.components:
         term = (1 - c.m) * c.chi
         for w, wt in x.neighbors(c.id):
-            term += (x[w].m - 1) * wt
-            if x.ygraph.parent.get(x[w].over) == c.over:
+            term += (x.components[w].m - 1) * wt
+            if x.ygraph.parent.get(x.components[w].over) == c.over:
                 term += wt
         out[x.ygraph.vertices[c.over].origin[0]] += term
     return out
@@ -249,8 +248,8 @@ def test_component_terms_group_by_tree_vertex(fixture_b):
 
 def test_conductor_from_the_edge_list_alone():
     for x in _models():
-        per_component = sum((1 - c.m) * c.chi for c in x)
-        per_edge = sum((x[a].m + x[b].m - 1) * w for (a, b), w in x.edges.items())
+        per_component = sum((1 - c.m) * c.chi for c in x.components)
+        per_edge = sum((x.components[a].m + x.components[b].m - 1) * w for (a, b), w in x.edges.items())
         assert artin_conductor(x) == per_component + per_edge
         assert artin_conductor(x) == sum(_walked_by_vertex(x).values())
 
@@ -266,7 +265,7 @@ def test_conductor_decomposition_names_the_vertex_an_edge_weight_breaks(fixture_
     x = report.xgraph
     (root_comp,) = x.over[report.tree.root.id]
     edge = next(e for e in x.edges if root_comp in e)
-    broken = dataclasses.replace(x, edges={**x.edges, edge: x.edges[edge] + 1})
+    broken = x._replace(edges={**x.edges, edge: x.edges[edge] + 1})
     with pytest.raises(InternalInvariantViolation, match=r"formula gives 2 \(at vertex 0\)"):
         _check_conductor_decomposition(report.tree, broken, report.ledgers, artin_conductor(broken))
 
@@ -274,8 +273,8 @@ def test_conductor_decomposition_names_the_vertex_an_edge_weight_breaks(fixture_
 def test_edge_over_non_adjacent_cover_vertices_rejected():
     tree, y, x = graphs_of(make(ODD_CHAIN))
     a, b = x.over[tree.root.id][0], x.n_components - 1
-    assert y.parent.get(x[b].over) != x[a].over
-    stray = dataclasses.replace(x, edges={**x.edges, (a, b): 1})
+    assert y.parent.get(x.components[b].over) != x.components[a].over
+    stray = x._replace(edges={**x.edges, (a, b): 1})
     with pytest.raises(InternalInvariantViolation, match="non-adjacent cover vertices"):
         check_x_invariants(stray)
 
@@ -283,7 +282,8 @@ def test_edge_over_non_adjacent_cover_vertices_rejected():
 def test_branch_degrees_match_the_neighbour_count():
     for x in _models():
         y = x.ygraph
-        counted = tuple(sum(1 for w in y.neighbors(v.id) if y[w].odd) + len(v.attached_roots) for v in y)
+        verts = y.vertices
+        counted = tuple(sum(1 for w in y.neighbors(v.id) if verts[w].odd) + len(v.attached_roots) for v in verts)
         assert y.branch_degrees == counted
 
 
@@ -292,16 +292,16 @@ def test_branch_degree_that_disagrees_with_the_tree_rejected(fixture_b):
     beta = list(y.branch_degrees)
     beta[tree.root.id] += 2  # still even, so only the comparison with l + (l mod 2) can see it
     with pytest.raises(InternalInvariantViolation, match=r"branch degree != l \+ \(l mod 2\)"):
-        check_y_invariants(dataclasses.replace(y, branch_degrees=tuple(beta)))
+        check_y_invariants(y._replace(branch_degrees=tuple(beta)))
 
 
 def test_adjacent_odd_cover_vertices_rejected():
     _, y, _ = graphs_of(make(ODD_CHAIN))
-    ins = next(v for v in y if v.kind == INSERT)  # sits between two odd vertices
+    ins = next(v for v in y.vertices if v.kind == INSERT)  # sits between two odd vertices
     verts = list(y.vertices)
-    verts[ins.id] = dataclasses.replace(ins, odd=True)
+    verts[ins.id] = ins._replace(odd=True)
     with pytest.raises(InternalInvariantViolation, match="two odd cover vertices are adjacent"):
-        check_y_invariants(dataclasses.replace(y, vertices=tuple(verts)))
+        check_y_invariants(y._replace(vertices=tuple(verts)))
 
 
 def _reached_by_neighbour_walk(x):
@@ -317,7 +317,7 @@ def _reached_by_neighbour_walk(x):
 def test_cover_with_one_edge_removed_is_disconnected(fixture_b):
     _, _, x = graphs_of(fixture_b)  # a star through the multiplicity-2 component
     edge = next(iter(x.edges))
-    cut = dataclasses.replace(x, edges={e: w for e, w in x.edges.items() if e != edge})
+    cut = x._replace(edges={e: w for e, w in x.edges.items() if e != edge})
     with pytest.raises(DisconnectedCover, match="cover graph is disconnected"):
         _check_connected(cut)
 
@@ -328,7 +328,7 @@ def test_union_find_agrees_with_the_neighbour_walk():
         _check_connected(x)
         assert _reached_by_neighbour_walk(x) == x.n_components
         for edge in x.edges:
-            cut = dataclasses.replace(x, edges={e: w for e, w in x.edges.items() if e != edge})
+            cut = x._replace(edges={e: w for e, w in x.edges.items() if e != edge})
             if _reached_by_neighbour_walk(cut) == x.n_components:
                 _check_connected(cut)
             else:

@@ -1,18 +1,16 @@
 import pytest
 
-from condisc import (
+from condisc import UltrametricViolationError, build_cluster_tree, build_matrix, validate_ultrametric
+from condisc.harness import (
     GenSpec,
-    UltrametricViolationError,
-    build_cluster_tree,
-    build_matrix,
+    default_specs,
     disc_oracle,
     gen_instance,
+    mutate_entry,
     naive_tree_oracle,
     run_trial,
     trees_agree,
-    validate_ultrametric,
 )
-from condisc.harness import default_specs, mutate_entry
 
 from conftest import FIXTURE_A, FIXTURE_B, FIXTURE_C, GOOD_RED, make
 

@@ -3,17 +3,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condisc import (
-    GenSpec,
-    Instance,
-    analyze,
-    build_matrix,
-    equation_discriminant,
-    gen_instance,
-    val,
-    validate_ultrametric,
-)
-from condisc.harness import GEN_PRIMES, disc_oracle, mutate_entry
+from condisc import Instance, analyze, build_matrix, equation_discriminant, val, validate_ultrametric
+from condisc.harness import GEN_PRIMES, GenSpec, disc_oracle, gen_instance, mutate_entry
 
 primes = st.sampled_from(GEN_PRIMES)
 nonzero_rationals = st.fractions(

@@ -6,11 +6,10 @@ same pipeline on the per-depth tree.  Every report field, every ledger total
 and every output must agree.
 """
 
-import dataclasses
-
 import pytest
 
 from condisc import (
+    ClusterTree,
     InternalInvariantViolation,
     analyze,
     artin_conductor,
@@ -124,12 +123,12 @@ def test_components_and_edges_carry_the_repeat_of_their_owner():
         tree = build_cluster_tree(m)
         y = build_ty(tree)
         x = build_tx(y)
-        owner = [tree[v.origin[0]] for v in y]
-        for c in x:
+        owner = [tree[v.origin[0]] for v in y.vertices]
+        for c in x.components:
             assert x.repeats.get(c.id, 1) == owner[c.over].repeat
         for a, b in x.edges:
-            up = a if y.parent.get(x[b].over) == x[a].over else b
-            assert x.edge_repeats.get((a, b), 1) == owner[x[up].over].repeat
+            up = a if y.parent.get(x.components[b].over) == x.components[a].over else b
+            assert x.edge_repeats.get((a, b), 1) == owner[x.components[up].over].repeat
         assert 1 not in x.repeats.values() and 1 not in x.edge_repeats.values()
         cut += bool(x.repeats)
     assert cut >= 4 * 11  # every chain instance of length 8, 9, 23 and 50
@@ -150,12 +149,12 @@ def test_repeat_outside_the_middle_of_a_chain_rejected():
     chain = [v.id for v in tree if v.members == frozenset((0, 1))]
     first = next(vid for vid in chain if tree[vid].repeat > 1)
     for moved in (first - 1, first + 1, chain[-1], tree.root.id):  # one step up, the second alone, the split, the root
-        verts = [dataclasses.replace(v, repeat=1) for v in tree]
-        verts[moved] = dataclasses.replace(verts[moved], repeat=4)
+        verts = [v._replace(repeat=1) for v in tree]
+        verts[moved] = verts[moved]._replace(repeat=4)
         with pytest.raises(InternalInvariantViolation, match="repeated vertex outside the middle of a chain"):
-            check_tree_invariants(dataclasses.replace(tree, vertices=tuple(verts)))
+            check_tree_invariants(ClusterTree(tuple(verts), tree.num_roots))
     verts = list(tree.vertices)
-    verts[first] = dataclasses.replace(verts[first], repeat=0)
+    verts[first] = verts[first]._replace(repeat=0)
     with pytest.raises(InternalInvariantViolation, match="repeated vertex outside the middle of a chain"):
-        check_tree_invariants(dataclasses.replace(tree, vertices=tuple(verts)))
+        check_tree_invariants(ClusterTree(tuple(verts), tree.num_roots))
 

@@ -50,3 +50,25 @@ def test_perfbench_tracer_installs_and_uninstalls(monkeypatch, fixture_b):
                  "render.render_text"):
         assert calls[name] == 1, name
     assert tracer.counts["dualgraph.neighbors.calls"] == 1
+
+
+def test_tracer_counts_tree_vertices_and_reports_stay_mutable(monkeypatch, fixture_a):
+    # spans.py counts `len(result)` of build_cluster_tree as its vertices, and
+    # perfbench's tests change a report's nu_df in place
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        import spans
+
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            report = condisc.analyze(fixture_a)
+        finally:
+            tracer.uninstall()
+    finally:
+        sys.modules.pop("spans", None)
+    assert len(report.tree.vertices) == 4  # not 2, the field count of a two-field record
+    assert tracer.counts["cluster.tb_vertices"] == len(report.tree.vertices)
+    nu_df = report.nu_df
+    report.nu_df += 1
+    assert report.nu_df == nu_df + 1
