@@ -15,7 +15,7 @@ from . import __version__
 from .conductor import analyze
 from .errors import InstanceError, InternalInvariantViolation
 from .instancefile import load_instance
-from .render import dot_cover, dot_model, dot_tree, render_text
+from .render import dot_cover, dot_model, dot_tree, text_rows
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,10 +76,12 @@ def _cmd_analyze(args) -> int:
         except OSError as exc:
             print(f"error: cannot write DOT files to {args.dot_dir}: {exc}", file=sys.stderr)
             return 1
+    # written in pieces, so the output is never held whole
     if args.format == "json":
-        print(report.to_json())
+        sys.stdout.writelines(report.json_rows())
+        sys.stdout.write("\n")
     else:
-        sys.stdout.write(render_text(report))
+        sys.stdout.writelines(text_rows(report))
     return 0
 
 

@@ -104,12 +104,12 @@ class ClusterVertex(NamedTuple):
 
 
 class Expansion(NamedTuple):
-    """The per-depth tree a cut tree stands for, indexed by per-depth id."""
+    """The per-depth tree a cut tree stands for: ``rep`` and ``depth`` by
+    per-depth id, ``copies`` by vertex of the cut tree."""
 
-    rep: Sequence[int]                  # the vertex of the cut tree each one copies
+    rep: Sequence[int]               # the vertex of the cut tree each one copies
     depth: Sequence[int]
-    parent: Sequence[int | None]
-    children: Sequence[Sequence[int]]   # ascending, as in ClusterVertex.children
+    copies: Sequence[Sequence[int]]  # the per-depth ids of each vertex's copies, ascending
 
 
 class ClusterTree:
@@ -157,9 +157,7 @@ class ClusterTree:
         :func:`build_cluster_tree` orders them; O(size of the per-depth tree)."""
         verts = self.vertices
         if not self.repeats:
-            return Expansion(
-                range(len(verts)), [v.depth for v in verts], [v.parent for v in verts], [v.children for v in verts]
-            )
+            return Expansion(range(len(verts)), [v.depth for v in verts], [(v.id,) for v in verts])
         lift = [0] * len(verts)  # depth in the per-depth tree less depth in this one
         keys = []
         for v in verts:
@@ -171,34 +169,62 @@ class ClusterTree:
             keys += [(top + 2 * j, low, v.id) for j in range(v.repeat)]
         keys.sort()
         rep = [k[2] for k in keys]
-        copies: list[list[int]] = [[] for _ in verts]  # per-depth ids of each vertex, by depth
+        copies: list[list[int]] = [[] for _ in verts]
         for fid, vid in enumerate(rep):
             copies[vid].append(fid)
-        parent: list[int | None] = [None] * len(rep)
-        for v in verts:
-            if v.parent is None:
-                continue
-            mine, above = copies[v.id], copies[v.parent]
-            if len(mine) == 1:
-                parent[mine[0]] = above[-1]
-            elif len(above) == 1:  # first of a pair: its copies alternate with the second's
-                run = [above[0]] + [f for pair in zip(mine, copies[v.children[0]]) for f in pair]
-                for up, down in zip(run, run[1:]):
-                    parent[down] = up
-        children: list[list[int]] = [[] for _ in rep]
-        for fid, up in enumerate(parent):
-            if up is not None:
-                children[up].append(fid)
-        return Expansion(rep, [k[0] for k in keys], parent, children)
+        return Expansion(rep, [k[0] for k in keys], copies)
+
+    def _runs(self):
+        """In preorder, each run of per-depth ids that hang one from the next,
+        with the vertex whose children hang from its last id: a vertex's one
+        copy, or a pair's first vertex's copies alternating with its second's
+        (whose children are the pair's).  An explicit stack, since chains can
+        be deeper than the recursion limit."""
+        verts, copies = self.vertices, self.expansion.copies
+        stack = [0]
+        while stack:
+            v = verts[stack.pop()]
+            if v.repeat == 1:
+                yield copies[v.id], v
+            else:
+                w = verts[v.children[0]]
+                run = [0] * (2 * v.repeat)
+                run[::2], run[1::2] = copies[v.id], copies[w.id]
+                yield run, w
+                v = w
+            stack += reversed(v.children)
+
+    def per_depth_preorder(self) -> list[int]:
+        """Per-depth ids in preorder, each vertex's children in id order."""
+        order: list[int] = []
+        for run, _ in self._runs():
+            order += run
+        return order
+
+    def per_depth_parents(self) -> list[int | None]:
+        """The parent of each per-depth id, by id."""
+        copies = self.expansion.copies
+        parent: list[int | None] = [None] * len(self.expansion.rep)
+        for run, last in self._runs():
+            for up, down in zip(run, run[1:]):
+                parent[down] = up
+            for c in last.children:
+                parent[copies[c][0]] = run[-1]
+        return parent
 
     def expand(self) -> ClusterTree:
         """The per-depth tree: this tree if nothing is cut, else one vertex per copy."""
         exp = self.expansion
         if len(exp.rep) == len(self.vertices):
             return self
+        parent = self.per_depth_parents()
+        children: list[list[int]] = [[] for _ in parent]
+        for fid, up in enumerate(parent):
+            if up is not None:
+                children[up].append(fid)
         verts = self.vertices
         out: list[ClusterVertex] = []
-        for fid, (vid, depth, up, kids) in enumerate(zip(*exp)):
+        for fid, (vid, depth, up, kids) in enumerate(zip(exp.rep, exp.depth, parent, children)):
             v = verts[vid]
             out.append(v._replace(
                 id=fid, depth=depth, parent=up, children=tuple(kids), repeat=1,

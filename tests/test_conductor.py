@@ -222,3 +222,4 @@ def test_to_json_writes_any_label_and_warnings_as_json_does(label, warnings):
     r = analyze(make(FIXTURE_B))
     r.label, r.warnings = label, tuple(warnings)
     assert r.to_json() == json.dumps(r.to_json_dict(), indent=2)
+    assert r.to_json_line() == json.dumps(r.to_json_dict(), separators=(",", ":"))

@@ -23,36 +23,13 @@ from condisc import (
 )
 from condisc.harness import default_specs, gen_instance, naive_tree_oracle, per_depth_oracle, trees_agree
 from condisc.render import dot_cover, dot_model, dot_tree, render_text
+from conftest import chain_cases, cluster_rows
 
 LEDGER_FIELDS = ("d", "D", "E", "D_prime", "D_double_prime", "L_count", "equality")
 REPORT_FIELDS = (
     "label", "p", "num_roots", "genus", "nu_df", "artin", "artin_local_sum", "n_components", "f_tilde",
     "inequality_holds", "equality_holds", "x_minimal", "component_bound_ok", "warnings", "contractible",
 )
-
-
-def _rows(n, clusters):
-    """Matrix whose entry (i, j) is the deepest floor of a cluster holding both, else 0;
-    nested clusters with deeper floors give an ultrametric."""
-    rows = [[None if i == j else 0 for j in range(n)] for i in range(n)]
-    for members, floor in clusters:
-        for i in members:
-            for j in members:
-                if i != j:
-                    rows[i][j] = max(rows[i][j], floor)
-    return rows
-
-
-def _chains(length):
-    """(name, rows) with a chain of `length` vertices: at the root, under an even
-    parent (the root) and under an odd parent (weight 7 at depth 1), of even and
-    odd weight, and one between two more chains."""
-    yield "root", _rows(6, [(range(6), length - 1), ((0, 1), length + 1)])
-    for w in (2, 3, 4, 5):
-        yield f"even-parent-w{w}", _rows(6, [(range(w), length)])
-    for w in (2, 3, 4, 5, 6):
-        yield f"odd-parent-w{w}", _rows(8, [(range(7), 1), (range(w), 1 + length)])
-    yield "nested", _rows(8, [(range(6), length), (range(5), length + 9), ((0, 1), 2 * length + 9)])
 
 
 def _totals(report):
@@ -73,7 +50,7 @@ def _outputs(report, graphs):
 def test_cut_chains_agree_with_the_per_depth_pipeline():
     covered = 0
     for length in range(1, 51):
-        for name, rows in _chains(length):
+        for name, rows in chain_cases(length):
             m = matrix_from_rows(rows)
             ours, oracle = analyze(m, label=name), per_depth_oracle(m, label=name)
             assert all(v.repeat == 1 for v in oracle.tree)
@@ -90,7 +67,7 @@ def test_cut_chains_agree_with_the_per_depth_pipeline():
 
 @pytest.mark.parametrize("length", [8, 9, 10, 11, 50])
 def test_cut_chain_keeps_six_or_seven_vertices(length):
-    tree = build_cluster_tree(matrix_from_rows(_rows(6, [((0, 1), length)])))
+    tree = build_cluster_tree(matrix_from_rows(cluster_rows(6, [((0, 1), length)])))
     chain = [v for v in tree if v.members == frozenset((0, 1))]
     kept = 6 if length % 2 == 0 else 7
     assert len(chain) == kept and len(tree) == 1 + kept
@@ -103,7 +80,7 @@ def _twins():
         inst = gen_instance(spec)
         yield build_matrix(inst)
     for length in (8, 9, 23, 50):
-        for _, rows in _chains(length):
+        for _, rows in chain_cases(length):
             yield matrix_from_rows(rows)
 
 
@@ -136,7 +113,7 @@ def test_components_and_edges_carry_the_repeat_of_their_owner():
 
 def test_deep_matrix_chain_is_analyzed_on_a_tree_of_constant_size():
     n, depth = 6, 10**5
-    m = matrix_from_rows(_rows(n, [((0, 1), depth)]))
+    m = matrix_from_rows(cluster_rows(n, [((0, 1), depth)]))
     report = analyze(m)
     assert len(report.tree) <= 2 * n + 7
     assert sum(v.repeat for v in report.tree) == depth + 1
@@ -145,7 +122,7 @@ def test_deep_matrix_chain_is_analyzed_on_a_tree_of_constant_size():
 
 
 def test_repeat_outside_the_middle_of_a_chain_rejected():
-    tree = build_cluster_tree(matrix_from_rows(_rows(6, [((0, 1), 12)])))
+    tree = build_cluster_tree(matrix_from_rows(cluster_rows(6, [((0, 1), 12)])))
     chain = [v.id for v in tree if v.members == frozenset((0, 1))]
     first = next(vid for vid in chain if tree[vid].repeat > 1)
     for moved in (first - 1, first + 1, chain[-1], tree.root.id):  # one step up, the second alone, the split, the root
