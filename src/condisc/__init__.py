@@ -15,7 +15,6 @@ from .cluster import (
     build_cluster_tree,
     check_tree_invariants,
     equation_discriminant,
-    local_disc,
 )
 from .conductor import (
     EVEN_ALL_EVEN_CHILDREN_WT2,
@@ -27,7 +26,6 @@ from .conductor import (
     analyze,
     compare_vertex,
     local_artin,
-    local_shift,
 )
 from .dualgraph import (
     XComponent,
@@ -76,7 +74,6 @@ __all__ = [
     "build_cluster_tree",
     "check_tree_invariants",
     "equation_discriminant",
-    "local_disc",
     "YGraph",
     "YVertex",
     "XGraph",
@@ -92,7 +89,6 @@ __all__ = [
     "VertexLedger",
     "compare_vertex",
     "local_artin",
-    "local_shift",
     "EVEN_ALL_EVEN_CHILDREN_WT2",
     "ODD_WT2",
     "ODD_WT3_NO_EVEN_CHILDREN",

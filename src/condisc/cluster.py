@@ -71,8 +71,9 @@ from .valuation import INFINITY, ValuationMatrix, validate_ultrametric
 # step, so a valuation of v forces more than v of them.  A cut chain is
 # analyzed as 6 or 7 vertices, but output still writes every vertex, so the
 # budget bounds the output: `analyze --format json` on a 6-root depth-10**5
-# chain takes 0.6 s and 136 MB peak RSS (2-vCPU Xeon, Python 3.11), nearly all
-# of it output, and text output grows with the square of the depth.
+# chain takes 0.33-0.40 s and 30 MB peak RSS (2-vCPU Xeon, Python 3.11; the
+# README's depth table), nearly all of it output, and text output grows with
+# the square of the depth.
 TREE_VERTEX_BUDGET = 10**6
 
 SHORTEST_CUT_CHAIN = 8  # a chain of 6 or 7 vertices keeps a pair two steps from both ends
@@ -364,11 +365,6 @@ def build_cluster_tree(m: ValuationMatrix, *, allow_small: bool = False, cut_cha
             len(kids) - r, len(sep) + r, f_val, f_val % 2 == 1, sep, repeat,
         ))
     return ClusterTree(tuple(vertices), num_roots=n)
-
-
-def local_disc(v: ClusterVertex, tree: ClusterTree) -> int:
-    """Per-vertex share of the equation discriminant: sum of wt(wt-1) over children."""
-    return sum(tree[c].wt * (tree[c].wt - 1) for c in v.children)
 
 
 def equation_discriminant(m: ValuationMatrix) -> int:

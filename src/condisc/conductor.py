@@ -66,21 +66,12 @@ def local_artin(v: ClusterVertex, tree: ClusterTree) -> int:
     return base - v.r + 3 * v.s + 2 * v.l
 
 
-def _odd_child_shift(v: ClusterVertex, tree: ClusterTree) -> int:
-    return sum(2 - tree[c].wt * (tree[c].wt - 1) for c in v.children if tree[c].odd)
-
-
 def _shift(v: ClusterVertex, parent_odd: bool, odd_child_shift: int) -> int:
     """E from the vertex, its parent's parity and sum(2 - wt(wt-1)) over its odd children."""
     if not v.odd:
         return -(v.l % 2) - odd_child_shift
     base = 2 if not parent_odd else 1
     return v.r + v.s + base - v.wt * (v.wt - 1) - odd_child_shift
-
-
-def local_shift(v: ClusterVertex, tree: ClusterTree) -> int:
-    """Rebalancing term E; sums to zero over the whole tree."""
-    return _shift(v, tree.parent_odd(v), _odd_child_shift(v, tree))
 
 
 class VertexLedger(NamedTuple):

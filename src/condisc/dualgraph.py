@@ -25,11 +25,16 @@ one pass over the T_Y edges, and stores it on the graph; ``build_tx`` and
 both invariant checks read it there, while ``check_y_invariants`` still
 compares it with ``l + (l mod 2)`` read from the refinement tree.
 
-``build_tx`` only joins components over the two ends of a T_Y edge, so T_X
-keeps no adjacency of its own: ``XGraph.neighbors`` walks T_Y's, and nothing
-on the analysis path calls it.  Connectivity (a union-find), the
-conductor and the self-intersections are each read from ``edges`` in one
-pass, and the checks index ``components`` and T_Y's ``vertices`` directly.
+``YGraph.parent`` (child id -> parent id, in the order ``build_ty`` makes the
+edges) is T_Y's one adjacency: the branch degrees, ``build_tx``,
+``check_y_invariants`` and the DOT export each read every edge from it once,
+and ``check_x_invariants`` looks each T_X edge's ends up in it.  ``build_tx``
+only joins components over the two ends of a T_Y edge, so T_X keeps no
+adjacency of its own.  ``YGraph.neighbors``, and ``XGraph.neighbors`` through
+it, scan ``parent`` for a vertex's children; nothing on the analysis path
+calls either.  Connectivity (a union-find), the conductor and the
+self-intersections are each read from ``edges`` in one pass, and the checks
+index ``components`` and T_Y's ``vertices`` directly.
 
 Both graphs and their vertices are named tuples.  A graph is read through
 ``YGraph.vertices`` and ``XGraph.components``, each indexed by id: iterating
@@ -75,13 +80,13 @@ class YVertex(NamedTuple):
 
 class YGraph(NamedTuple):
     vertices: tuple[YVertex, ...]
-    parent: dict[int, int]
-    children: dict[int, tuple[int, ...]]
+    parent: dict[int, int]                   # child id -> parent id: every edge once, in build order
     tree: ClusterTree
     branch_degrees: tuple[int, ...]          # beta of each vertex, by id
 
     def neighbors(self, vid: int):
-        out = list(self.children[vid])
+        """The children of ``vid`` (a scan of ``parent``), then its parent."""
+        out = [c for c, p in self.parent.items() if p == vid]
         if vid in self.parent:
             out.append(self.parent[vid])
         return out
@@ -90,51 +95,35 @@ class YGraph(NamedTuple):
 def build_ty(tree: ClusterTree) -> YGraph:
     vertices: list[YVertex] = []
     parent: dict[int, int] = {}
-    children: dict[int, list[int]] = {}
 
     # records are built positionally, in field order, as in build_cluster_tree:
     # keyword arguments cost about 2.5 times as much
     for v in tree:  # strict transforms reuse tree ids
         attached = v.sep_roots if not v.odd else ()
         vertices.append(YVertex(v.id, ST, (v.id,), v.odd, attached))
-        children[v.id] = []
-
-    def connect(p: int, c: int) -> None:
-        parent[c] = p
-        children[p].append(c)
 
     nxt = len(tree)
     for v in tree:
         for c in v.children:
             if v.odd and tree[c].odd:
-                mid = nxt
+                vertices.append(YVertex(nxt, INSERT, (v.id, c), False, ()))
+                parent[nxt] = v.id
+                parent[c] = nxt
                 nxt += 1
-                vertices.append(YVertex(mid, INSERT, (v.id, c), False, ()))
-                children[mid] = []
-                connect(v.id, mid)
-                connect(mid, c)
             else:
-                connect(v.id, c)
+                parent[c] = v.id
     for v in tree:
         if v.odd:
             for i in v.sep_roots:
-                leaf = nxt
+                vertices.append(YVertex(nxt, LEAF, (v.id, i), False, (i,)))
+                parent[nxt] = v.id
                 nxt += 1
-                vertices.append(YVertex(leaf, LEAF, (v.id, i), False, (i,)))
-                children[leaf] = []
-                connect(v.id, leaf)
 
     beta = [len(v.attached_roots) for v in vertices]
     for c, p in parent.items():  # each T_Y edge once
         beta[c] += vertices[p].odd
         beta[p] += vertices[c].odd
-    g = YGraph(
-        vertices=tuple(vertices),
-        parent=parent,
-        children={k: tuple(v) for k, v in children.items()},
-        tree=tree,
-        branch_degrees=tuple(beta),
-    )
+    g = YGraph(vertices=tuple(vertices), parent=parent, tree=tree, branch_degrees=tuple(beta))
     check_y_invariants(g)
     return g
 
@@ -221,18 +210,16 @@ def build_tx(y: YGraph) -> XGraph:
 
     verts = y.vertices
     edges: dict[tuple[int, int], int] = {}
-    for p_id in sorted(y.children):
-        up = over[p_id]
+    for c_id, p_id in y.parent.items():
+        up, dn = over[p_id], over[c_id]
         r = tverts[verts[p_id].origin[0]].repeat
-        for c_id in y.children[p_id]:
-            dn = over[c_id]
-            pairs = zip(up, dn) if len(up) == len(dn) == 2 else product(up, dn)
-            w = 2 if len(up) == len(dn) == 1 and not verts[p_id].odd and not verts[c_id].odd else 1
-            for a, b in pairs:
-                edge = (min(a, b), max(a, b))
-                edges[edge] = w
-                if r != 1:
-                    edge_repeats[edge] = r
+        pairs = zip(up, dn) if len(up) == len(dn) == 2 else product(up, dn)
+        w = 2 if len(up) == len(dn) == 1 and not verts[p_id].odd and not verts[c_id].odd else 1
+        for a, b in pairs:
+            edge = (min(a, b), max(a, b))
+            edges[edge] = w
+            if r != 1:
+                edge_repeats[edge] = r
 
     x = XGraph(
         components=tuple(comps),

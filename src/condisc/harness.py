@@ -12,6 +12,9 @@ pipeline so that agreement is evidence rather than tautology:
 * :func:`per_depth_oracle` runs the whole pipeline on the per-depth tree,
   one vertex per depth step, where :func:`~condisc.conductor.analyze` runs it
   on the tree with long chains cut and weights its totals by ``repeat``.
+* :func:`local_disc` and :func:`local_shift` evaluate the per-vertex terms
+  ``d`` and ``E`` each by its own scan of the vertex's children, where
+  :func:`~condisc.conductor.compare_vertex` reads them from one shared scan.
 
 :func:`gen_instance` realizes a randomly sampled nesting shape with actual
 integers: roots inside a cluster at depth d share everything up to p**d and
@@ -25,8 +28,8 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cluster import ClusterTree
-from .conductor import Report, analyze
+from .cluster import ClusterTree, ClusterVertex
+from .conductor import Report, _shift, analyze
 from .errors import InternalInvariantViolation
 from .valuation import INFINITY, Instance, ValuationMatrix, build_matrix
 
@@ -91,6 +94,17 @@ def gen_instance(spec: GenSpec) -> Instance:
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def local_disc(v: ClusterVertex, tree: ClusterTree) -> int:
+    """Per-vertex share of the equation discriminant: sum of wt(wt-1) over children."""
+    return sum(tree[c].wt * (tree[c].wt - 1) for c in v.children)
+
+
+def local_shift(v: ClusterVertex, tree: ClusterTree) -> int:
+    """Rebalancing term E; sums to zero over the whole tree."""
+    odd_child_shift = sum(2 - tree[c].wt * (tree[c].wt - 1) for c in v.children if tree[c].odd)
+    return _shift(v, tree.parent_odd(v), odd_child_shift)
 
 
 def disc_oracle(inst: Instance) -> int:

@@ -84,9 +84,10 @@ def dot_cover(y: YGraph) -> str:
     lines = ["graph t_y {"]
     for v in y.vertices:
         lines.append(f'  y{v.id} [label="{_y_label(y, v.id)}"];')
-    for pid in sorted(y.children):
-        for c in y.children[pid]:
-            lines.append(f"  y{pid} -- y{c};")
+    # a stable sort by parent keeps each parent's children in build order, so
+    # an inserted vertex (a large id) still comes before a smaller sibling
+    for c, pid in sorted(y.parent.items(), key=lambda edge: edge[1]):
+        lines.append(f"  y{pid} -- y{c};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

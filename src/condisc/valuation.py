@@ -60,6 +60,7 @@ _MR_EXACT_BELOW = 3317044064679887385961981
 # 0.53-0.58 s on the prime 10**1000 - 1769 and 0.13 s on a composite with no
 # small factor, 7.2 s on a 4000-digit composite (2-vCPU Xeon, Python 3.11)
 P_MAX_DIGITS = 1000
+_P_BOUND = 10**P_MAX_DIGITS  # the smallest p rejected, built once: it takes 5 us (timeit, Python 3.11)
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -166,7 +167,7 @@ class Instance(NamedTuple):
         so small synthetic instances pass here."""
         if self.p == 2:
             raise InstanceError("p = 2 is not supported: the residue characteristic must be odd")
-        if self.p >= 10**P_MAX_DIGITS:
+        if self.p >= _P_BOUND:
             raise InstanceError(f"p has more than {P_MAX_DIGITS} decimal digits (P_MAX_DIGITS)")
         if not is_odd_prime(self.p):
             raise InstanceError(f"p = {self.p} is not prime")

@@ -14,11 +14,18 @@ from condisc import (
     build_matrix,
     check_tree_invariants,
     equation_discriminant,
-    local_disc,
     matrix_from_rows,
     validate_ultrametric,
 )
-from condisc.harness import default_specs, disc_oracle, gen_instance, mutate_entry, naive_tree_oracle, trees_agree
+from condisc.harness import (
+    default_specs,
+    disc_oracle,
+    gen_instance,
+    local_disc,
+    mutate_entry,
+    naive_tree_oracle,
+    trees_agree,
+)
 from condisc.valuation import UltrametricVerdict
 
 from conftest import DEEP_PAIR, FIXTURE_C, make

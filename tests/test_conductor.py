@@ -16,10 +16,8 @@ from condisc import (
     build_matrix,
     compare_vertex,
     local_artin,
-    local_disc,
-    local_shift,
 )
-from condisc.harness import default_specs, gen_instance
+from condisc.harness import default_specs, gen_instance, local_disc, local_shift
 
 from conftest import (
     DEEP_PAIR,

@@ -94,3 +94,10 @@ def test_mutation_probe_of_validator():
 def test_run_trial_executes_all_cross_checks():
     report = run_trial(GenSpec(seed=11, p=5, genus=3, max_depth=3))
     assert report.inequality_holds
+
+
+def test_every_exported_name_resolves_on_the_package():
+    import condisc
+
+    assert len(set(condisc.__all__)) == len(condisc.__all__)
+    assert [name for name in condisc.__all__ if not hasattr(condisc, name)] == []
