@@ -14,8 +14,9 @@ assumptions; plain JSON integers are accepted as well.  A label must be text
 that can be written as UTF-8.  The matrix diagonal must be ``null``.
 Exactly the fields of the declared mode may appear.
 
-Reading checks only the file's fields and JSON types; the instance it
-returns is validated by :func:`condisc.conductor.analyze`.
+Reading checks the file's fields, their JSON types and that ``valuations`` is
+a list of lists, not its entries; :func:`condisc.conductor.analyze` validates
+the instance it returns (a matrix's entries through ``check_shape``).
 """
 
 from __future__ import annotations
@@ -87,13 +88,6 @@ def parse_instance_dict(data) -> Instance | ValuationMatrix:
     rows = data["valuations"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InstanceError("valuations must be a 2-D array")
-    for i, row in enumerate(rows):
-        for j, e in enumerate(row):
-            if e is None:
-                if i != j:
-                    raise InstanceError(f"null entry off the diagonal at ({i}, {j})")
-            elif isinstance(e, bool) or not isinstance(e, int):
-                raise InstanceError(f"matrix entry ({i}, {j}) must be an integer or null, got {e!r}")
     return matrix_from_rows(rows)
 
 

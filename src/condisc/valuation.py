@@ -5,7 +5,7 @@ valuations are plain ``int`` plus the sentinel :data:`INFINITY` (``math.inf``).
 The valuation matrix ``m.entries[i][j] = v(b_i - b_j)`` is the only data the
 rest of the pipeline ever looks at, which is also why hand-written ultrametric
 matrices are accepted as a first-class input mode: :func:`matrix_from_rows`
-converts raw rows, and ``analyze`` checks their shape, once.
+converts raw rows, and ``analyze`` checks every entry, once.
 """
 
 from __future__ import annotations
@@ -189,22 +189,25 @@ class ValuationMatrix(NamedTuple):
         return len(self.entries)
 
     def check_shape(self) -> None:
+        """The only per-entry validation of a matrix.  Its order decides which
+        defect a matrix with several is rejected for: every row's length; then
+        row by row, its diagonal entry, and each entry off it for a duplicate
+        (INFINITY), for a nonnegative ``int`` (not ``bool``), then for symmetry."""
         n = self.n
         for i, row in enumerate(self.entries):
             if len(row) != n:
                 raise InstanceError(f"matrix row {i} has length {len(row)}, expected {n}")
-        for i in range(n):
-            if self.entries[i][i] is not INFINITY:
+        for i, (row, col) in enumerate(zip(self.entries, zip(*self.entries))):
+            if row[i] is not INFINITY:
                 raise InstanceError(f"matrix diagonal entry ({i}, {i}) must be null/INFINITY")
-            for j in range(n):
+            for j, (e, t) in enumerate(zip(row, col)):
                 if i == j:
                     continue
-                e = self.entries[i][j]
                 if e is INFINITY:
                     raise DuplicateRootsError([(min(i, j), max(i, j))])
                 if isinstance(e, bool) or not isinstance(e, int) or e < 0:
                     raise InstanceError(f"matrix entry ({i}, {j}) must be a nonnegative integer, got {e!r}")
-                if self.entries[j][i] != e:
+                if t != e:
                     raise InstanceError(f"matrix not symmetric at ({i}, {j})")
 
 

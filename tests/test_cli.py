@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import random
 import tempfile
 import time
 from pathlib import Path
@@ -14,7 +15,7 @@ import condisc.cli
 import condisc.cluster
 import condisc.conductor
 import condisc.harness
-from condisc import Instance, build_cluster_tree, build_matrix
+from condisc import INFINITY, Instance, InstanceError, analyze, build_cluster_tree, build_matrix, matrix_from_rows
 from condisc.cli import main
 from condisc.harness import naive_tree_oracle, trees_agree
 
@@ -345,7 +346,7 @@ def test_twenty_roots_of_3800_digits(tmp_path, capsys):
     [
         ([[None, 1, 1], [1, None, 1], [1]], "matrix row 2 has length 1, expected 3"),
         ([[None, True, 0, 0, 0, 0]] + [[0 if i != j else None for j in range(6)] for i in range(1, 6)],
-         "must be an integer or null, got True"),
+         "must be a nonnegative integer, got True"),
     ],
     ids=["ragged", "bool"],
 )
@@ -355,6 +356,53 @@ def test_malformed_matrix_exit_one(tmp_path, capsys, rows, needle):
     assert main(["analyze", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and needle in err and "Traceback" not in err
+
+
+def _inject(rows, kind, i, j):
+    """One defect of `kind` at (i, j), i != j; a value is written to both (i, j) and (j, i)."""
+    if kind == "diagonal":
+        rows[i][i] = 0
+    elif kind == "asymmetric":
+        rows[i][j] += 1
+    elif kind == "short":
+        rows[i].pop()
+    else:
+        v = rows[i][j]
+        rows[i][j] = rows[j][i] = {"null": None, "bool": True, "float": v + 0.5, "string": str(v),
+                                   "infinity": float("inf"), "negative": -1 - v}[kind]
+
+
+DEFECTS = {  # kind -> the message check_shape gives for it, at (a, b) = (min(i, j), max(i, j))
+    "diagonal": "matrix diagonal entry ({i}, {i}) must be null/INFINITY",
+    "null": "duplicate roots at indices ({a}, {b})",
+    "bool": "matrix entry ({a}, {b}) must be a nonnegative integer, got True",
+    "float": "matrix entry ({a}, {b}) must be a nonnegative integer, got ",
+    "string": "matrix entry ({a}, {b}) must be a nonnegative integer, got '",
+    "infinity": "matrix entry ({a}, {b}) must be a nonnegative integer, got inf",
+    "negative": "matrix entry ({a}, {b}) must be a nonnegative integer, got -",
+    "asymmetric": "matrix not symmetric at ({a}, {b})",
+    "short": "matrix row {i} has length {short}, expected {n}",
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", sorted(DEFECTS))
+def test_file_and_api_reject_a_bad_matrix_entry_alike(tmp_path, capsys, kind, seed):
+    rng = random.Random(f"{kind}-{seed}")
+    n = rng.randint(6, 60)
+    matrix = build_matrix(Instance.from_values(3, rng.sample(range(3**6), n)))
+    rows = [[None if e is INFINITY else e for e in row] for row in matrix.entries]
+    i, j = rng.sample(range(n), 2)
+    _inject(rows, kind, i, j)
+    with pytest.raises(InstanceError) as api:
+        analyze(matrix_from_rows(rows))
+    message = str(api.value)
+    assert message.startswith(DEFECTS[kind].format(i=i, a=min(i, j), b=max(i, j), short=n - 1, n=n))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"mode": "matrix", "valuations": rows}))
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def _chain_rows(n, depth):
@@ -460,6 +508,12 @@ def test_each_gate_runs_once_per_analysis(tmp_path, capsys, monkeypatch):
     assert main(["analyze", str(matrix)]) == 1
     assert "ultrametric violation" in capsys.readouterr().err
     assert calls == {"validate": 1, "check_shape": 3, "count_gate": 4, "scan": 1}
+    rows = _chain_rows(6, 3)
+    rows[0][2] = rows[2][0] = True  # the entry check has one home: check_shape, not the file reader
+    matrix.write_text(json.dumps({"mode": "matrix", "valuations": rows}))
+    assert main(["analyze", str(matrix)]) == 1
+    assert "matrix entry (0, 2) must be a nonnegative integer, got True" in capsys.readouterr().err
+    assert calls == {"validate": 1, "check_shape": 4, "count_gate": 4, "scan": 1}
 
 
 def test_roots_mode_does_not_import_sympy(tmp_path):

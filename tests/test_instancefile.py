@@ -41,8 +41,9 @@ def test_matrix_mode_parses():
         ({"mode": "roots", "p": 5, "roots": [0.5, 1, 2, 3, 4, 5]}, "root 0 must be"),
         ({"mode": "roots", "p": 5, "roots": ["1/0", 1, 2, 3, 4, 5]}, "root 0 is not"),
         ({"mode": "roots", "p": 5, "roots": [True, 1, 2, 3, 4, 5]}, "root 0 must be"),
-        ({"mode": "matrix", "valuations": [[None, None], [None, None]]}, "null entry off the diagonal"),
-        ({"mode": "matrix", "valuations": [[None, 1.5], [1.5, None]]}, "must be an integer or null"),
+        # reading checks that valuations is a list of lists, not its entries
+        ({"mode": "matrix", "valuations": [[None, 1], 1]}, "2-D array"),
+        ({"mode": "matrix", "valuations": [[None, 1], {"1": None}]}, "2-D array"),
         ({"mode": "matrix", "valuations": "x"}, "2-D array"),
         ({"mode": "roots", "p": 5, "roots": ["0", "1", "2", "3", "4", "5"], "label": 7}, "label"),
         ([], "JSON object"),
@@ -51,6 +52,20 @@ def test_matrix_mode_parses():
 def test_parse_gates(payload, message):
     with pytest.raises(InstanceError, match=message):
         parse_instance_dict(payload)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[None, None], [None, None]], r"duplicate roots at indices \(0, 1\)"),
+        ([[None, 1.5], [1.5, None]], "must be a nonnegative integer, got 1.5"),
+    ],
+    ids=["null", "float"],
+)
+def test_matrix_entries_are_checked_by_analyze(rows, message):
+    m = parse_instance_dict({"mode": "matrix", "valuations": rows})
+    with pytest.raises(InstanceError, match=message):
+        analyze(m)
 
 
 def test_matrix_diagonal_must_be_null():
@@ -105,4 +120,8 @@ def test_parsing_leaves_validation_to_analyze():
         analyze(inst)
     m = parse_instance_dict({"mode": "matrix", "valuations": [[None, 1], [1]]})
     with pytest.raises(InstanceError, match="row 1 has length 1"):
+        analyze(m)
+    m = parse_instance_dict({"mode": "matrix", "valuations": [[None, "1"], ["1", None]]})
+    assert m.entries[0][1] == "1"
+    with pytest.raises(InstanceError, match="must be a nonnegative integer, got '1'"):
         analyze(m)
