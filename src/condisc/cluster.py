@@ -35,16 +35,28 @@ recursion.  Each split records its vertex's separating roots and child
 clusters as soon as its classes are known, and the statistics below are
 read from those records, not reconstructed afterwards.
 
-The same loop certifies that the matrix is ultrametric.  At each split,
-every pair of roots in two different classes must have valuation exactly
-the split's depth.  Each pair is checked once, at its lowest common
-ancestor, so the check costs O(n^2) in all, and when it passes the matrix
-equals the ultrametric of the tree, which proves it ultrametric (a matrix is
+The loop reads pair valuations through one of two accessors: entries of a
+valuation matrix, or root residues (:func:`~condisc.valuation.residues`), from
+which it computes the valuations it needs, with no n x n matrix.  The same
+loop certifies that the valuations are ultrametric.  At each split, every
+pair of roots in two different classes must have valuation exactly the
+split's depth.  Each pair is checked once, at its lowest common ancestor: in
+a matrix by reading its entry, O(n^2) in all; in residues through the first
+member of each class, since a pair across two classes has valuation
+``floor`` exactly when their residues agree mod p^floor and differ mod
+p^(floor + 1), and the members of a class agree mod p^(floor + 1); a split
+then costs the size of its cluster.  When the check passes, the valuations
+equal the ultrametric of the tree, which proves them ultrametric (a matrix is
 ultrametric exactly when it equals the ultrametric of its single-linkage
-tree; Gower and Ross, 1969).  On any failure of the loop -- a pair that
-disagrees, the vertex budget, an infinite valuation inside a cluster -- the
-O(n^3) triple scan :func:`~condisc.valuation.validate_ultrametric` runs
-first and its verdict, listing every violating triple, takes precedence.
+tree; Gower and Ross, 1969), and ``nu_df`` is twice their sum: twice the sum
+over splits of the floor times the pairs the split separates.  When a matrix
+fails the loop -- a pair that disagrees, the vertex budget, an infinite
+valuation inside a cluster -- the loop runs again with chains cut and no
+budget, in O(n^2), and decides whether the matrix is ultrametric; only if it
+is not does the O(n^3) triple scan
+:func:`~condisc.valuation.validate_ultrametric` run, and its verdict, listing
+every violating triple, takes precedence.  Residues are ultrametric by
+construction, so a failure on them is raised as it is.
 
 Per vertex we track:
 
@@ -65,7 +77,7 @@ from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import InstanceError, InternalInvariantViolation, TooFewRootsError, UltrametricViolationError
-from .valuation import INFINITY, ValuationMatrix, validate_ultrametric
+from .valuation import INFINITY, Residues, ValuationMatrix, _int_val, validate_ultrametric
 
 # most vertices the per-depth tree may have: a chain has one vertex per depth
 # step, so a valuation of v forces more than v of them.  A cut chain is
@@ -119,9 +131,10 @@ class ClusterTree:
     A plain class rather than a record: ``len(tree)`` counts vertices, and
     ``repeats`` is filled once, here, because every analysis reads it."""
 
-    def __init__(self, vertices: tuple[ClusterVertex, ...], num_roots: int) -> None:
+    def __init__(self, vertices: tuple[ClusterVertex, ...], num_roots: int, nu_df: int | None = None) -> None:
         self.vertices = vertices
         self.num_roots = num_roots
+        self.nu_df = nu_df  # twice the certified pair valuations, from build_cluster_tree
         # the repeat of each vertex whose repeat is not 1, by id: empty when
         # nothing is cut.  See per_depth_total.
         self.repeats: dict[int, int] = {v.id: v.repeat for v in vertices if v.repeat != 1}
@@ -231,7 +244,7 @@ class ClusterTree:
                 id=fid, depth=depth, parent=up, children=tuple(kids), repeat=1,
                 f_val=out[up].f_val + v.wt if up is not None else 0,
             ))
-        return ClusterTree(tuple(out), self.num_roots)
+        return ClusterTree(tuple(out), self.num_roots, self.nu_df)
 
 
 def per_depth_total(terms, repeats: dict) -> int:
@@ -244,28 +257,117 @@ def per_depth_total(terms, repeats: dict) -> int:
     return total
 
 
-def _grow(m: ValuationMatrix, cut_chains: bool) -> list[list]:
+class _MatrixPairs:
+    """Pair valuations read from a valuation matrix."""
+
+    def __init__(self, m: ValuationMatrix) -> None:
+        self.entries = m.entries
+
+    def first_row(self, members: tuple[int, ...], top: int) -> list:
+        """v(b_i - b_j) from the first member i to each later member j; each
+        is at least ``top``, the depth of the cluster's first vertex."""
+        row = self.entries[members[0]]
+        return [row[j] for j in members[1:]]
+
+    def split(self, members: tuple[int, ...], floor: int) -> list[list[int]]:
+        """The classes of m >= floor + 1, ordered by smallest member, after
+        certifying that every pair across two classes has valuation floor."""
+        entries = self.entries
+        classes: list[list[int]] = []
+        for i in members:
+            row = entries[i]
+            for cls in classes:
+                if row[cls[0]] >= floor + 1:
+                    cls.append(i)
+                    break
+            else:
+                classes.append([i])
+        later: list[int] = []
+        for cls in reversed(classes):
+            for i in cls:
+                row = entries[i]
+                if [row[j] for j in later].count(floor) != len(later):
+                    j = next(j for j in later if row[j] != floor)
+                    raise _off_floor(row[j], floor, i, j)
+            later += cls
+        return classes
+
+
+class _ResiduePairs:
+    """Pair valuations read from root residues: v(b_i - b_j) = v(r_i - r_j)."""
+
+    def __init__(self, res: Residues) -> None:
+        self.p, self.values = res.p, res.values
+
+    def first_row(self, members: tuple[int, ...], top: int) -> list:
+        values, p = self.values, self.p
+        first = values[members[0]]
+        above = p ** (top + 1)
+        # p^top divides every difference, since the parent's split grouped the members mod p^top
+        # (its certificate fails otherwise); a zero difference would mean equal residues
+        return [top if d % above else _int_val(d, p) if d else INFINITY for d in [first - values[j] for j in members[1:]]]
+
+    def split(self, members: tuple[int, ...], floor: int) -> list[list[int]]:
+        """The classes of residues mod p^(floor + 1), ordered by smallest
+        member, after certifying that every pair across two classes has
+        valuation floor, in O(classes).
+
+        A pair has valuation floor exactly when its residues agree mod p^floor
+        and differ mod p^(floor + 1).  The members of a class agree mod
+        p^(floor + 1), so every pair across two classes is checked by checking
+        the first members of all classes: all of them agree mod p^floor, and
+        no two agree mod p^(floor + 1)."""
+        values, p = self.values, self.p
+        high = p ** (floor + 1)
+        low = high // p
+        groups: dict[int, list[int]] = {}
+        for i in members:
+            key = values[i] % high
+            if key in groups:
+                groups[key].append(i)
+            else:
+                groups[key] = [i]
+        classes = list(groups.values())
+        base = values[members[0]] % low
+        firsts: dict[int, int] = {}  # residue mod p^(floor + 1) -> first member of its class
+        for cls in classes:
+            j = cls[0]
+            r = values[j]
+            key = r % high
+            if r % low != base or key in firsts:
+                i = firsts.get(key, members[0])
+                raise _off_floor(_int_val(values[i] - r, p), floor, i, j)
+            firsts[key] = j
+        return classes
+
+
+def _off_floor(v, floor: int, i: int, j: int) -> InternalInvariantViolation:
+    return InternalInvariantViolation(f"valuation {v} differs from the split depth {floor}", vertex=(i, j))
+
+
+def _grow(pairs: _MatrixPairs | _ResiduePairs, n: int, cut_chains: bool, budget) -> tuple[list[list], int]:
     """Split clusters from a work list, certifying each split; returns the vertex
     records [members (ascending), depth, parent record, sep, child records,
     repeat, lift], where lift is the steps cut from the chains above the
-    vertex, so that its depth in the per-depth tree is depth + lift."""
-    root: list = [tuple(range(m.n)), 0, None, (), [], 1, 0]
+    vertex, so that its depth in the per-depth tree is depth + lift, and the
+    sum of the certified valuations over all pairs."""
+    root: list = [tuple(range(n)), 0, None, (), [], 1, 0]
     records = [root]
     work = [root]
     size = 1  # vertices of the per-depth tree so far
+    total = 0
     while work:
         rec = work.pop()
         members, depth, lift = rec[0], rec[1], rec[6]
         top = depth + lift
         # the cluster minimum, taken on the first row: a smaller pair elsewhere in the
         # cluster would meet this floor or a deeper one in the certificate and fail
-        first = m.entries[members[0]]
-        floor = min(first[j] for j in members[1:])
+        floor = min(pairs.first_row(members, top))
         if floor is INFINITY:
             raise InternalInvariantViolation("infinite valuation inside a cluster", vertex=members)
-        if size + floor - top > TREE_VERTEX_BUDGET:
+        if size + floor - top > budget:
             raise InstanceError(
-                f"the refinement tree would exceed its budget of {TREE_VERTEX_BUDGET} vertices "
+                f"the refinement tree would exceed its budget of {budget} vertices "
                 f"(TREE_VERTEX_BUDGET): {len(members)} roots stay together from depth {top} to {floor}"
             )
         size += floor - top
@@ -281,27 +383,11 @@ def _grow(m: ValuationMatrix, cut_chains: bool) -> list[list]:
             rec = link
         lift += cut
         depth = floor - lift
-        # split at depth floor into classes of m >= floor + 1, ordered by smallest member
-        classes: list[list[int]] = []
-        for i in members:
-            row = m.entries[i]
-            for cls in classes:
-                if row[cls[0]] >= floor + 1:
-                    cls.append(i)
-                    break
-            else:
-                classes.append([i])
-        # certificate: every pair across two classes has valuation exactly floor
-        later: list[int] = []
-        for cls in reversed(classes):
-            for i in cls:
-                row = m.entries[i]
-                if [row[j] for j in later].count(floor) != len(later):
-                    j = next(j for j in later if row[j] != floor)
-                    raise InternalInvariantViolation(
-                        f"valuation {row[j]} differs from the split depth {floor}", vertex=(i, j)
-                    )
-            later += cls
+        # split at depth floor, certified: every pair across two classes has valuation floor
+        classes = pairs.split(members, floor)
+        if len(classes) < 2:
+            raise InternalInvariantViolation(f"the cluster does not split at its floor {floor}", vertex=members)
+        total += floor * (len(members) ** 2 - sum(len(cls) ** 2 for cls in classes)) // 2
         rec[3] = tuple(cls[0] for cls in classes if len(cls) == 1)
         for cls in classes:
             if len(cls) >= 2:
@@ -310,11 +396,14 @@ def _grow(m: ValuationMatrix, cut_chains: bool) -> list[list]:
                 records.append(child)
                 work.append(child)
                 size += 1
-    return records
+    return records, total
 
 
-def build_cluster_tree(m: ValuationMatrix, *, allow_small: bool = False, cut_chains: bool = True) -> ClusterTree:
-    """Build the annotated refinement tree from a valuation matrix.
+def build_cluster_tree(
+    source: ValuationMatrix | Residues, *, allow_small: bool = False, cut_chains: bool = True
+) -> ClusterTree:
+    """Build the annotated refinement tree from a valuation matrix, or from
+    the residues of an instance's roots (:func:`~condisc.valuation.residues`).
 
     The root count must be even and at least 6 (2 with ``allow_small``); a
     matrix that is not ultrametric, and a per-depth tree of more than
@@ -323,27 +412,33 @@ def build_cluster_tree(m: ValuationMatrix, *, allow_small: bool = False, cut_cha
     one per intermediate depth before the split; a chain of
     :data:`SHORTEST_CUT_CHAIN` or more vertices is cut as the module
     docstring describes, unless ``cut_chains`` is false, which gives the
-    per-depth tree.
+    per-depth tree.  The tree's ``nu_df`` is twice the sum of the certified
+    pair valuations.
 
-    The ultrametric rule is certified while the tree grows, in O(n^2): see
-    the module docstring.  Any failure of the loop runs
-    :func:`validate_ultrametric` first, so a matrix that is not ultrametric
-    always gets the scan's :class:`UltrametricViolationError`, whatever else
-    is wrong with it.  ``m`` must be symmetric, as ``check_shape`` ensures.
+    The ultrametric rule is certified while the tree grows: see the module
+    docstring.  When a matrix fails the loop, the certificate runs again with
+    chains cut and no budget; if that fails too, :func:`validate_ultrametric`
+    runs, so a matrix that is not ultrametric always gets the scan's
+    :class:`UltrametricViolationError`, whatever else is wrong with it.  A
+    matrix must be symmetric, as ``check_shape`` ensures.  Residues are
+    ultrametric by construction: roots mode builds no matrix, also when it
+    is rejected.
     """
-    n = m.n
+    n = source.n
     if n % 2 != 0:
         raise InstanceError(f"root count must be even (2g + 2), got {n}")
     if n < 2:
         raise InstanceError(f"need at least 2 roots, got {n}")
     if n < 6 and not allow_small:
         raise TooFewRootsError(n)
+    pairs = _MatrixPairs(source) if isinstance(source, ValuationMatrix) else _ResiduePairs(source)
     try:
-        records = _grow(m, cut_chains)
+        records, total = _grow(pairs, n, cut_chains, TREE_VERTEX_BUDGET)
     except (InstanceError, InternalInvariantViolation):
-        verdict = validate_ultrametric(m)
-        if not verdict.ok:
-            raise UltrametricViolationError(verdict.violations) from None
+        if isinstance(pairs, _MatrixPairs) and not _certified(pairs, n):
+            verdict = validate_ultrametric(source)
+            if not verdict.ok:
+                raise UltrametricViolationError(verdict.violations) from None
         raise
 
     # canonical ids: sort by (depth, smallest member), so a parent precedes its
@@ -364,11 +459,24 @@ def build_cluster_tree(m: ValuationMatrix, *, allow_small: bool = False, cut_cha
             new, depth, frozenset(members), pid, tuple([kid[7] for kid in kids]), wt, len(sep), r,
             len(kids) - r, len(sep) + r, f_val, f_val % 2 == 1, sep, repeat,
         ))
-    return ClusterTree(tuple(vertices), num_roots=n)
+    return ClusterTree(tuple(vertices), num_roots=n, nu_df=2 * total)
+
+
+def _certified(pairs: _MatrixPairs, n: int) -> bool:
+    """Whether the certificate passes on every split, with chains cut and no
+    vertex budget: O(n^2) and O(n) vertices, so it decides ultrametricity
+    where the budget stopped the build."""
+    try:
+        _grow(pairs, n, True, INFINITY)
+    except InternalInvariantViolation:
+        return False
+    return True
 
 
 def equation_discriminant(m: ValuationMatrix) -> int:
-    """Valuation of disc(f) as a degree-(2g+2) polynomial: twice the sum of pairwise valuations."""
+    """Valuation of disc(f) as a degree-(2g+2) polynomial: twice the sum of pairwise
+    valuations, read from the whole matrix; ``analyze`` takes it from the tree's
+    certified pairs instead (``ClusterTree.nu_df``)."""
     return 2 * sum(sum(row[i + 1:]) for i, row in enumerate(m.entries))
 
 

@@ -35,7 +35,6 @@ from .cluster import (
     ClusterVertex,
     build_cluster_tree,
     check_tree_invariants,
-    equation_discriminant,
     per_depth_total,
 )
 from .dualgraph import (
@@ -49,7 +48,7 @@ from .dualgraph import (
     self_intersections,
 )
 from .errors import InequalityViolated, InternalInvariantViolation
-from .valuation import Instance, ValuationMatrix, build_matrix
+from .valuation import Instance, ValuationMatrix, residues
 
 # equality classification tags for the per-vertex comparison
 EVEN_ALL_EVEN_CHILDREN_WT2 = "EVEN_ALL_EVEN_CHILDREN_WT2"
@@ -358,23 +357,23 @@ def analyze(
     warnings: list[str] = []
     if isinstance(source, Instance):
         source.validate()
-        matrix = build_matrix(source)
+        pairs = residues(source)
         p: int | None = source.p
         label = label if label is not None else source.label
     else:
-        matrix = source
-        matrix.check_shape()
+        pairs = source
+        pairs.check_shape()
         p = None
 
-    n = matrix.n
+    n = pairs.n
     genus = (n - 2) // 2
     if n < 6:
         warnings.append(f"{n} roots: genus {genus} < 2 is out of scope for the underlying theory")
 
-    tree = build_cluster_tree(matrix, allow_small=allow_small, cut_chains=cut_chains)
+    tree = build_cluster_tree(pairs, allow_small=allow_small, cut_chains=cut_chains)
     check_tree_invariants(tree)
 
-    nu_df = equation_discriminant(matrix)
+    nu_df = tree.nu_df
     y = build_ty(tree)
     x = build_tx(y)
     artin = artin_conductor(x)

@@ -1,17 +1,24 @@
-"""Exact discrete valuations and ultrametric valuation matrices.
+"""Exact discrete valuations, root residues and ultrametric valuation matrices.
 
 Everything here is arbitrary-precision: roots are :class:`fractions.Fraction`,
 valuations are plain ``int`` plus the sentinel :data:`INFINITY` (``math.inf``).
-The valuation matrix ``m.entries[i][j] = v(b_i - b_j)`` is the only data the
-rest of the pipeline ever looks at, which is also why hand-written ultrametric
-matrices are accepted as a first-class input mode: :func:`matrix_from_rows`
-converts raw rows, and ``analyze`` checks every entry, once.
+The rest of the pipeline reads only the pairwise valuations ``v(b_i - b_j)``,
+and from one of two sources.  In roots mode, :func:`residues` reduces each
+root once to an integer mod ``p^K``, with ``K`` above every pair valuation, and
+the refinement tree reads each valuation it needs from two residues; no
+``n x n`` matrix is built.  In matrix mode the valuation matrix
+``m.entries[i][j] = v(b_i - b_j)`` is the input: hand-written ultrametric
+matrices are a first-class input mode, :func:`matrix_from_rows` converts raw
+rows, and ``analyze`` checks every entry, once.  :func:`build_matrix` computes
+the matrix of an instance, as a second route that tests compare with the
+first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, isqrt, lcm
+from itertools import combinations
+from math import inf, isqrt, lcm, log2
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DuplicateRootsError, InstanceError
@@ -163,7 +170,7 @@ class Instance(NamedTuple):
 
     def validate(self) -> None:
         """Check p (its size first) and integrality.  Duplicate roots are
-        found by ``build_matrix`` and the root count where the tree is built,
+        found by :func:`residues` and the root count where the tree is built,
         so small synthetic instances pass here."""
         if self.p == 2:
             raise InstanceError("p = 2 is not supported: the residue characteristic must be odd")
@@ -191,8 +198,14 @@ class ValuationMatrix(NamedTuple):
     def check_shape(self) -> None:
         """The only per-entry validation of a matrix.  Its order decides which
         defect a matrix with several is rejected for: every row's length; then
-        row by row, its diagonal entry, and each entry off it for a duplicate
-        (INFINITY), for a nonnegative ``int`` (not ``bool``), then for symmetry."""
+        row by row, its diagonal entry, and for each entry (i, j) off it, the
+        entry for a duplicate (INFINITY) and for a nonnegative ``int`` (not
+        ``bool``); then, if its transpose (j, i) differs from it, the transpose
+        for the same defects, and last the pair for symmetry.
+
+        Each row is tested whole, with builtins: equal to its column, only
+        ``int`` off the diagonal, and a nonnegative minimum.  Only a row that
+        fails is scanned entry by entry, to name its first defect."""
         n = self.n
         for i, row in enumerate(self.entries):
             if len(row) != n:
@@ -200,15 +213,59 @@ class ValuationMatrix(NamedTuple):
         for i, (row, col) in enumerate(zip(self.entries, zip(*self.entries))):
             if row[i] is not INFINITY:
                 raise InstanceError(f"matrix diagonal entry ({i}, {i}) must be null/INFINITY")
+            if tuple(row) == col and set(map(type, row[:i] + row[i + 1:])) <= {int} and min(row) >= 0:
+                continue
             for j, (e, t) in enumerate(zip(row, col)):
-                if i == j:
-                    continue
-                if e is INFINITY:
-                    raise DuplicateRootsError([(min(i, j), max(i, j))])
-                if isinstance(e, bool) or not isinstance(e, int) or e < 0:
-                    raise InstanceError(f"matrix entry ({i}, {j}) must be a nonnegative integer, got {e!r}")
-                if t != e:
-                    raise InstanceError(f"matrix not symmetric at ({i}, {j})")
+                if i != j:
+                    _check_entry(e, i, j)
+                    if t != e:
+                        _check_entry(t, j, i)
+                        raise InstanceError(f"matrix not symmetric at ({i}, {j})")
+
+
+def _check_entry(e, i: int, j: int) -> None:
+    if e is INFINITY:
+        raise DuplicateRootsError([(min(i, j), max(i, j))])
+    if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+        raise InstanceError(f"matrix entry ({i}, {j}) must be a nonnegative integer, got {e!r}")
+
+
+class Residues(NamedTuple):
+    """The roots of an instance, each reduced to an integer in [0, p^K), with
+    K above every pair valuation, so v(r_i - r_j) = v(b_i - b_j) for i != j."""
+
+    p: int
+    values: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.values)
+
+
+def residues(inst: Instance) -> Residues:
+    """Reduce each p-integral root a/b once to a * b^-1 mod p^K, after
+    rejecting duplicate roots.
+
+    A root difference a/b - c/d = (ad - cb)/(bd) has a p-unit denominator and
+    a numerator of absolute value at most X = 2 max|a| max|b|, so its
+    valuation, when finite, lies below any K with p^K > X.  The difference of
+    two residues is congruent to the roots' difference mod p^K, so it has the
+    same valuation, and distinct roots have distinct residues.  Cost O(n)
+    reductions of numbers of the input's size."""
+    p, roots = inst.p, inst.roots
+    where: dict[Fraction, list[int]] = {}
+    for i, r in enumerate(roots):
+        where.setdefault(r, []).append(i)
+    if len(where) < len(roots):
+        raise DuplicateRootsError(sorted(pair for idx in where.values() for pair in combinations(idx, 2)))
+    bound = 2 * max((abs(r.numerator) for r in roots), default=1) * max((r.denominator for r in roots), default=1)
+    k = max(1, int(bound.bit_length() / log2(p)))  # at most the least K, so few steps follow
+    pk = p**k
+    while pk <= bound:
+        pk *= p
+    values = tuple(r.numerator % pk if r.denominator == 1 else r.numerator * pow(r.denominator, -1, pk) % pk
+                   for r in roots)
+    return Residues(p, values)
 
 
 def build_matrix(inst: Instance) -> ValuationMatrix:

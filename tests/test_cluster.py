@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 
@@ -180,6 +181,35 @@ def test_vertex_budget_bounds_the_tree(monkeypatch):
     monkeypatch.setattr(condisc.cluster, "TREE_VERTEX_BUDGET", 7)
     with pytest.raises(InstanceError, match="budget of 7 vertices"):
         build_cluster_tree(m)
+
+
+def test_budget_rejection_of_a_wide_ultrametric_matrix_skips_the_triple_scan(monkeypatch):
+    # the certificate, run again without the budget, decides ultrametricity in O(n^2)
+    n = 300
+    rows = [[None if i == j else 0 for j in range(n)] for i in range(n)]
+    rows[0][1] = rows[1][0] = 2 * 10**6
+    m = matrix_from_rows(rows)
+    start = time.perf_counter()
+    with pytest.raises(InstanceError, match="budget of 1000000 vertices"):
+        build_cluster_tree(m)
+    assert time.perf_counter() - start < 0.5
+    monkeypatch.setattr(condisc.cluster, "validate_ultrametric", lambda m: pytest.fail("triple scan ran"))
+    with pytest.raises(InstanceError, match="budget"):
+        build_cluster_tree(m)
+
+
+def test_roots_mode_budget_rejection_builds_no_matrix(monkeypatch):
+    import condisc.conductor
+    import condisc.valuation
+
+    for module in (condisc.valuation, condisc.cluster, condisc.conductor):
+        for name in ("build_matrix", "validate_ultrametric", "equation_discriminant"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("the n x n route ran"))
+    monkeypatch.setattr(condisc.cluster, "TREE_VERTEX_BUDGET", 7)
+    inst = Instance.from_values(3, (0, 3**7, 1, 2, 4, 5))  # {0, 1} stay together to depth 7
+    with pytest.raises(InstanceError, match="budget of 7 vertices"):
+        condisc.conductor.analyze(inst)
 
 
 def test_certificate_agrees_with_the_triple_scan():

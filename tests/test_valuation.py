@@ -105,6 +105,38 @@ def test_duplicate_roots_listed_in_index_order():
     assert err.value.pairs == ((0, 3), (1, 4), (1, 6), (2, 5), (4, 6))
 
 
+def test_residues_list_duplicates_as_build_matrix_does():
+    from condisc import analyze
+    from condisc.valuation import residues
+
+    # a three-way duplicate (7 = 14/2) and a pair, interleaved
+    inst = Instance.from_values(5, [7, 1, 7, "14/2", 2, 1, 3, 4])
+    with pytest.raises(DuplicateRootsError) as by_matrix:
+        build_matrix(inst)
+    with pytest.raises(DuplicateRootsError) as by_residues:
+        residues(inst)
+    assert by_residues.value.pairs == by_matrix.value.pairs == ((0, 2), (0, 3), (1, 5), (2, 3))
+    with pytest.raises(DuplicateRootsError, match=r"indices \(0, 2\), \(0, 3\), \(1, 5\), \(2, 3\)$"):
+        analyze(inst)
+
+
+def test_residue_differences_keep_every_pair_valuation():
+    from condisc.valuation import residues
+
+    rng = random.Random(16)
+    for p in (3, 5, 13, 10007):
+        for _ in range(20):
+            dens = [1, 2, p + 1, 4 * p**3 - 1]
+            roots = {Fraction(rng.randrange(-p**9, p**9) * rng.choice((1, p, p**5)), rng.choice(dens))
+                     for _ in range(8)}
+            inst = Instance.from_values(p, sorted(roots))
+            res = residues(inst)
+            m = build_matrix(inst)
+            for i in range(res.n):
+                for j in range(i + 1, res.n):
+                    assert val(res.values[i] - res.values[j], p) == m.entries[i][j]
+
+
 def test_duplicate_roots_rejected():
     inst = Instance.from_values(5, [0, 1, 2, 3, 4, 1])
     with pytest.raises(DuplicateRootsError, match=r"duplicate roots at indices \(1, 5\)"):
@@ -201,6 +233,21 @@ def test_null_off_the_diagonal_is_a_pair_of_equal_roots():
     rows[2][4] = rows[4][2] = None
     with pytest.raises(DuplicateRootsError, match=r"duplicate roots at indices \(2, 4\)"):
         analyze(matrix_from_rows(rows))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (True, "matrix entry (4, 1) must be a nonnegative integer, got True"),
+    (1.5, "matrix entry (4, 1) must be a nonnegative integer, got 1.5"),
+    ("2", "matrix entry (4, 1) must be a nonnegative integer, got '2'"),
+    (None, "duplicate roots at indices (1, 4)"),
+], ids=["true", "float", "string", "null"])
+def test_a_lone_bad_entry_below_the_diagonal_is_named_for_its_own_defect(bad, message):
+    # row 1 reaches the pair first, from its transpose (1, 4), a valid integer
+    rows = [[None if i == j else 0 for j in range(6)] for i in range(6)]
+    rows[4][1] = bad
+    with pytest.raises(InstanceError) as err:
+        matrix_from_rows(rows).check_shape()
+    assert str(err.value) == message
 
 
 def test_check_shape_rejects_bool_entries():
