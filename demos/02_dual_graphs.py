@@ -23,6 +23,7 @@ from condisc import (
     dot_model,
     dot_tree,
 )
+from condisc.harness import member_sets
 
 # Three roots share a residue mod 5, and two of those agree mod 25 as well:
 # the refinement tree has an odd vertex with an odd child, which forces an
@@ -32,8 +33,9 @@ inst = Instance.from_values(p=5, roots=[0, 25, 5, 1, 2, 3], label="odd chain")
 matrix = build_matrix(inst)
 tree = build_cluster_tree(matrix)
 print("refinement tree:")
+members = member_sets(tree)  # each vertex's roots, rebuilt from its separating roots
 for v in tree:
-    print(f"  v{v.id}: depth {v.depth}, roots {sorted(v.members)}, wt={v.wt}, "
+    print(f"  v{v.id}: depth {v.depth}, roots {sorted(members[v.id])}, wt={v.wt}, "
           f"{v.parity}, separates {list(v.sep_roots)}")
 
 y = build_ty(tree)

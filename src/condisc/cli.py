@@ -1,14 +1,17 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 invalid input, 2 internal invariant violation or
-any other unexpected error (a bug in the analyzer, not a property of the
-input).
+Exit codes: 0 success, 1 invalid input or output that cannot be written, 2
+internal invariant violation or any other unexpected error (a bug in the
+analyzer, not a property of the input).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import suppress
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -54,6 +57,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _OutputError(Exception):
+    """stdout refused a write: a closed pipe, a full disk, a character its encoding lacks."""
+
+
+def _emit(rows) -> None:
+    """Write each row to stdout as it is made, then flush.  A failed write
+    raises _OutputError; an error raised while making a row passes through."""
+    out = sys.stdout
+    for row in rows:
+        try:
+            out.write(row)
+        except (OSError, UnicodeEncodeError) as exc:
+            raise _OutputError(exc) from exc
+    try:
+        out.flush()
+    except OSError as exc:
+        raise _OutputError(exc) from exc
+
+
 def _describe(exc: Exception) -> str:  # an invariant's own message, any other error as `Type: message`
     return str(exc) if isinstance(exc, InternalInvariantViolation) else f"{type(exc).__name__}: {exc}"
 
@@ -70,18 +92,15 @@ def _cmd_analyze(args) -> int:
         ygraph, xgraph = report.per_depth_graphs()
         try:
             outdir.mkdir(parents=True, exist_ok=True)
-            (outdir / "t_b.dot").write_text(dot_tree(report))
-            (outdir / "t_y.dot").write_text(dot_cover(ygraph))
-            (outdir / "t_x.dot").write_text(dot_model(xgraph))
+            # UTF-8 whatever the locale: T_X's labels hold a χ
+            (outdir / "t_b.dot").write_text(dot_tree(report), encoding="utf-8")
+            (outdir / "t_y.dot").write_text(dot_cover(ygraph), encoding="utf-8")
+            (outdir / "t_x.dot").write_text(dot_model(xgraph), encoding="utf-8")
         except OSError as exc:
             print(f"error: cannot write DOT files to {args.dot_dir}: {exc}", file=sys.stderr)
             return 1
-    # written in pieces, so the output is never held whole
-    if args.format == "json":
-        sys.stdout.writelines(report.json_rows())
-        sys.stdout.write("\n")
-    else:
-        sys.stdout.writelines(text_rows(report))
+    rows = chain(report.json_rows(), ["\n"]) if args.format == "json" else text_rows(report)
+    _emit(rows)  # written in pieces, so the output is never held whole
     return 0
 
 
@@ -93,20 +112,25 @@ def _cmd_batch(args) -> int:
         return 1
     failures = 0
     invariant_trips = 0
-    for path in files:
-        try:
-            source, label = load_instance(path)
-            report = analyze(source, allow_small=args.allow_small_genus,
-                             label=label if label is not None else path.stem)
-        except InstanceError as exc:
-            failures += 1
-            print(f"{path.name}: {exc}", file=sys.stderr)
-            continue
-        except Exception as exc:  # an analyzer bug: count it against this file and go on to the next
-            invariant_trips += 1
-            print(f"{path.name}: INTERNAL: {_describe(exc)}", file=sys.stderr)
-            continue
-        print(report.to_json_line())
+
+    def lines():
+        nonlocal failures, invariant_trips
+        for path in files:
+            try:
+                source, label = load_instance(path)
+                report = analyze(source, allow_small=args.allow_small_genus,
+                                 label=label if label is not None else path.stem)
+            except InstanceError as exc:
+                failures += 1
+                print(f"{path.name}: {exc}", file=sys.stderr)
+                continue
+            except Exception as exc:  # an analyzer bug: count it against this file and go on to the next
+                invariant_trips += 1
+                print(f"{path.name}: INTERNAL: {_describe(exc)}", file=sys.stderr)
+                continue
+            yield report.to_json_line() + "\n"
+
+    _emit(lines())
     if failures or invariant_trips:
         print(f"batch: {failures} invalid, {invariant_trips} internal failures "
               f"out of {len(files)} files", file=sys.stderr)
@@ -123,7 +147,7 @@ def _cmd_fuzz(args) -> int:
             equal += 1
         else:
             strict += 1
-    print(f"fuzz: {args.trials} trials ok ({equal} with equality, {strict} strict)")
+    _emit([f"fuzz: {args.trials} trials ok ({equal} with equality, {strict} strict)\n"])
     return 0
 
 
@@ -141,6 +165,13 @@ def main(argv=None) -> int:
         return _cmd_fuzz(args)
     except InstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except _OutputError as exc:
+        # anything still buffered goes nowhere, so the flush at exit neither fails nor reports
+        if isinstance(exc.__cause__, OSError):
+            with suppress(OSError):  # a stdout with no file descriptor
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc.__cause__}", file=sys.stderr)
         return 1
     except Exception as exc:  # an analyzer bug, whatever its type: exit 2, never a traceback
         print(f"internal invariant violation: {_describe(exc)}", file=sys.stderr)

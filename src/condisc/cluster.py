@@ -73,6 +73,7 @@ Per vertex we track:
 from __future__ import annotations
 
 from functools import cached_property
+from math import gcd
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -94,7 +95,6 @@ SHORTEST_CUT_CHAIN = 8  # a chain of 6 or 7 vertices keeps a pair two steps from
 class ClusterVertex(NamedTuple):
     id: int
     depth: int
-    members: frozenset[int]
     parent: int | None
     children: tuple[int, ...]
     wt: int
@@ -172,6 +172,9 @@ class ClusterTree:
         verts = self.vertices
         if not self.repeats:
             return Expansion(range(len(verts)), [v.depth for v in verts], [(v.id,) for v in verts])
+        low = [0] * len(verts)  # smallest member: children have larger ids than their parent
+        for v in reversed(verts):
+            low[v.id] = min([*v.sep_roots, *[low[c] for c in v.children]])
         lift = [0] * len(verts)  # depth in the per-depth tree less depth in this one
         keys = []
         for v in verts:
@@ -179,8 +182,7 @@ class ClusterTree:
                 p = verts[v.parent]
                 # the child of a pair's second vertex sits below every copy of the pair
                 lift[v.id] = lift[p.id] + (2 * (p.repeat - 1) if p.repeat > v.repeat else 0)
-            top, low = v.depth + lift[v.id], min(v.members)
-            keys += [(top + 2 * j, low, v.id) for j in range(v.repeat)]
+            keys += [(v.depth + lift[v.id] + 2 * j, low[v.id], v.id) for j in range(v.repeat)]
         keys.sort()
         rep = [k[2] for k in keys]
         copies: list[list[int]] = [[] for _ in verts]
@@ -263,11 +265,10 @@ class _MatrixPairs:
     def __init__(self, m: ValuationMatrix) -> None:
         self.entries = m.entries
 
-    def first_row(self, members: tuple[int, ...], top: int) -> list:
-        """v(b_i - b_j) from the first member i to each later member j; each
-        is at least ``top``, the depth of the cluster's first vertex."""
+    def floor(self, members: tuple[int, ...]):
+        """The least v(b_i - b_j) from the first member i to a later member j."""
         row = self.entries[members[0]]
-        return [row[j] for j in members[1:]]
+        return min([row[j] for j in members[1:]])
 
     def split(self, members: tuple[int, ...], floor: int) -> list[list[int]]:
         """The classes of m >= floor + 1, ordered by smallest member, after
@@ -299,13 +300,13 @@ class _ResiduePairs:
     def __init__(self, res: Residues) -> None:
         self.p, self.values = res.p, res.values
 
-    def first_row(self, members: tuple[int, ...], top: int) -> list:
-        values, p = self.values, self.p
+    def floor(self, members: tuple[int, ...]):
+        """The least v(r_i - r_j) from the first member i to a later member j,
+        in one call: the valuation of their gcd (INFINITY for a gcd of 0)."""
+        values = self.values
         first = values[members[0]]
-        above = p ** (top + 1)
-        # p^top divides every difference, since the parent's split grouped the members mod p^top
-        # (its certificate fails otherwise); a zero difference would mean equal residues
-        return [top if d % above else _int_val(d, p) if d else INFINITY for d in [first - values[j] for j in members[1:]]]
+        g = gcd(*[first - values[j] for j in members[1:]])
+        return _int_val(g, self.p) if g else INFINITY
 
     def split(self, members: tuple[int, ...], floor: int) -> list[list[int]]:
         """The classes of residues mod p^(floor + 1), ordered by smallest
@@ -347,22 +348,21 @@ def _off_floor(v, floor: int, i: int, j: int) -> InternalInvariantViolation:
 
 def _grow(pairs: _MatrixPairs | _ResiduePairs, n: int, cut_chains: bool, budget) -> tuple[list[list], int]:
     """Split clusters from a work list, certifying each split; returns the vertex
-    records [members (ascending), depth, parent record, sep, child records,
-    repeat, lift], where lift is the steps cut from the chains above the
-    vertex, so that its depth in the per-depth tree is depth + lift, and the
-    sum of the certified valuations over all pairs."""
-    root: list = [tuple(range(n)), 0, None, (), [], 1, 0]
+    records [depth, smallest member, weight, parent record, sep, child records,
+    repeat], and the sum of the certified valuations over all pairs.  Only the
+    clusters on the work list hold their members."""
+    root: list = [0, 0, n, None, (), [], 1]
     records = [root]
-    work = [root]
+    work = [(root, tuple(range(n)), 0)]  # (record, members ascending, steps cut from the chains above)
     size = 1  # vertices of the per-depth tree so far
     total = 0
     while work:
-        rec = work.pop()
-        members, depth, lift = rec[0], rec[1], rec[6]
+        rec, members, lift = work.pop()
+        depth = rec[0]
         top = depth + lift
-        # the cluster minimum, taken on the first row: a smaller pair elsewhere in the
-        # cluster would meet this floor or a deeper one in the certificate and fail
-        floor = min(pairs.first_row(members, top))
+        # the cluster minimum, taken on the first member's pairs: a smaller pair elsewhere
+        # in the cluster would meet this floor or a deeper one in the certificate and fail
+        floor = pairs.floor(members)
         if floor is INFINITY:
             raise InternalInvariantViolation("infinite valuation inside a cluster", vertex=members)
         if size + floor - top > budget:
@@ -377,8 +377,8 @@ def _grow(pairs: _MatrixPairs | _ResiduePairs, n: int, cut_chains: bool, budget)
         length = floor - top + 1
         cut = length - 6 - length % 2 if cut_chains and length >= SHORTEST_CUT_CHAIN else 0
         for step in range(1, length - cut):
-            link = [members, depth + step, rec, (), [], 1 + cut // 2 if step in (2, 3) else 1, lift]
-            rec[4].append(link)
+            link = [depth + step, rec[1], rec[2], rec, (), [], 1 + cut // 2 if step in (2, 3) else 1]
+            rec[5].append(link)
             records.append(link)
             rec = link
         lift += cut
@@ -388,13 +388,13 @@ def _grow(pairs: _MatrixPairs | _ResiduePairs, n: int, cut_chains: bool, budget)
         if len(classes) < 2:
             raise InternalInvariantViolation(f"the cluster does not split at its floor {floor}", vertex=members)
         total += floor * (len(members) ** 2 - sum(len(cls) ** 2 for cls in classes)) // 2
-        rec[3] = tuple(cls[0] for cls in classes if len(cls) == 1)
+        rec[4] = tuple(cls[0] for cls in classes if len(cls) == 1)
         for cls in classes:
             if len(cls) >= 2:
-                child = [tuple(cls), depth + 1, rec, (), [], 1, lift]
-                rec[4].append(child)
+                child = [depth + 1, cls[0], len(cls), rec, (), [], 1]
+                rec[5].append(child)
                 records.append(child)
-                work.append(child)
+                work.append((child, tuple(cls), lift))
                 size += 1
     return records, total
 
@@ -434,43 +434,35 @@ def build_cluster_tree(
     pairs = _MatrixPairs(source) if isinstance(source, ValuationMatrix) else _ResiduePairs(source)
     try:
         records, total = _grow(pairs, n, cut_chains, TREE_VERTEX_BUDGET)
-    except (InstanceError, InternalInvariantViolation):
-        if isinstance(pairs, _MatrixPairs) and not _certified(pairs, n):
-            verdict = validate_ultrametric(source)
-            if not verdict.ok:
-                raise UltrametricViolationError(verdict.violations) from None
-        raise
+    except (InstanceError, InternalInvariantViolation) as failure:
+        if isinstance(pairs, _MatrixPairs):
+            # the certificate with chains cut and no vertex budget: O(n^2) and O(n)
+            # vertices, so it decides ultrametricity where the budget stopped the build
+            try:
+                _grow(pairs, n, True, INFINITY)
+            except InternalInvariantViolation:
+                verdict = validate_ultrametric(source)
+                if not verdict.ok:
+                    raise UltrametricViolationError(verdict.violations) from None
+        raise failure
 
     # canonical ids: sort by (depth, smallest member), so a parent precedes its
     # children and siblings keep their class order; each id goes in slot 7.
-    # Clusters at one depth are disjoint, so (depth, members) is that order.
-    records.sort(key=itemgetter(1, 0))
+    records.sort(key=itemgetter(0, 1))
     for new, rec in enumerate(records):
         rec.append(new)
     vertices: list[ClusterVertex] = []
-    for new, (members, depth, parent, sep, kids, repeat, _, _) in enumerate(records):
-        wt = len(members)
-        r = sum(len(kid[0]) % 2 for kid in kids)
+    for new, (depth, _, wt, parent, sep, kids, repeat, _) in enumerate(records):
+        r = sum(kid[2] % 2 for kid in kids)
         pid = parent[7] if parent is not None else None
         f_val = vertices[pid].f_val + wt if pid is not None else 0
         # positional, in field order: with keyword arguments a vertex costs 1.5 us
         # against 0.65 us (timeit, Python 3.11, 2-vCPU Xeon)
         vertices.append(ClusterVertex(
-            new, depth, frozenset(members), pid, tuple([kid[7] for kid in kids]), wt, len(sep), r,
+            new, depth, pid, tuple([kid[7] for kid in kids]), wt, len(sep), r,
             len(kids) - r, len(sep) + r, f_val, f_val % 2 == 1, sep, repeat,
         ))
     return ClusterTree(tuple(vertices), num_roots=n, nu_df=2 * total)
-
-
-def _certified(pairs: _MatrixPairs, n: int) -> bool:
-    """Whether the certificate passes on every split, with chains cut and no
-    vertex budget: O(n^2) and O(n) vertices, so it decides ultrametricity
-    where the budget stopped the build."""
-    try:
-        _grow(pairs, n, True, INFINITY)
-    except InternalInvariantViolation:
-        return False
-    return True
 
 
 def equation_discriminant(m: ValuationMatrix) -> int:
@@ -483,7 +475,8 @@ def equation_discriminant(m: ValuationMatrix) -> int:
 def _check_repeats(verts) -> None:
     """A vertex with repeat > 1 stands for its copies only as the first of a
     pair of equal repeat with its only child, inside one chain that reaches
-    two steps above the pair and two steps below it (see the module docstring)."""
+    two steps above the pair and two steps below it (see the module docstring).
+    Under the weight identity, one weight along the chain means one cluster."""
     for v in verts:
         if v.repeat == 1:
             continue
@@ -497,7 +490,7 @@ def _check_repeats(verts) -> None:
         if (
             v.repeat < 1
             or [u.repeat for u in path] != [1, 1, v.repeat, v.repeat, 1, 1]
-            or any(u.members != v.members for u in path)
+            or any(u.wt != v.wt for u in path)
         ):
             raise InternalInvariantViolation("repeated vertex outside the middle of a chain", vertex=v.id)
 
@@ -506,22 +499,32 @@ def check_tree_invariants(tree: ClusterTree) -> None:
     """Structural identities every refinement tree satisfies; bugs raise.
 
     Each vertex's id must equal its position, since the checks below and the
-    per-vertex ledgers index ``tree.vertices`` by id directly."""
-    verts = tree.vertices
+    per-vertex ledgers index ``tree.vertices`` by id directly.  A vertex's
+    members are its separating roots and its children's members; as each root
+    separates at exactly one vertex, the root holds all roots and the children
+    of a vertex hold disjoint parts of its members."""
+    verts, root, n = tree.vertices, tree.root, tree.num_roots
+    seen = [False] * n
     for pos, v in enumerate(verts):
         if v.id != pos:
             raise InternalInvariantViolation(f"vertex id differs from its position {pos}", vertex=v.id)
-    root = tree.root
-    if root.depth != 0 or root.members != frozenset(range(tree.num_roots)):
+        for i in v.sep_roots:
+            if not 0 <= i < n or seen[i]:
+                raise InternalInvariantViolation(f"root {i} separates at two vertices or is out of range", vertex=v.id)
+            seen[i] = True
+    if root.depth != 0 or root.wt != n:
         raise InternalInvariantViolation("root must hold all roots at depth 0", vertex=root.id)
+    if not all(seen):
+        raise InternalInvariantViolation(f"root {seen.index(False)} separates at no vertex", vertex=root.id)
     if root.l % 2 != 0:
         raise InternalInvariantViolation("root must have even l", vertex=root.id)
     _check_repeats(verts)
     for v in verts:
-        kids = [verts[c] for c in v.children]
         if v.wt < 2:
             raise InternalInvariantViolation("vertex weight below 2", vertex=v.id)
-        if v.wt != v.l_prime + sum(c.wt for c in kids):
+        if v.l_prime != len(v.sep_roots):
+            raise InternalInvariantViolation("l_prime != number of separating roots", vertex=v.id)
+        if v.wt != v.l_prime + sum(verts[c].wt for c in v.children):
             raise InternalInvariantViolation("wt != l_prime + sum of child weights", vertex=v.id)
         if v.wt < v.l_prime + 3 * v.r + 2 * v.s:
             raise InternalInvariantViolation("wt < l_prime + 3r + 2s", vertex=v.id)
@@ -531,8 +534,6 @@ def check_tree_invariants(tree: ClusterTree) -> None:
         if v.parent is not None:
             p = verts[v.parent]
             parent_odd = p.odd
-            if not v.members <= p.members:
-                raise InternalInvariantViolation("child members not inside parent", vertex=v.id)
             if v.depth != p.depth + 1:
                 raise InternalInvariantViolation("child depth != parent depth + 1", vertex=v.id)
             # parity table: odd child of even parent <=> odd weight, of odd parent <=> even weight
@@ -543,9 +544,3 @@ def check_tree_invariants(tree: ClusterTree) -> None:
             # an even vertex has odd l exactly when its parent exists and is odd
             if (v.l % 2 == 1) != parent_odd:
                 raise InternalInvariantViolation("even vertex with l parity contradicting parent parity", vertex=v.id)
-        # children of one vertex hold disjoint member sets
-        seen: set[int] = set()
-        for c in kids:
-            if seen & c.members:
-                raise InternalInvariantViolation("overlapping child member sets", vertex=v.id)
-            seen |= c.members

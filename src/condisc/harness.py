@@ -195,6 +195,15 @@ def naive_tree_oracle(m: ValuationMatrix) -> list[OracleVertex]:
     return out
 
 
+def member_sets(tree: ClusterTree) -> list[frozenset[int]]:
+    """Each vertex's roots, by id: its separating roots and its children's
+    roots.  A child's id exceeds its parent's, so one reverse pass builds them."""
+    sets: list[frozenset[int]] = [frozenset()] * len(tree)
+    for v in reversed(tree.vertices):
+        sets[v.id] = frozenset(v.sep_roots).union(*[sets[c] for c in v.children])
+    return sets
+
+
 def per_depth_oracle(source: Instance | ValuationMatrix, **kwargs) -> Report:
     """The report of the pipeline run on the per-depth tree; its output, totals
     and headline fields must equal :func:`~condisc.conductor.analyze`'s."""
@@ -203,10 +212,12 @@ def per_depth_oracle(source: Instance | ValuationMatrix, **kwargs) -> Report:
 
 def trees_agree(tree: ClusterTree, oracle: list[OracleVertex]) -> bool:
     """Isomorphism with identical annotations, keyed by (depth, member set);
-    a tree with cut chains is compared as the per-depth tree it stands for."""
+    a tree with cut chains is compared as the per-depth tree it stands for.
+    The member sets are rebuilt from each vertex's separating roots."""
     tree = tree.expand()
+    members = member_sets(tree)
     ours = {
-        (v.depth, v.members): (
+        (v.depth, members[v.id]): (
             v.wt,
             v.l_prime,
             v.r,
@@ -214,7 +225,7 @@ def trees_agree(tree: ClusterTree, oracle: list[OracleVertex]) -> bool:
             v.l,
             v.f_val,
             v.odd,
-            tree[v.parent].members if v.parent is not None else None,
+            members[v.parent] if v.parent is not None else None,
         )
         for v in tree
     }

@@ -637,3 +637,84 @@ def test_every_file_exits_zero_or_one(doc):
                 code = main(argv)
             assert code in (0, 1), (argv, err.getvalue())
             out.getvalue().encode("utf-8")
+
+
+def _write_failure_inputs(tmp_path):
+    """A depth-20000 chain, whose report runs to megabytes, and a file labelled `café π`."""
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps({"mode": "matrix", "valuations": _chain_rows(6, 20000)}))
+    cafe = write_instance(tmp_path / "cafe.json", dict(FIXTURE_A, label="café π"))
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "deep.json").write_text(deep.read_text())
+    return {"deep": str(deep), "cafe": str(cafe), "dir": str(batch)}
+
+
+@pytest.mark.parametrize("argv, sink, encoding, needle", [
+    (["analyze", "deep", "--format", "json"], "pipe", None, "Broken pipe"),
+    (["analyze", "deep"], "pipe", None, "Broken pipe"),
+    (["analyze", "deep", "--format", "json"], "/dev/full", None, "No space left on device"),
+    (["analyze", "cafe"], "null", "ascii", "'ascii' codec can't encode character"),
+    (["batch", "dir"], "pipe", None, "Broken pipe"),
+    (["batch", "dir"], "/dev/full", None, "No space left on device"),
+    (["fuzz", "--trials", "3"], "/dev/full", None, "No space left on device"),
+], ids=["json-to-closed-pipe", "text-to-closed-pipe", "to-full-disk", "unencodable-label",
+        "batch-to-closed-pipe", "batch-to-full-disk", "fuzz-to-full-disk"])
+def test_output_that_cannot_be_written_exits_one_with_one_line(tmp_path, argv, sink, encoding, needle):
+    import os
+    import subprocess
+    import sys
+
+    if sink == "/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    paths = _write_failure_inputs(tmp_path)
+    argv = [paths.get(arg, arg) for arg in argv]
+    src = Path(condisc.conductor.__file__).resolve().parents[1]
+    env = {"PYTHONPATH": str(src), **({"PYTHONIOENCODING": encoding} if encoding else {})}
+    with open(tmp_path / "err", "w+") as err, open(os.devnull if sink != "/dev/full" else sink, "w") as out:
+        cmd = [sys.executable, "-m", "condisc", *argv]
+        if sink == "pipe":  # read the first 100 bytes, as `| head -c 100` would, and close the pipe
+            proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=err, env=env)
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+        else:
+            code = subprocess.run(cmd, stdout=out, stderr=err, env=env, timeout=120).returncode
+        err.seek(0)
+        message = err.read()
+    assert code == 1
+    assert message.startswith("error: cannot write output: ") and needle in message
+    assert message.count("\n") == 1  # no traceback, and no "Exception ignored" at exit
+
+
+def test_error_raised_while_making_a_row_exits_two(fixture_a_file, capsys, monkeypatch):
+    def rows(report):
+        yield "first row\n"
+        raise OSError("not a write failure")
+
+    monkeypatch.setattr(condisc.cli, "text_rows", rows)
+    assert main(["analyze", str(fixture_a_file)]) == 2
+    assert capsys.readouterr().err == "internal invariant violation: OSError: not a write failure\n"
+
+
+def test_write_failure_on_a_stdout_with_no_descriptor_exits_one(fixture_a_file, capsys, monkeypatch):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(condisc.cli.sys, "stdout", Closed())
+    assert main(["analyze", str(fixture_a_file)]) == 1
+    assert capsys.readouterr().err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def test_dot_files_are_utf8_under_an_ascii_locale(fixture_a_file, tmp_path):
+    import subprocess
+    import sys
+
+    src = Path(condisc.conductor.__file__).resolve().parents[1]
+    # the C locale with its coercion and UTF-8 mode off: the locale's encoding is ASCII
+    env = {"PYTHONPATH": str(src), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    proc = subprocess.run([sys.executable, "-m", "condisc", "analyze", str(fixture_a_file), "--dot-dir",
+                           str(tmp_path / "dots")], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "χ=2" in (tmp_path / "dots" / "t_x.dot").read_text(encoding="utf-8")

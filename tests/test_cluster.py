@@ -23,6 +23,7 @@ from condisc.harness import (
     disc_oracle,
     gen_instance,
     local_disc,
+    member_sets,
     mutate_entry,
     naive_tree_oracle,
     trees_agree,
@@ -37,7 +38,8 @@ def tree_of(inst: Instance):
 
 
 def by_members(tree, members, depth):
-    hits = [v for v in tree if v.members == frozenset(members) and v.depth == depth]
+    sets = member_sets(tree)
+    hits = [v for v in tree if sets[v.id] == frozenset(members) and v.depth == depth]
     assert len(hits) == 1
     return hits[0]
 
@@ -48,7 +50,7 @@ def test_fixture_a_tree(fixture_a):
     root = tree.root
     assert (root.wt, root.parity, root.l_prime, root.r, root.s, root.l) == (6, "even", 0, 0, 3, 0)
     kids = [tree[c] for c in root.children]
-    assert [k.members for k in kids] == [frozenset({0, 3}), frozenset({1, 4}), frozenset({2, 5})]
+    assert [member_sets(tree)[k.id] for k in kids] == [frozenset({0, 3}), frozenset({1, 4}), frozenset({2, 5})]
     for k in kids:
         assert (k.wt, k.parity, k.l_prime, k.r, k.s, k.l, k.f_val) == (2, "even", 2, 0, 0, 2, 2)
     check_tree_invariants(tree)
@@ -59,7 +61,7 @@ def test_fixture_b_tree(fixture_b):
     assert len(tree) == 2
     root, child = tree.root, tree[1]
     assert (root.wt, root.parity, root.l_prime, root.r, root.s, root.l) == (6, "even", 3, 1, 0, 4)
-    assert child.members == frozenset({0, 1, 2})
+    assert member_sets(tree)[child.id] == frozenset({0, 1, 2})
     assert (child.wt, child.f_val, child.parity, child.l_prime, child.r, child.s, child.l) == (
         3, 3, "odd", 3, 0, 0, 3,
     )
@@ -81,15 +83,17 @@ def test_fixture_c_tree(fixture_c):
 
 def test_chain_materialization():
     tree = tree_of(make(DEEP_PAIR))
-    pair_depths = sorted(v.depth for v in tree if v.members == frozenset({0, 1}))
+    sets = member_sets(tree)
+    pair_depths = sorted(v.depth for v in tree if sets[v.id] == frozenset({0, 1}))
     assert pair_depths == [1, 2, 3]
-    inner = [v for v in tree if v.members == frozenset({0, 1}) and v.depth < 3]
+    inner = [v for v in tree if sets[v.id] == frozenset({0, 1}) and v.depth < 3]
     assert all(v.l_prime == 0 and len(v.children) == 1 for v in inner)
 
 
 def test_ids_sorted_by_depth_then_member(fixture_a):
     tree = tree_of(fixture_a)
-    keys = [(v.depth, min(v.members)) for v in tree]
+    sets = member_sets(tree)
+    keys = [(v.depth, min(sets[v.id])) for v in tree]
     assert keys == sorted(keys)
     assert [v.id for v in tree] == list(range(len(tree)))
 
@@ -146,7 +150,8 @@ def test_all_roots_congruent_gives_root_chain():
     root = tree.root
     assert root.l_prime == 0 and len(root.children) == 1
     child = tree[root.children[0]]
-    assert child.members == root.members and child.depth == 1
+    sets = member_sets(tree)
+    assert sets[child.id] == sets[root.id] and child.depth == 1
 
 
 def _frames_above():
@@ -273,4 +278,29 @@ def test_ids_out_of_position_rejected(fixture_a):
     verts = list(tree.vertices)
     verts[1], verts[2] = verts[2], verts[1]
     with pytest.raises(InternalInvariantViolation, match=r"vertex id differs from its position 1 \(at vertex 2\)"):
+        check_tree_invariants(ClusterTree(tuple(verts), tree.num_roots))
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({1: (0,), 2: (1, 4, 3)}, r"l_prime != number of separating roots \(at vertex 1\)"),  # 3 moved from v1 to v2
+    ({1: (0,)}, r"root 3 separates at no vertex \(at vertex 0\)"),
+    ({1: (0, 1)}, r"root 1 separates at two vertices or is out of range \(at vertex 2\)"),
+    ({1: (0, 6)}, r"root 6 separates at two vertices or is out of range \(at vertex 1\)"),
+    ({1: (0, -3)}, r"root -3 separates at two vertices or is out of range \(at vertex 1\)"),
+], ids=["moved", "dropped", "duplicated", "above-range", "negative"])
+def test_separating_roots_that_do_not_partition_the_roots_rejected(fixture_a, edit, message):
+    tree = tree_of(fixture_a)
+    assert [v.sep_roots for v in tree] == [(), (0, 3), (1, 4), (2, 5)]
+    verts = list(tree.vertices)
+    for vid, sep in edit.items():
+        verts[vid] = verts[vid]._replace(sep_roots=sep)
+    with pytest.raises(InternalInvariantViolation, match=message):
+        check_tree_invariants(ClusterTree(tuple(verts), tree.num_roots))
+
+
+def test_root_whose_weight_is_not_the_root_count_rejected(fixture_a):
+    tree = tree_of(fixture_a)
+    verts = list(tree.vertices)
+    verts[0] = verts[0]._replace(wt=8)
+    with pytest.raises(InternalInvariantViolation, match=r"root must hold all roots at depth 0 \(at vertex 0\)"):
         check_tree_invariants(ClusterTree(tuple(verts), tree.num_roots))

@@ -20,7 +20,7 @@ import condisc.valuation
 from condisc import Instance, analyze, build_matrix, equation_discriminant, matrix_from_rows
 from condisc.cli import main
 from condisc.harness import default_specs, gen_instance
-from condisc.valuation import is_odd_prime
+from condisc.valuation import is_odd_prime, residues
 
 from conftest import FIXTURE_A, chain_cases, write_instance
 
@@ -81,6 +81,35 @@ def test_twenty_roots_of_3819_digits():
     # README's example: every pair has valuation 8000 + v_3(i - j)
     roots = [10**3818 + 12345 + i * 3**8000 for i in range(20)]
     assert_routes_agree(Instance.from_values(3, roots, label="big"))
+
+
+def _caterpillar(n, zero):
+    """0 and 3^k for k < n - 1, with 0 first or last: each split peels one root
+    off, so the tree is a path of n - 1 splits, the tallest for n roots."""
+    powers = [3**k for k in range(n - 1)]
+    return Instance.from_values(3, [0, *powers] if zero == "first" else [*powers, 0], label=f"caterpillar-0-{zero}")
+
+
+@pytest.mark.parametrize("zero", ["first", "last"])
+def test_caterpillar(zero):
+    assert_routes_agree(_caterpillar(120, zero))
+
+
+def test_each_split_takes_at_most_one_valuation(monkeypatch):
+    # with 0 first, every difference from the first member is a power of 3: the floor of a
+    # cluster is one valuation, of the gcd, not one per member
+    calls = 0
+    true_val = condisc.cluster._int_val
+
+    def counted(n, p):
+        nonlocal calls
+        calls += 1
+        return true_val(n, p)
+
+    monkeypatch.setattr(condisc.cluster, "_int_val", counted)
+    tree = condisc.cluster.build_cluster_tree(residues(_caterpillar(120, "first")))
+    assert len(tree) == 119 and all(v.sep_roots for v in tree)  # no chain: every vertex is a split
+    assert 0 < calls <= len(tree)
 
 
 def test_roots_mode_builds_no_matrix(monkeypatch, tmp_path, capsys):

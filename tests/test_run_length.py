@@ -21,7 +21,7 @@ from condisc import (
     genus_check,
     matrix_from_rows,
 )
-from condisc.harness import default_specs, gen_instance, naive_tree_oracle, per_depth_oracle, trees_agree
+from condisc.harness import default_specs, gen_instance, member_sets, naive_tree_oracle, per_depth_oracle, trees_agree
 from condisc.render import dot_cover, dot_model, dot_tree, render_text
 from conftest import chain_cases, cluster_rows
 
@@ -68,7 +68,8 @@ def test_cut_chains_agree_with_the_per_depth_pipeline():
 @pytest.mark.parametrize("length", [8, 9, 10, 11, 50])
 def test_cut_chain_keeps_six_or_seven_vertices(length):
     tree = build_cluster_tree(matrix_from_rows(cluster_rows(6, [((0, 1), length)])))
-    chain = [v for v in tree if v.members == frozenset((0, 1))]
+    sets = member_sets(tree)
+    chain = [v for v in tree if sets[v.id] == frozenset((0, 1))]
     kept = 6 if length % 2 == 0 else 7
     assert len(chain) == kept and len(tree) == 1 + kept
     assert [v.repeat for v in chain] == [1, 1, 1 + (length - kept) // 2, 1 + (length - kept) // 2] + [1] * (kept - 4)
@@ -123,7 +124,8 @@ def test_deep_matrix_chain_is_analyzed_on_a_tree_of_constant_size():
 
 def test_repeat_outside_the_middle_of_a_chain_rejected():
     tree = build_cluster_tree(matrix_from_rows(cluster_rows(6, [((0, 1), 12)])))
-    chain = [v.id for v in tree if v.members == frozenset((0, 1))]
+    sets = member_sets(tree)
+    chain = [v.id for v in tree if sets[v.id] == frozenset((0, 1))]
     first = next(vid for vid in chain if tree[vid].repeat > 1)
     for moved in (first - 1, first + 1, chain[-1], tree.root.id):  # one step up, the second alone, the split, the root
         verts = [v._replace(repeat=1) for v in tree]
@@ -132,6 +134,14 @@ def test_repeat_outside_the_middle_of_a_chain_rejected():
             check_tree_invariants(ClusterTree(tuple(verts), tree.num_roots))
     verts = list(tree.vertices)
     verts[first] = verts[first]._replace(repeat=0)
+    with pytest.raises(InternalInvariantViolation, match="repeated vertex outside the middle of a chain"):
+        check_tree_invariants(ClusterTree(tuple(verts), tree.num_roots))
+    # the pair one step up: the repeats along its path read 1, 1, 4, 4, 1, 1, but the path
+    # starts at the root, whose weight is not the chain's
+    verts = [v._replace(repeat=1) for v in tree]
+    for vid in (first - 1, first):
+        verts[vid] = verts[vid]._replace(repeat=4)
+    assert tree[tree[first - 1].parent].parent == tree.root.id
     with pytest.raises(InternalInvariantViolation, match="repeated vertex outside the middle of a chain"):
         check_tree_invariants(ClusterTree(tuple(verts), tree.num_roots))
 
