@@ -29,13 +29,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+class _Version(argparse.Action):  # argparse's version action, through _emit: a failed write exits 1
+    def __call__(self, parser, *_):
+        _emit([f"condisc {__version__}\n"])
+        parser.exit()
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="condisc",
         description="Exact conductor/discriminant analysis of split hyperelliptic equations "
         "over a discretely valued base",
     )
-    parser.add_argument("--version", action="version", version=f"condisc {__version__}")
+    parser.add_argument("--version", action=_Version, nargs=0, default=argparse.SUPPRESS,
+                        help="show program's version number and exit")
     sub = parser.add_subparsers(dest="command", metavar="{analyze,batch}")
 
     pa = sub.add_parser("analyze", help="analyze one instance file")
@@ -153,11 +160,11 @@ def _cmd_fuzz(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return 1
     try:
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_help()
+            return 1
         if args.command == "analyze":
             return _cmd_analyze(args)
         if args.command == "batch":

@@ -60,6 +60,7 @@ construction, so a failure on them is raised as it is.
 
 Per vertex we track:
 
+* ``children`` -- child ids, each above the vertex's: the tree's one adjacency,
 * ``wt``       -- number of roots in the vertex's disk,
 * ``l_prime``  -- roots that separate here (singleton at the next depth),
 * ``r`` / ``s``-- children of odd / even weight,
@@ -95,7 +96,6 @@ SHORTEST_CUT_CHAIN = 8  # a chain of 6 or 7 vertices keeps a pair two steps from
 class ClusterVertex(NamedTuple):
     id: int
     depth: int
-    parent: int | None
     children: tuple[int, ...]
     wt: int
     l_prime: int
@@ -114,6 +114,10 @@ class ClusterVertex(NamedTuple):
     @property
     def is_leaf(self) -> bool:
         return not self.children
+
+    @property
+    def parent_odd(self) -> bool:  # f_val - wt is the parent's f_val; the root reads even
+        return (self.f_val - self.wt) % 2 == 1
 
 
 class Expansion(NamedTuple):
@@ -162,9 +166,6 @@ class ClusterTree:
         assert v.id == vid
         return v
 
-    def parent_odd(self, v: ClusterVertex) -> bool:
-        return v.parent is not None and self[v.parent].odd
-
     @cached_property
     def expansion(self) -> Expansion:
         """Per-depth ids, ordered by depth and then by smallest member as
@@ -177,11 +178,10 @@ class ClusterTree:
             low[v.id] = min([*v.sep_roots, *[low[c] for c in v.children]])
         lift = [0] * len(verts)  # depth in the per-depth tree less depth in this one
         keys = []
-        for v in verts:
-            if v.parent is not None:
-                p = verts[v.parent]
+        for v in verts:  # a parent precedes its children, so its lift is final
+            for c in v.children:
                 # the child of a pair's second vertex sits below every copy of the pair
-                lift[v.id] = lift[p.id] + (2 * (p.repeat - 1) if p.repeat > v.repeat else 0)
+                lift[c] = lift[v.id] + (2 * (v.repeat - 1) if v.repeat > verts[c].repeat else 0)
             keys += [(v.depth + lift[v.id] + 2 * j, low[v.id], v.id) for j in range(v.repeat)]
         keys.sort()
         rep = [k[2] for k in keys]
@@ -243,7 +243,7 @@ class ClusterTree:
         for fid, (vid, depth, up, kids) in enumerate(zip(exp.rep, exp.depth, parent, children)):
             v = verts[vid]
             out.append(v._replace(
-                id=fid, depth=depth, parent=up, children=tuple(kids), repeat=1,
+                id=fid, depth=depth, children=tuple(kids), repeat=1,
                 f_val=out[up].f_val + v.wt if up is not None else 0,
             ))
         return ClusterTree(tuple(out), self.num_roots, self.nu_df)
@@ -348,10 +348,10 @@ def _off_floor(v, floor: int, i: int, j: int) -> InternalInvariantViolation:
 
 def _grow(pairs: _MatrixPairs | _ResiduePairs, n: int, cut_chains: bool, budget) -> tuple[list[list], int]:
     """Split clusters from a work list, certifying each split; returns the vertex
-    records [depth, smallest member, weight, parent record, sep, child records,
-    repeat], and the sum of the certified valuations over all pairs.  Only the
-    clusters on the work list hold their members."""
-    root: list = [0, 0, n, None, (), [], 1]
+    records [depth, smallest member, weight, f_val (the parent's plus the weight),
+    sep, child records, repeat], and the sum of the certified valuations over
+    all pairs.  Only the clusters on the work list hold their members."""
+    root: list = [0, 0, n, 0, (), [], 1]
     records = [root]
     work = [(root, tuple(range(n)), 0)]  # (record, members ascending, steps cut from the chains above)
     size = 1  # vertices of the per-depth tree so far
@@ -377,7 +377,7 @@ def _grow(pairs: _MatrixPairs | _ResiduePairs, n: int, cut_chains: bool, budget)
         length = floor - top + 1
         cut = length - 6 - length % 2 if cut_chains and length >= SHORTEST_CUT_CHAIN else 0
         for step in range(1, length - cut):
-            link = [depth + step, rec[1], rec[2], rec, (), [], 1 + cut // 2 if step in (2, 3) else 1]
+            link = [depth + step, rec[1], rec[2], rec[3] + rec[2], (), [], 1 + cut // 2 if step in (2, 3) else 1]
             rec[5].append(link)
             records.append(link)
             rec = link
@@ -391,7 +391,7 @@ def _grow(pairs: _MatrixPairs | _ResiduePairs, n: int, cut_chains: bool, budget)
         rec[4] = tuple(cls[0] for cls in classes if len(cls) == 1)
         for cls in classes:
             if len(cls) >= 2:
-                child = [depth + 1, cls[0], len(cls), rec, (), [], 1]
+                child = [depth + 1, cls[0], len(cls), rec[3] + len(cls), (), [], 1]
                 rec[5].append(child)
                 records.append(child)
                 work.append((child, tuple(cls), lift))
@@ -452,14 +452,12 @@ def build_cluster_tree(
     for new, rec in enumerate(records):
         rec.append(new)
     vertices: list[ClusterVertex] = []
-    for new, (depth, _, wt, parent, sep, kids, repeat, _) in enumerate(records):
+    for new, (depth, _, wt, f_val, sep, kids, repeat, _) in enumerate(records):
         r = sum(kid[2] % 2 for kid in kids)
-        pid = parent[7] if parent is not None else None
-        f_val = vertices[pid].f_val + wt if pid is not None else 0
         # positional, in field order: with keyword arguments a vertex costs 1.5 us
         # against 0.65 us (timeit, Python 3.11, 2-vCPU Xeon)
         vertices.append(ClusterVertex(
-            new, depth, pid, tuple([kid[7] for kid in kids]), wt, len(sep), r,
+            new, depth, tuple([kid[7] for kid in kids]), wt, len(sep), r,
             len(kids) - r, len(sep) + r, f_val, f_val % 2 == 1, sep, repeat,
         ))
     return ClusterTree(tuple(vertices), num_roots=n, nu_df=2 * total)
@@ -472,7 +470,7 @@ def equation_discriminant(m: ValuationMatrix) -> int:
     return 2 * sum(sum(row[i + 1:]) for i, row in enumerate(m.entries))
 
 
-def _check_repeats(verts) -> None:
+def _check_repeats(verts, up: list[int | None]) -> None:
     """A vertex with repeat > 1 stands for its copies only as the first of a
     pair of equal repeat with its only child, inside one chain that reaches
     two steps above the pair and two steps below it (see the module docstring).
@@ -480,11 +478,11 @@ def _check_repeats(verts) -> None:
     for v in verts:
         if v.repeat == 1:
             continue
-        if v.repeat > 1 and v.parent is not None and verts[v.parent].repeat == v.repeat:
+        if v.repeat > 1 and up[v.id] is not None and verts[up[v.id]].repeat == v.repeat:
             continue  # second of its pair: checked with the first
         path = [v]
-        while len(path) < 3 and path[0].parent is not None:
-            path.insert(0, verts[path[0].parent])
+        while len(path) < 3 and up[path[0].id] is not None:
+            path.insert(0, verts[up[path[0].id]])
         while len(path) < 6 and len(path[-1].children) == 1:
             path.append(verts[path[-1].children[0]])
         if (
@@ -499,26 +497,40 @@ def check_tree_invariants(tree: ClusterTree) -> None:
     """Structural identities every refinement tree satisfies; bugs raise.
 
     Each vertex's id must equal its position, since the checks below and the
-    per-vertex ledgers index ``tree.vertices`` by id directly.  A vertex's
-    members are its separating roots and its children's members; as each root
-    separates at exactly one vertex, the root holds all roots and the children
-    of a vertex hold disjoint parts of its members."""
+    per-vertex ledgers index ``tree.vertices`` by id directly.  Each vertex but
+    the root is some smaller id's child exactly once, so ``children`` form one
+    tree.  A vertex's members are its separating roots and its children's
+    members; as each root separates at exactly one vertex, the root holds all
+    roots and the children of a vertex hold disjoint parts of its members.  The
+    parity rules read the parent through ``up``, never ``v.parent_odd``, whose
+    identities on ``f_val`` and ``odd`` are checked last."""
     verts, root, n = tree.vertices, tree.root, tree.num_roots
     seen = [False] * n
+    up: list[int | None] = [None] * len(verts)  # parent id, by id
     for pos, v in enumerate(verts):
         if v.id != pos:
             raise InternalInvariantViolation(f"vertex id differs from its position {pos}", vertex=v.id)
+        for c in v.children:
+            if not pos < c < len(verts):
+                raise InternalInvariantViolation(f"child id {c} is out of range or not above its parent's", vertex=v.id)
+            if up[c] is not None:
+                raise InternalInvariantViolation(f"child {c} is named by two vertices", vertex=v.id)
+            up[c] = pos
         for i in v.sep_roots:
             if not 0 <= i < n or seen[i]:
                 raise InternalInvariantViolation(f"root {i} separates at two vertices or is out of range", vertex=v.id)
             seen[i] = True
+    if None in up[1:]:
+        raise InternalInvariantViolation("vertex is not a child of any vertex", vertex=up.index(None, 1))
     if root.depth != 0 or root.wt != n:
         raise InternalInvariantViolation("root must hold all roots at depth 0", vertex=root.id)
+    if root.f_val != 0:
+        raise InternalInvariantViolation("root f_val != 0", vertex=root.id)
     if not all(seen):
         raise InternalInvariantViolation(f"root {seen.index(False)} separates at no vertex", vertex=root.id)
     if root.l % 2 != 0:
         raise InternalInvariantViolation("root must have even l", vertex=root.id)
-    _check_repeats(verts)
+    _check_repeats(verts, up)
     for v in verts:
         if v.wt < 2:
             raise InternalInvariantViolation("vertex weight below 2", vertex=v.id)
@@ -531,8 +543,8 @@ def check_tree_invariants(tree: ClusterTree) -> None:
         if v.r == v.s == 0 and v.wt != v.l_prime:
             raise InternalInvariantViolation("leaf with wt != l_prime", vertex=v.id)
         parent_odd = False
-        if v.parent is not None:
-            p = verts[v.parent]
+        if up[v.id] is not None:
+            p = verts[up[v.id]]
             parent_odd = p.odd
             if v.depth != p.depth + 1:
                 raise InternalInvariantViolation("child depth != parent depth + 1", vertex=v.id)
@@ -540,7 +552,11 @@ def check_tree_invariants(tree: ClusterTree) -> None:
             expect_odd = (v.wt % 2 == 1) if not parent_odd else (v.wt % 2 == 0)
             if v.odd != expect_odd:
                 raise InternalInvariantViolation("child parity contradicts weight parity rule", vertex=v.id)
+            if v.f_val != p.f_val + v.wt:
+                raise InternalInvariantViolation("f_val != parent's f_val + wt", vertex=v.id)
         if not v.odd:
             # an even vertex has odd l exactly when its parent exists and is odd
             if (v.l % 2 == 1) != parent_odd:
                 raise InternalInvariantViolation("even vertex with l parity contradicting parent parity", vertex=v.id)
+        if v.odd != (v.f_val % 2 == 1):
+            raise InternalInvariantViolation("odd != parity of f_val", vertex=v.id)

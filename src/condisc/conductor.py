@@ -61,7 +61,7 @@ def local_artin(v: ClusterVertex, tree: ClusterTree) -> int:
     """Share of the conductor carried by one vertex (closed form)."""
     if not v.odd:
         return (v.l % 2) + 2 * v.r + 2 * v.s
-    base = -2 if not tree.parent_odd(v) else -1
+    base = -2 if not v.parent_odd else -1
     return base - v.r + 3 * v.s + 2 * v.l
 
 
@@ -107,7 +107,7 @@ def compare_vertex(v: ClusterVertex, tree: ClusterTree) -> VertexLedger:
             even_wt2 = even_wt2 and child.wt == 2
     odd = v.odd
     D = local_artin(v, tree)
-    E = _shift(v, v.parent is not None and verts[v.parent].odd, odd_shift)
+    E = _shift(v, v.parent_odd, odd_shift)
     dp = D + E
     closed = 2 * (v.l + v.s) - v.wt * (v.wt - 1) + odd_sq if odd else 2 * v.s + odd_sq
     if dp != closed:
@@ -287,7 +287,7 @@ def _check_shift_identities(tree: ClusterTree, ledgers) -> None:
     for terms, what in (
         ([2 - v.wt * (v.wt - 1) - k if v.odd else -k for v, k in zip(verts, odd_child_shift)], "odd/even weight"),
         ([v.r if v.odd else -(v.l % 2) for v in verts], "parent-parity"),
-        ([v.s - (v.parent is not None and verts[v.parent].odd) if v.odd else 0 for v in verts], "odd-parent count"),
+        ([v.s - v.parent_odd if v.odd else 0 for v in verts], "odd-parent count"),
     ):
         if per_depth_total(terms, tree.repeats) != 0:
             raise InternalInvariantViolation(f"{what} rebalancing does not cancel")

@@ -341,8 +341,7 @@ def detect_nonminimal(tree: ClusterTree) -> list[int]:
         if (
             v.odd
             and v.l_prime == 0
-            and v.parent is not None
-            and not tree[v.parent].odd
+            and not v.parent_odd  # the root is even, so v has a parent
             and len(v.children) == 1
             and not tree[v.children[0]].odd
         ):

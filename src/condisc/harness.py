@@ -104,7 +104,7 @@ def local_disc(v: ClusterVertex, tree: ClusterTree) -> int:
 def local_shift(v: ClusterVertex, tree: ClusterTree) -> int:
     """Rebalancing term E; sums to zero over the whole tree."""
     odd_child_shift = sum(2 - tree[c].wt * (tree[c].wt - 1) for c in v.children if tree[c].odd)
-    return _shift(v, tree.parent_odd(v), odd_child_shift)
+    return _shift(v, v.parent_odd, odd_child_shift)
 
 
 def disc_oracle(inst: Instance) -> int:
@@ -216,6 +216,7 @@ def trees_agree(tree: ClusterTree, oracle: list[OracleVertex]) -> bool:
     The member sets are rebuilt from each vertex's separating roots."""
     tree = tree.expand()
     members = member_sets(tree)
+    up = {c: v.id for v in tree for c in v.children}
     ours = {
         (v.depth, members[v.id]): (
             v.wt,
@@ -225,7 +226,7 @@ def trees_agree(tree: ClusterTree, oracle: list[OracleVertex]) -> bool:
             v.l,
             v.f_val,
             v.odd,
-            members[v.parent] if v.parent is not None else None,
+            members[up[v.id]] if v.id in up else None,
         )
         for v in tree
     }

@@ -186,6 +186,7 @@ def test_criterion_8_validation_gates(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(condisc.conductor, "_shift",
                             lambda v, parent_odd, shift: true_formula(v, parent_odd, shift) + 1)
         assert main(["analyze", str(ok)]) == 2
-        assert "internal invariant violation" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("internal invariant violation") and "D + E disagrees with the closed form of D'" in err
         monkeypatch.undo()
         assert main(["analyze", str(ok)]) == 0

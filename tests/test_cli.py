@@ -112,11 +112,12 @@ def test_injected_invariant_violation_exit_two(fixture_a_file, capsys, monkeypat
     true_formula = condisc.conductor.local_artin
 
     def corrupted(v, tree):
-        return true_formula(v, tree) + (2 if v.parent is None else 0)
+        return true_formula(v, tree) + (2 if v.depth == 0 else 0)
 
     monkeypatch.setattr(condisc.conductor, "local_artin", corrupted)
     assert main(["analyze", str(fixture_a_file)]) == 2
-    assert "internal invariant violation" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("internal invariant violation") and "D + E disagrees with the closed form of D'" in err
 
 
 def test_dot_export_deterministic(fixture_a_file, tmp_path, capsys):
@@ -658,8 +659,9 @@ def _write_failure_inputs(tmp_path):
     (["batch", "dir"], "pipe", None, "Broken pipe"),
     (["batch", "dir"], "/dev/full", None, "No space left on device"),
     (["fuzz", "--trials", "3"], "/dev/full", None, "No space left on device"),
+    (["--version"], "/dev/full", None, "No space left on device"),
 ], ids=["json-to-closed-pipe", "text-to-closed-pipe", "to-full-disk", "unencodable-label",
-        "batch-to-closed-pipe", "batch-to-full-disk", "fuzz-to-full-disk"])
+        "batch-to-closed-pipe", "batch-to-full-disk", "fuzz-to-full-disk", "version-to-full-disk"])
 def test_output_that_cannot_be_written_exits_one_with_one_line(tmp_path, argv, sink, encoding, needle):
     import os
     import subprocess

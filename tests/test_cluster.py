@@ -19,6 +19,7 @@ from condisc import (
     validate_ultrametric,
 )
 from condisc.harness import (
+    GenSpec,
     default_specs,
     disc_oracle,
     gen_instance,
@@ -77,7 +78,7 @@ def test_fixture_c_tree(fixture_c):
     c2 = by_members(tree, {0, 1}, 2)
     assert (c1.parity, c1.l_prime, c1.s, c1.l, c1.f_val) == ("even", 0, 1, 0, 2)
     assert (c2.parity, c2.l_prime, c2.l, c2.f_val) == ("even", 2, 2, 4)
-    assert c1.parent == root.id and c2.parent == c1.id
+    assert c1.id in root.children and c2.id in c1.children
     check_tree_invariants(tree)
 
 
@@ -294,6 +295,33 @@ def test_separating_roots_that_do_not_partition_the_roots_rejected(fixture_a, ed
     verts = list(tree.vertices)
     for vid, sep in edit.items():
         verts[vid] = verts[vid]._replace(sep_roots=sep)
+    with pytest.raises(InternalInvariantViolation, match=message):
+        check_tree_invariants(ClusterTree(tuple(verts), tree.num_roots))
+
+
+# GenSpec(seed=5, p=3, genus=3, max_depth=2, chain_prob=0.3): vertex 0 has children 1 and 2
+# (both odd, depth 1), which have one child each, 3 and 4; 5 is 3's child
+@pytest.mark.parametrize("edit, message", [
+    ({2: {"children": (3, 4)}}, r"child 3 is named by two vertices \(at vertex 2\)"),
+    ({2: {"children": ()}}, r"vertex is not a child of any vertex \(at vertex 4\)"),
+    ({1: {"children": ()}, 4: {"children": (3,)}},
+     r"child id 3 is out of range or not above its parent's \(at vertex 4\)"),
+    ({4: {"children": (6,)}}, r"child id 6 is out of range or not above its parent's \(at vertex 4\)"),
+    ({0: {"f_val": 2}}, r"root f_val != 0 \(at vertex 0\)"),
+    ({5: {"f_val": 13}}, r"f_val != parent's f_val \+ wt \(at vertex 5\)"),  # parity still agrees
+    ({0: {"odd": True}}, r"odd != parity of f_val \(at vertex 0\)"),
+    # the children of the equal-parity siblings 1 and 2 swapped: depths and parities still agree
+    ({1: {"children": (4,)}, 2: {"children": (3,)}}, r"wt != l_prime \+ sum of child weights \(at vertex 1\)"),
+], ids=["named-twice", "orphan", "child-before-parent", "child-out-of-range", "root-f_val", "f_val-off-by-2",
+        "odd-not-f_val-parity", "swapped-children"])
+def test_children_that_do_not_form_the_tree_rejected(edit, message):
+    tree = build_cluster_tree(build_matrix(gen_instance(GenSpec(seed=5, p=3, genus=3, max_depth=2, chain_prob=0.3))))
+    assert [v.children for v in tree] == [(1, 2), (3,), (4,), (5,), (), ()]
+    assert [v.f_val for v in tree] == [0, 5, 3, 9, 6, 11]
+    check_tree_invariants(tree)
+    verts = list(tree.vertices)
+    for vid, fields in edit.items():
+        verts[vid] = verts[vid]._replace(**fields)
     with pytest.raises(InternalInvariantViolation, match=message):
         check_tree_invariants(ClusterTree(tuple(verts), tree.num_roots))
 

@@ -176,7 +176,8 @@ def test_detect_nonminimal(fixture_a, fixture_b, fixture_c):
     assert len(flagged) == 1
     v = tree[flagged[0]]
     assert v.odd and v.l_prime == 0 and len(v.children) == 1
-    assert not tree[v.parent].odd and not tree[v.children[0]].odd
+    parent = next(u for u in tree if v.id in u.children)
+    assert not parent.odd and not tree[v.children[0]].odd
     # the flagged chain carries the contractible rational curve
     _, y, x = graphs_of(make(NON_MINIMAL))
     si = self_intersections(x)

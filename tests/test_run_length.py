@@ -141,7 +141,7 @@ def test_repeat_outside_the_middle_of_a_chain_rejected():
     verts = [v._replace(repeat=1) for v in tree]
     for vid in (first - 1, first):
         verts[vid] = verts[vid]._replace(repeat=4)
-    assert tree[tree[first - 1].parent].parent == tree.root.id
+    assert any(first - 1 in tree[c].children for c in tree.root.children)  # two steps below the root
     with pytest.raises(InternalInvariantViolation, match="repeated vertex outside the middle of a chain"):
         check_tree_invariants(ClusterTree(tuple(verts), tree.num_roots))
 
