@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 invalid input or output that cannot be written, 2
-internal invariant violation or any other unexpected error (a bug in the
-analyzer, not a property of the input).
+Exit codes: 0 success, 1 invalid input, output that cannot be written or
+running out of memory, 2 internal invariant violation or any other unexpected
+error (a bug in the analyzer, not a property of the input).
 """
 
 from __future__ import annotations
@@ -131,6 +131,10 @@ def _cmd_batch(args) -> int:
                 failures += 1
                 print(f"{path.name}: {exc}", file=sys.stderr)
                 continue
+            except MemoryError:  # a limit of the input and the machine, not a bug
+                failures += 1
+                print(f"{path.name}: out of memory", file=sys.stderr)
+                continue
             except Exception as exc:  # an analyzer bug: count it against this file and go on to the next
                 invariant_trips += 1
                 print(f"{path.name}: INTERNAL: {_describe(exc)}", file=sys.stderr)
@@ -179,6 +183,9 @@ def main(argv=None) -> int:
             with suppress(OSError):  # a stdout with no file descriptor
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write output: {exc.__cause__}", file=sys.stderr)
+        return 1
+    except MemoryError:  # a limit of the input and the machine, not a bug
+        print("error: out of memory", file=sys.stderr)
         return 1
     except Exception as exc:  # an analyzer bug, whatever its type: exit 2, never a traceback
         print(f"internal invariant violation: {_describe(exc)}", file=sys.stderr)

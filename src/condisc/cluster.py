@@ -49,14 +49,12 @@ then costs the size of its cluster.  When the check passes, the valuations
 equal the ultrametric of the tree, which proves them ultrametric (a matrix is
 ultrametric exactly when it equals the ultrametric of its single-linkage
 tree; Gower and Ross, 1969), and ``nu_df`` is twice their sum: twice the sum
-over splits of the floor times the pairs the split separates.  When a matrix
-fails the loop -- a pair that disagrees, the vertex budget, an infinite
-valuation inside a cluster -- the loop runs again with chains cut and no
-budget, in O(n^2), and decides whether the matrix is ultrametric; only if it
-is not does the O(n^3) triple scan
-:func:`~condisc.valuation.validate_ultrametric` run, and its verdict, listing
-every violating triple, takes precedence.  Residues are ultrametric by
-construction, so a failure on them is raised as it is.
+over splits of the floor times the pairs the split separates.  The loop runs
+once, to the end of the cut tree.  When a matrix fails it, the O(n^3) triple
+scan :func:`~condisc.valuation.validate_ultrametric` names every violating
+triple; a failure the scan does not explain, or one on residues (ultrametric
+by construction), is a bug and is raised as it is.  Only then is the vertex
+budget decided, on the finished cut tree: O(n) vertices whatever the valuations.
 
 Per vertex we track:
 
@@ -346,16 +344,18 @@ def _off_floor(v, floor: int, i: int, j: int) -> InternalInvariantViolation:
     return InternalInvariantViolation(f"valuation {v} differs from the split depth {floor}", vertex=(i, j))
 
 
-def _grow(pairs: _MatrixPairs | _ResiduePairs, n: int, cut_chains: bool, budget) -> tuple[list[list], int]:
+def _grow(pairs: _MatrixPairs | _ResiduePairs, n: int, cut_chains: bool) -> tuple[list[list], int, str | None]:
     """Split clusters from a work list, certifying each split; returns the vertex
     records [depth, smallest member, weight, f_val (the parent's plus the weight),
-    sep, child records, repeat], and the sum of the certified valuations over
-    all pairs.  Only the clusters on the work list hold their members."""
+    sep, child records, repeat], the sum of the certified valuations over all pairs,
+    and the budget message of the first cluster that takes the per-depth tree past
+    TREE_VERTEX_BUDGET, or None.  Only the clusters on the work list hold members."""
     root: list = [0, 0, n, 0, (), [], 1]
     records = [root]
     work = [(root, tuple(range(n)), 0)]  # (record, members ascending, steps cut from the chains above)
     size = 1  # vertices of the per-depth tree so far
     total = 0
+    over = None
     while work:
         rec, members, lift = work.pop()
         depth = rec[0]
@@ -365,9 +365,9 @@ def _grow(pairs: _MatrixPairs | _ResiduePairs, n: int, cut_chains: bool, budget)
         floor = pairs.floor(members)
         if floor is INFINITY:
             raise InternalInvariantViolation("infinite valuation inside a cluster", vertex=members)
-        if size + floor - top > budget:
-            raise InstanceError(
-                f"the refinement tree would exceed its budget of {budget} vertices "
+        if over is None and size + floor - top > TREE_VERTEX_BUDGET:
+            over = (
+                f"the refinement tree would exceed its budget of {TREE_VERTEX_BUDGET} vertices "
                 f"(TREE_VERTEX_BUDGET): {len(members)} roots stay together from depth {top} to {floor}"
             )
         size += floor - top
@@ -396,7 +396,7 @@ def _grow(pairs: _MatrixPairs | _ResiduePairs, n: int, cut_chains: bool, budget)
                 records.append(child)
                 work.append((child, tuple(cls), lift))
                 size += 1
-    return records, total
+    return records, total, over
 
 
 def build_cluster_tree(
@@ -415,14 +415,13 @@ def build_cluster_tree(
     per-depth tree.  The tree's ``nu_df`` is twice the sum of the certified
     pair valuations.
 
-    The ultrametric rule is certified while the tree grows: see the module
-    docstring.  When a matrix fails the loop, the certificate runs again with
-    chains cut and no budget; if that fails too, :func:`validate_ultrametric`
-    runs, so a matrix that is not ultrametric always gets the scan's
-    :class:`UltrametricViolationError`, whatever else is wrong with it.  A
-    matrix must be symmetric, as ``check_shape`` ensures.  Residues are
-    ultrametric by construction: roots mode builds no matrix, also when it
-    is rejected.
+    The certificate runs once, with chains cut (see the module docstring).  A
+    violation :func:`validate_ultrametric` confirms is an
+    :class:`UltrametricViolationError`, whatever else is wrong with the
+    matrix; otherwise the budget is decided on the finished cut tree, and
+    ``cut_chains=False`` grows the tree again without cuts.  A matrix must be
+    symmetric, as ``check_shape`` ensures.  Roots mode builds no matrix, also
+    when it is rejected.
     """
     n = source.n
     if n % 2 != 0:
@@ -433,18 +432,17 @@ def build_cluster_tree(
         raise TooFewRootsError(n)
     pairs = _MatrixPairs(source) if isinstance(source, ValuationMatrix) else _ResiduePairs(source)
     try:
-        records, total = _grow(pairs, n, cut_chains, TREE_VERTEX_BUDGET)
-    except (InstanceError, InternalInvariantViolation) as failure:
+        records, total, over = _grow(pairs, n, True)
+    except InternalInvariantViolation:
         if isinstance(pairs, _MatrixPairs):
-            # the certificate with chains cut and no vertex budget: O(n^2) and O(n)
-            # vertices, so it decides ultrametricity where the budget stopped the build
-            try:
-                _grow(pairs, n, True, INFINITY)
-            except InternalInvariantViolation:
-                verdict = validate_ultrametric(source)
-                if not verdict.ok:
-                    raise UltrametricViolationError(verdict.violations) from None
-        raise failure
+            verdict = validate_ultrametric(source)
+            if not verdict.ok:
+                raise UltrametricViolationError(verdict.violations) from None
+        raise
+    if over is not None:
+        raise InstanceError(over)
+    if not cut_chains:  # certified and within budget: the per-depth tree
+        records, total, _ = _grow(pairs, n, False)
 
     # canonical ids: sort by (depth, smallest member), so a parent precedes its
     # children and siblings keep their class order; each id goes in slot 7.
@@ -536,8 +534,15 @@ def check_tree_invariants(tree: ClusterTree) -> None:
             raise InternalInvariantViolation("vertex weight below 2", vertex=v.id)
         if v.l_prime != len(v.sep_roots):
             raise InternalInvariantViolation("l_prime != number of separating roots", vertex=v.id)
-        if v.wt != v.l_prime + sum(verts[c].wt for c in v.children):
+        weights = [verts[c].wt for c in v.children]
+        if v.wt != v.l_prime + sum(weights):
             raise InternalInvariantViolation("wt != l_prime + sum of child weights", vertex=v.id)
+        if v.r != sum(w % 2 for w in weights):
+            raise InternalInvariantViolation("r != number of odd-weight children", vertex=v.id)
+        if v.s != len(weights) - v.r:
+            raise InternalInvariantViolation("s != number of children - r", vertex=v.id)
+        if v.l != v.l_prime + v.r:
+            raise InternalInvariantViolation("l != l_prime + r", vertex=v.id)
         if v.wt < v.l_prime + 3 * v.r + 2 * v.s:
             raise InternalInvariantViolation("wt < l_prime + 3r + 2s", vertex=v.id)
         if v.r == v.s == 0 and v.wt != v.l_prime:

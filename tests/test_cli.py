@@ -239,6 +239,28 @@ def test_unexpected_error_exits_two_with_one_line(fixture_a_file, capsys, monkey
     assert captured.err == f"internal invariant violation: {type(error).__name__}: {error}\n"
 
 
+@pytest.mark.parametrize("command", ["analyze", "batch"])
+def test_running_out_of_memory_exits_one_with_one_line(tmp_path, capsys, monkeypatch, command):
+    for fx in (FIXTURE_A, FIXTURE_B, FIXTURE_C):
+        write_instance(tmp_path / f"{fx['label']}.json", fx)
+    true_analyze = condisc.cli.analyze
+
+    def analyze(source, **kwargs):
+        if kwargs["label"] == "fixtureB":
+            raise MemoryError
+        return true_analyze(source, **kwargs)
+
+    monkeypatch.setattr(condisc.cli, "analyze", analyze)
+    if command == "analyze":
+        assert main(["analyze", str(tmp_path / "fixtureB.json")]) == 1
+        assert capsys.readouterr() == ("", "error: out of memory\n")
+    else:  # batch counts the file as invalid and goes on
+        assert main(["batch", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert [json.loads(l)["label"] for l in captured.out.splitlines()] == ["fixtureA", "fixtureC"]
+        assert captured.err == "fixtureB.json: out of memory\nbatch: 1 invalid, 0 internal failures out of 3 files\n"
+
+
 def test_batch_labels_an_unlabelled_file_by_its_name(tmp_path, capsys):
     doc = {"mode": "roots", "p": FIXTURE_A["p"], "roots": FIXTURE_A["roots"]}
     (tmp_path / "nameless.json").write_text(json.dumps(doc))

@@ -31,7 +31,7 @@ from condisc.harness import (
 )
 from condisc.valuation import UltrametricVerdict
 
-from conftest import DEEP_PAIR, FIXTURE_C, make
+from conftest import DEEP_PAIR, FIXTURE_C, cluster_rows, make
 
 
 def tree_of(inst: Instance):
@@ -189,12 +189,29 @@ def test_vertex_budget_bounds_the_tree(monkeypatch):
         build_cluster_tree(m)
 
 
-def test_budget_rejection_of_a_wide_ultrametric_matrix_skips_the_triple_scan(monkeypatch):
-    # the certificate, run again without the budget, decides ultrametricity in O(n^2)
+def test_the_budget_names_the_first_cluster_past_it(monkeypatch):
+    # {0, 1} stay together to depth 9 and {2, 3} to depth 7; the work list reaches {2, 3} first,
+    # and the build goes on past it to certify the rest
+    m = cluster_rows(6, [((0, 1), 9), ((2, 3), 7)])
+    monkeypatch.setattr(condisc.cluster, "TREE_VERTEX_BUDGET", 7)
+    with pytest.raises(InstanceError) as err:
+        build_cluster_tree(matrix_from_rows(m))
+    assert str(err.value) == (
+        "the refinement tree would exceed its budget of 7 vertices (TREE_VERTEX_BUDGET): "
+        "2 roots stay together from depth 1 to 7"
+    )
+
+
+def _wide_matrix_past_the_budget():  # 300 roots, of which 0 and 1 stay together to depth 2 * 10**6
     n = 300
     rows = [[None if i == j else 0 for j in range(n)] for i in range(n)]
     rows[0][1] = rows[1][0] = 2 * 10**6
-    m = matrix_from_rows(rows)
+    return matrix_from_rows(rows)
+
+
+def test_budget_rejection_of_a_wide_ultrametric_matrix_skips_the_triple_scan(monkeypatch):
+    # the certificate passes on the cut tree, O(n^2), before the budget is decided
+    m = _wide_matrix_past_the_budget()
     start = time.perf_counter()
     with pytest.raises(InstanceError, match="budget of 1000000 vertices"):
         build_cluster_tree(m)
@@ -268,9 +285,51 @@ def test_certificate_mismatch_under_a_clean_scan_is_internal(monkeypatch):
              [0, 0, 0, 0, None, 0],
              [0, 0, 0, 0, 0, None]]
         ))
-    # a failure the scan does not explain is raised as it is
-    with pytest.raises(InstanceError, match="budget"):
+    # a failure the scan does not explain is raised as it is, even past the vertex budget
+    with pytest.raises(InternalInvariantViolation, match="differs from the split depth"):
         build_cluster_tree(_violation_beside_a_long_chain())
+
+
+def _counting_grow(monkeypatch):
+    calls = []
+    grow = condisc.cluster._grow
+
+    def counted(*args):
+        calls.append(args[2])  # cut_chains
+        return grow(*args)
+
+    monkeypatch.setattr(condisc.cluster, "_grow", counted)
+    return calls
+
+
+def _six_roots_with_a_cut_chain():  # {0, 1} stay together to depth 12: a chain the cut shortens
+    return matrix_from_rows(cluster_rows(6, [((0, 1), 12)]))
+
+
+@pytest.mark.parametrize("case", ["accepted", "over-budget", "not-ultrametric", "roots-over-budget"])
+def test_the_certificate_runs_once_per_build(monkeypatch, case):
+    calls = _counting_grow(monkeypatch)
+    if case == "accepted":
+        assert len(build_cluster_tree(_six_roots_with_a_cut_chain())) == 7
+    elif case == "over-budget":
+        monkeypatch.setattr(condisc.cluster, "validate_ultrametric", lambda m: pytest.fail("triple scan ran"))
+        with pytest.raises(InstanceError, match="budget of 1000000 vertices"):
+            build_cluster_tree(_wide_matrix_past_the_budget())
+    elif case == "not-ultrametric":
+        with pytest.raises(UltrametricViolationError, match=r"triples \(0, 1, 2\)$"):
+            build_cluster_tree(_violation_beside_a_long_chain())
+    else:
+        monkeypatch.setattr(condisc.cluster, "TREE_VERTEX_BUDGET", 7)
+        with pytest.raises(InstanceError, match="budget of 7 vertices"):
+            condisc.conductor.analyze(Instance.from_values(3, (0, 3**7, 1, 2, 4, 5)))
+    assert calls == [True]
+
+
+def test_the_per_depth_tree_is_grown_after_one_certified_cut_pass(monkeypatch):
+    calls = _counting_grow(monkeypatch)
+    tree = build_cluster_tree(_six_roots_with_a_cut_chain(), cut_chains=False)
+    assert calls == [True, False]
+    assert len(tree) == 13 and tree == build_cluster_tree(_six_roots_with_a_cut_chain()).expand()
 
 
 def test_ids_out_of_position_rejected(fixture_a):
@@ -322,6 +381,21 @@ def test_children_that_do_not_form_the_tree_rejected(edit, message):
     verts = list(tree.vertices)
     for vid, fields in edit.items():
         verts[vid] = verts[vid]._replace(**fields)
+    with pytest.raises(InternalInvariantViolation, match=message):
+        check_tree_invariants(ClusterTree(tuple(verts), tree.num_roots))
+
+
+# the same seed-5 tree: the root has r = 2 (children of weights 5 and 3), s = 0 and l = l_prime + r = 2
+@pytest.mark.parametrize("fields, message", [
+    ({"r": 0, "s": 2, "l": 0}, r"r != number of odd-weight children \(at vertex 0\)"),
+    ({"s": 1}, r"s != number of children - r \(at vertex 0\)"),
+    ({"l": 4}, r"l != l_prime \+ r \(at vertex 0\)"),  # still even, as the root's l must be
+], ids=["r", "s", "l"])
+def test_child_counts_that_disagree_with_the_children_rejected(fields, message):
+    tree = build_cluster_tree(build_matrix(gen_instance(GenSpec(seed=5, p=3, genus=3, max_depth=2, chain_prob=0.3))))
+    root = tree.root
+    assert (root.l_prime, root.r, root.s, root.l) == (0, 2, 0, 2)
+    verts = [root._replace(**fields), *tree.vertices[1:]]
     with pytest.raises(InternalInvariantViolation, match=message):
         check_tree_invariants(ClusterTree(tuple(verts), tree.num_roots))
 
