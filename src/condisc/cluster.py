@@ -258,15 +258,19 @@ def per_depth_total(terms, repeats: dict) -> int:
 
 
 class _MatrixPairs:
-    """Pair valuations read from a valuation matrix."""
+    """Pair valuations read from a valuation matrix.
+
+    A row's entries for many members are read at once, through
+    :func:`operator.itemgetter`, and compared with the floor by
+    ``tuple.count``: the floor and the certificate take one Python step per
+    member of a split, and the n^2 entries they read are compared in C."""
 
     def __init__(self, m: ValuationMatrix) -> None:
         self.entries = m.entries
 
     def floor(self, members: tuple[int, ...]):
         """The least v(b_i - b_j) from the first member i to a later member j."""
-        row = self.entries[members[0]]
-        return min([row[j] for j in members[1:]])
+        return min(_getter(members[1:])(self.entries[members[0]]))
 
     def split(self, members: tuple[int, ...], floor: int) -> list[list[int]]:
         """The classes of m >= floor + 1, ordered by smallest member, after
@@ -283,13 +287,24 @@ class _MatrixPairs:
                 classes.append([i])
         later: list[int] = []
         for cls in reversed(classes):
-            for i in cls:
-                row = entries[i]
-                if [row[j] for j in later].count(floor) != len(later):
-                    j = next(j for j in later if row[j] != floor)
-                    raise _off_floor(row[j], floor, i, j)
+            if later:
+                get = _getter(later)
+                for i in cls:
+                    row = entries[i]
+                    if get(row).count(floor) != len(later):
+                        j = next(j for j in later if row[j] != floor)
+                        raise _off_floor(row[j], floor, i, j)
             later += cls
         return classes
+
+
+def _getter(indices: Sequence[int]):
+    """``itemgetter(*indices)``, but a tuple also for one index, where
+    itemgetter returns the bare item."""
+    if len(indices) == 1:
+        j = indices[0]
+        return lambda row: (row[j],)
+    return itemgetter(*indices)
 
 
 class _ResiduePairs:

@@ -22,6 +22,8 @@ the instance it returns (a matrix's entries through ``check_shape``).
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,20 +40,38 @@ _REQUIRED = {
 }
 
 
+_ECHO_CHARS = 40  # of a root too long to read, echoed in the message that rejects it
+
+
 def _parse_root(raw, index: int) -> Fraction:
     if isinstance(raw, bool):
         raise InstanceError(f"root {index} must be an integer or a decimal string, got {raw!r}")
     if isinstance(raw, int):
         return Fraction(raw)
-    if isinstance(raw, str):
-        # Fraction("1e10000000") computes 10**10000000: its cost is not bounded by the string's length
-        if "e" in raw or "E" in raw:
-            raise InstanceError(f"root {index} must not use exponent notation: {raw!r}")
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InstanceError(f"root {index} is not a decimal integer or fraction: {raw!r}") from exc
-    raise InstanceError(f"root {index} must be an integer or a decimal string, got {type(raw).__name__}")
+    if not isinstance(raw, str):
+        raise InstanceError(f"root {index} must be an integer or a decimal string, got {type(raw).__name__}")
+    # Fraction("1e10000000") computes 10**10000000: its cost is not bounded by the string's length
+    if "e" in raw or "E" in raw:
+        raise InstanceError(f"root {index} must not use exponent notation: {raw!r}")
+    num, slash, den = raw.partition("/")
+    try:
+        # ASCII "-?digits" or "-?digits/digits" is read by int(), without Fraction's regex
+        if raw.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InstanceError(_bad_root(raw, index)) from exc
+
+
+def _bad_root(raw: str, index: int) -> str:
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    digits = max((len(run) - run.count("_") for run in re.findall(r"[\d_]+", raw)), default=0)
+    if limit and digits > limit:
+        return (
+            f"root {index} has {digits} digits in a row ({len(raw)} characters), more than the {limit} "
+            f"this interpreter reads as an integer (PYTHONINTMAXSTRDIGITS): {raw[:_ECHO_CHARS]!r}..."
+        )
+    return f"root {index} is not a decimal integer or fraction: {raw!r}"
 
 
 def parse_instance_dict(data) -> Instance | ValuationMatrix:

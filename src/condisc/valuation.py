@@ -9,16 +9,20 @@ the refinement tree reads each valuation it needs from two residues; no
 ``n x n`` matrix is built.  In matrix mode the valuation matrix
 ``m.entries[i][j] = v(b_i - b_j)`` is the input: hand-written ultrametric
 matrices are a first-class input mode, :func:`matrix_from_rows` converts raw
-rows, and ``analyze`` checks every entry, once.  :func:`build_matrix` computes
-the matrix of an instance, as a second route that tests compare with the
-first.
+rows, and ``analyze`` checks every entry, once, through
+:meth:`ValuationMatrix.check_shape`.  Both read the n x n entries in builtins
+(``list``, ``zip``, ``map``, ``min``, ``in``), a pass per property with O(n)
+Python steps, and fall back to an entry-by-entry loop only for the rows or
+matrices that need it.  :func:`build_matrix` computes the matrix of an
+instance, as a second route that tests compare with the first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import inf, isqrt, lcm, log2
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DuplicateRootsError, InstanceError
@@ -203,14 +207,30 @@ class ValuationMatrix(NamedTuple):
         ``bool``); then, if its transpose (j, i) differs from it, the transpose
         for the same defects, and last the pair for symmetry.
 
-        Each row is tested whole, with builtins: equal to its column, only
-        ``int`` off the diagonal, and a nonnegative minimum.  Only a row that
-        fails is scanned entry by entry, to name its first defect."""
-        n = self.n
-        for i, row in enumerate(self.entries):
+        The whole matrix is tested first, with builtins and O(n) Python steps:
+        every row has length n, every entry off the diagonal has type ``int``
+        exactly, the diagonal is INFINITY, the matrix equals its transpose and
+        its upper triangle's minimum is nonnegative.  Such a matrix has none of
+        the defects above.  The types are read in both triangles: a ``True``
+        or ``1.0`` below the diagonal equals its ``1`` above it.  Only a matrix
+        that fails the test is scanned, in the order above, to name its first
+        defect: each row is tested whole in the same way, and a row that fails
+        is scanned entry by entry.  The scan also accepts what the test turns
+        down without a defect, such as an entry of a subclass of ``int``."""
+        entries, n = self.entries, self.n
+        rows = tuple(map(tuple, entries))
+        if (
+            set(map(len, entries)) <= {n}
+            and list(map(type, chain.from_iterable(rows))).count(int) == n * n - n
+            and all(row[i] is INFINITY for i, row in enumerate(rows))
+            and rows == tuple(zip(*rows))
+            and min(chain.from_iterable(row[i + 1:] for i, row in enumerate(rows)), default=0) >= 0
+        ):
+            return
+        for i, row in enumerate(entries):
             if len(row) != n:
                 raise InstanceError(f"matrix row {i} has length {len(row)}, expected {n}")
-        for i, (row, col) in enumerate(zip(self.entries, zip(*self.entries))):
+        for i, (row, col) in enumerate(zip(entries, zip(*entries))):
             if row[i] is not INFINITY:
                 raise InstanceError(f"matrix diagonal entry ({i}, {i}) must be null/INFINITY")
             if tuple(row) == col and set(map(type, row[:i] + row[i + 1:])) <= {int} and min(row) >= 0:
@@ -242,6 +262,9 @@ class Residues(NamedTuple):
         return len(self.values)
 
 
+_NUM_DEN = attrgetter("numerator", "denominator")
+
+
 def residues(inst: Instance) -> Residues:
     """Reduce each p-integral root a/b once to a * b^-1 mod p^K, after
     rejecting duplicate roots.
@@ -252,19 +275,21 @@ def residues(inst: Instance) -> Residues:
     two residues is congruent to the roots' difference mod p^K, so it has the
     same valuation, and distinct roots have distinct residues.  Cost O(n)
     reductions of numbers of the input's size."""
-    p, roots = inst.p, inst.roots
-    where: dict[Fraction, list[int]] = {}
-    for i, r in enumerate(roots):
-        where.setdefault(r, []).append(i)
-    if len(where) < len(roots):
+    p = inst.p
+    # a Fraction is kept in lowest terms, so equal roots have equal pairs; a
+    # tuple of ints hashes in C, where Fraction.__hash__ is Python code
+    fracs = list(map(_NUM_DEN, inst.roots))
+    if len(set(fracs)) < len(fracs):
+        where: dict[tuple[int, int], list[int]] = {}
+        for i, r in enumerate(fracs):
+            where.setdefault(r, []).append(i)
         raise DuplicateRootsError(sorted(pair for idx in where.values() for pair in combinations(idx, 2)))
-    bound = 2 * max((abs(r.numerator) for r in roots), default=1) * max((r.denominator for r in roots), default=1)
+    bound = 2 * max((abs(a) for a, _ in fracs), default=1) * max((b for _, b in fracs), default=1)
     k = max(1, int(bound.bit_length() / log2(p)))  # at most the least K, so few steps follow
     pk = p**k
     while pk <= bound:
         pk *= p
-    values = tuple(r.numerator % pk if r.denominator == 1 else r.numerator * pow(r.denominator, -1, pk) % pk
-                   for r in roots)
+    values = tuple(a % pk if b == 1 else a * pow(b, -1, pk) % pk for a, b in fracs)
     return Residues(p, values)
 
 
@@ -331,5 +356,17 @@ def validate_ultrametric(m: ValuationMatrix) -> UltrametricVerdict:
 
 
 def matrix_from_rows(rows: Sequence[Sequence]) -> ValuationMatrix:
-    """Convert raw rows, ``None`` becoming INFINITY; ``analyze`` checks the result."""
-    return ValuationMatrix(tuple(tuple(INFINITY if e is None else e for e in row) for row in rows))
+    """Convert raw rows, ``None`` becoming INFINITY; ``analyze`` checks the result.
+
+    Each row is copied whole with ``list`` and its diagonal ``None``, where
+    a file has it, set to INFINITY; only a row that still holds a ``None``
+    after that (``in``, a scan in C) is converted entry by entry."""
+    out = []
+    for i, row in enumerate(rows):
+        row = list(row)
+        if i < len(row) and row[i] is None:
+            row[i] = INFINITY
+        if None in row:
+            row = [INFINITY if e is None else e for e in row]
+        out.append(tuple(row))
+    return ValuationMatrix(tuple(out))

@@ -385,6 +385,8 @@ def _inject(rows, kind, i, j):
     """One defect of `kind` at (i, j), i != j; a value is written to both (i, j) and (j, i)."""
     if kind == "diagonal":
         rows[i][i] = 0
+    elif kind == "diagonal-inf":  # a float inf, as a file's Infinity reads, is not INFINITY itself
+        rows[i][i] = float("inf")
     elif kind == "asymmetric":
         rows[i][j] += 1
     elif kind == "short":
@@ -397,6 +399,7 @@ def _inject(rows, kind, i, j):
 
 DEFECTS = {  # kind -> the message check_shape gives for it, at (a, b) = (min(i, j), max(i, j))
     "diagonal": "matrix diagonal entry ({i}, {i}) must be null/INFINITY",
+    "diagonal-inf": "matrix diagonal entry ({i}, {i}) must be null/INFINITY",
     "null": "duplicate roots at indices ({a}, {b})",
     "bool": "matrix entry ({a}, {b}) must be a nonnegative integer, got True",
     "float": "matrix entry ({a}, {b}) must be a nonnegative integer, got ",
@@ -408,24 +411,101 @@ DEFECTS = {  # kind -> the message check_shape gives for it, at (a, b) = (min(i,
 }
 
 
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("kind", sorted(DEFECTS))
-def test_file_and_api_reject_a_bad_matrix_entry_alike(tmp_path, capsys, kind, seed):
-    rng = random.Random(f"{kind}-{seed}")
-    n = rng.randint(6, 60)
-    matrix = build_matrix(Instance.from_values(3, rng.sample(range(3**6), n)))
-    rows = [[None if e is INFINITY else e for e in row] for row in matrix.entries]
-    i, j = rng.sample(range(n), 2)
-    _inject(rows, kind, i, j)
+def _rejected_alike(tmp_path, capsys, rows) -> str:
+    """The message `analyze` rejects `rows` with, after checking that the file of
+    `rows` exits 1 with the same one."""
     with pytest.raises(InstanceError) as api:
         analyze(matrix_from_rows(rows))
     message = str(api.value)
-    assert message.startswith(DEFECTS[kind].format(i=i, a=min(i, j), b=max(i, j), short=n - 1, n=n))
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"mode": "matrix", "valuations": rows}))
     assert main(["analyze", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+    return message
+
+
+def _valid_rows(rng, n):
+    matrix = build_matrix(Instance.from_values(3, rng.sample(range(3**6), n)))
+    return [[None if e is INFINITY else e for e in row] for row in matrix.entries]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", sorted(DEFECTS))
+def test_file_and_api_reject_a_bad_matrix_entry_alike(tmp_path, capsys, kind, seed):
+    rng = random.Random(f"{kind}-{seed}")
+    n = rng.randint(6, 60)
+    rows = _valid_rows(rng, n)
+    i, j = rng.sample(range(n), 2)
+    # the defect at a random place, then in the first and in the last row
+    for i, j in ((i, j), (0, rng.randrange(1, n)), (n - 1, rng.randrange(n - 1))):
+        bad = copy.deepcopy(rows)
+        _inject(bad, kind, i, j)
+        message = _rejected_alike(tmp_path, capsys, bad)
+        assert message.startswith(DEFECTS[kind].format(i=i, a=min(i, j), b=max(i, j), short=n - 1, n=n))
+
+
+def _two_defects(rows, case):
+    if case == "short-row-after-bad-entry":  # every row's length is checked first
+        rows[1][2] = rows[2][1] = "x"
+        rows[4].pop()
+    elif case == "bad-diagonal-after-bad-entry":
+        rows[1][3] = rows[3][1] = 0.5
+        rows[2][2] = 0
+    elif case == "bad-entry-after-bad-diagonal":
+        rows[2][2] = 0
+        rows[3][4] = rows[4][3] = -1
+    elif case == "transpose-true-differs":  # (1, 4) = 2 is valid; its transpose is checked next
+        rows[1][4], rows[4][1] = 2, True
+    elif case == "transpose-true-equals":  # True == 1: found in row 4, as the entry itself
+        rows[1][4], rows[4][1] = 1, True
+    elif case == "transpose-float-equals":
+        rows[1][4], rows[4][1] = 1, 1.0
+    elif case == "null-and-asymmetric":
+        rows[0][5] += 1
+        rows[3][5] = rows[5][3] = None
+
+
+TWO_DEFECTS = {  # case -> the message of the defect check_shape reaches first
+    "short-row-after-bad-entry": "matrix row 4 has length 5, expected 6",
+    "bad-diagonal-after-bad-entry": "matrix entry (1, 3) must be a nonnegative integer, got 0.5",
+    "bad-entry-after-bad-diagonal": "matrix diagonal entry (2, 2) must be null/INFINITY",
+    "transpose-true-differs": "matrix entry (4, 1) must be a nonnegative integer, got True",
+    "transpose-true-equals": "matrix entry (4, 1) must be a nonnegative integer, got True",
+    "transpose-float-equals": "matrix entry (4, 1) must be a nonnegative integer, got 1.0",
+    "null-and-asymmetric": "matrix not symmetric at (0, 5)",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_DEFECTS))
+def test_file_and_api_name_the_first_of_two_matrix_defects_alike(tmp_path, capsys, case):
+    rows = _valid_rows(random.Random(case), 6)
+    _two_defects(rows, case)
+    assert _rejected_alike(tmp_path, capsys, rows) == TWO_DEFECTS[case]
+
+
+class _Valuation(int):
+    """An int subclass: the entry check accepts it, as it accepts int."""
+
+
+def test_valid_matrices_outside_the_file_format_are_accepted(tmp_path, capsys, monkeypatch):
+    import condisc.valuation as cv
+
+    rows = _valid_rows(random.Random("scan"), 20)
+    expected = analyze(matrix_from_rows(rows)).to_json()
+    # an entry of a subclass of int fails the whole-matrix test, and the scan accepts it
+    scanned = []
+    monkeypatch.setattr(cv, "_check_entry", lambda e, i, j, check=cv._check_entry: scanned.append(e) or check(e, i, j))
+    sub = copy.deepcopy(rows)
+    sub[3][7] = sub[7][3] = _Valuation(sub[3][7])
+    assert analyze(matrix_from_rows(sub)).to_json() == expected
+    assert any(type(e) is _Valuation for e in scanned)
+    # rows given as lists, not tuples
+    assert analyze(cv.ValuationMatrix([list(row) for row in matrix_from_rows(rows).entries])).to_json() == expected
+    # a valuation above 2**63 passes the entry checks; the vertex budget rejects it
+    big = _chain_rows(6, 2**63 + 5)
+    matrix_from_rows(big).check_shape()
+    assert "budget of 1000000 vertices" in _rejected_alike(tmp_path, capsys, big)
 
 
 def _chain_rows(n, depth):

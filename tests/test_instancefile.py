@@ -1,10 +1,14 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condisc import Instance, InstanceError, ValuationMatrix, analyze, parse_instance_dict
-from condisc.instancefile import load_instance
+from condisc.cli import main
+from condisc.instancefile import _parse_root, load_instance
 
 
 def test_roots_mode_parses_strings_and_ints():
@@ -125,3 +129,45 @@ def test_parsing_leaves_validation_to_analyze():
     assert m.entries[0][1] == "1"
     with pytest.raises(InstanceError, match="must be a nonnegative integer, got '1'"):
         analyze(m)
+
+
+def _reads_as_fraction_does(raw: str) -> None:
+    """_parse_root(raw) is Fraction(raw), or InstanceError where Fraction raises."""
+    try:
+        expected = Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InstanceError, match="root 3 is not a decimal integer or fraction"):
+            _parse_root(raw, 3)
+        return
+    got = _parse_root(raw, 3)
+    assert type(got) is Fraction and (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+
+# ASCII "-?digits" and "-?digits/digits" take int(); the rest, Fraction's own parser
+@pytest.mark.parametrize("raw", ["-0", "007", "+5", " 5 ", "1_000", "\u0663", "\u0663/\u0664", "\u00b2", "5/0", "5/-7",
+                                 "-5/7", "0/3", "3.50", "", "-", "/5", "5/", "--5", "-/5", "1/2/3"])
+def test_a_root_string_reads_as_fraction_reads_it(raw):
+    _reads_as_fraction_does(raw)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="-/0123456789 ._+", max_size=10))
+def test_root_strings_read_as_fraction_reads_them(raw):
+    _reads_as_fraction_does(raw)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no integer-string limit")
+@pytest.mark.parametrize("root", ["1" * 5000, "-1/" + "3" * 5000], ids=["integer", "denominator"])
+def test_a_root_past_the_digit_limit_gets_one_short_line(tmp_path, capsys, root):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"mode": "roots", "p": 5, "roots": ["0", "1", "2", "3", "4", root]}))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert main(["analyze", str(path)]) == 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 200
+    assert captured.err.startswith("error: root 5 has 5000 digits in a row") and "4300" in captured.err
