@@ -26,9 +26,9 @@ term, and every total over the per-depth tree is the total over the cut
 tree with each vertex weighted by its ``repeat``.  The cut tree is itself
 the refinement tree of the matrix with the valuations inside the cut
 cluster lowered by the cut, so every per-vertex check holds on it as it
-stands.  :attr:`ClusterTree.expansion` and :meth:`ClusterTree.expand` give
-back the per-depth tree, for output: its ids ordered by depth, then by
-smallest member, and its depths.
+stands.  For output, :attr:`ClusterTree.expansion` gives back the per-depth
+tree, its ids ordered by depth and then by smallest member, as bands of depths
+computed from the cut tree, and :meth:`ClusterTree.expand` builds it whole.
 
 The tree is built from a work list of clusters not yet split, with no
 recursion.  Each split records its vertex's separating roots and child
@@ -52,9 +52,11 @@ tree; Gower and Ross, 1969), and ``nu_df`` is twice their sum: twice the sum
 over splits of the floor times the pairs the split separates.  The loop runs
 once, to the end of the cut tree.  When a matrix fails it, the O(n^3) triple
 scan :func:`~condisc.valuation.validate_ultrametric` names every violating
-triple; a failure the scan does not explain, or one on residues (ultrametric
-by construction), is a bug and is raised as it is.  Only then is the vertex
-budget decided, on the finished cut tree: O(n) vertices whatever the valuations.
+triple, as an :class:`UltrametricViolationError` whatever else is wrong with
+the matrix; a failure the scan does not explain, or one on residues
+(ultrametric by construction), is a bug and is raised as it is.  Only then is
+the vertex budget decided, on the finished cut tree: O(n) vertices whatever the
+valuations.
 
 Per vertex we track:
 
@@ -72,6 +74,7 @@ Per vertex we track:
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain, cycle, repeat
 from math import gcd
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -82,10 +85,10 @@ from .valuation import INFINITY, Residues, ValuationMatrix, _int_val, validate_u
 # most vertices the per-depth tree may have: a chain has one vertex per depth
 # step, so a valuation of v forces more than v of them.  A cut chain is
 # analyzed as 6 or 7 vertices, but output still writes every vertex, so the
-# budget bounds the output: `analyze --format json` on a 6-root depth-10**5
-# chain takes 0.33-0.40 s and 30 MB peak RSS (2-vCPU Xeon, Python 3.11; the
-# README's depth table), nearly all of it output, and text output grows with
-# the square of the depth.
+# budget bounds the output's time, not its memory: `analyze --format json` on a
+# 6-root depth-10**5 chain takes 0.27-0.44 s and 16 MB peak RSS (2-vCPU Xeon,
+# Python 3.11; the README's depth table), nearly all of it output, and text
+# output grows with the square of the depth.
 TREE_VERTEX_BUDGET = 10**6
 
 SHORTEST_CUT_CHAIN = 8  # a chain of 6 or 7 vertices keeps a pair two steps from both ends
@@ -118,13 +121,24 @@ class ClusterVertex(NamedTuple):
         return (self.f_val - self.wt) % 2 == 1
 
 
-class Expansion(NamedTuple):
-    """The per-depth tree a cut tree stands for: ``rep`` and ``depth`` by
-    per-depth id, ``copies`` by vertex of the cut tree."""
+class Band(NamedTuple):
+    """Depths ``start`` to ``stop - 1`` of the per-depth tree, over which the
+    same columns are active.  At each depth the ids run on from ``first``, one
+    per column in order of smallest member; ``vids`` holds the vertex of the
+    cut tree each copies at depth ``start``, then at ``start + 1``, and repeats."""
 
-    rep: Sequence[int]               # the vertex of the cut tree each one copies
-    depth: Sequence[int]
-    copies: Sequence[Sequence[int]]  # the per-depth ids of each vertex's copies, ascending
+    start: int
+    stop: int
+    first: int
+    vids: tuple[int, ...]
+
+
+class Expansion(NamedTuple):
+    """The per-depth tree a cut tree stands for, as depth bands."""
+
+    size: int                      # vertices of the per-depth tree
+    bands: tuple[Band, ...]        # by depth
+    copies: list[list[range]]      # by vertex of the cut tree: its per-depth ids, ascending, a range per band
 
 
 class ClusterTree:
@@ -166,70 +180,82 @@ class ClusterTree:
 
     @cached_property
     def expansion(self) -> Expansion:
-        """Per-depth ids, ordered by depth and then by smallest member as
-        :func:`build_cluster_tree` orders them; O(size of the per-depth tree)."""
+        """The depth bands, from the cut tree.  A vertex of repeat 1 is a column
+        of one depth, and a pair (a vertex and its only child, of one repeat R)
+        one of 2R depths, with the first vertex at even offsets.  A sweep over
+        the columns' ends in depth order gives at most two bands per column."""
         verts = self.vertices
-        if not self.repeats:
-            return Expansion(range(len(verts)), [v.depth for v in verts], [(v.id,) for v in verts])
         low = [0] * len(verts)  # smallest member: children have larger ids than their parent
         for v in reversed(verts):
             low[v.id] = min([*v.sep_roots, *[low[c] for c in v.children]])
-        lift = [0] * len(verts)  # depth in the per-depth tree less depth in this one
-        keys = []
-        for v in verts:  # a parent precedes its children, so its lift is final
-            for c in v.children:
-                # the child of a pair's second vertex sits below every copy of the pair
-                lift[c] = lift[v.id] + (2 * (v.repeat - 1) if v.repeat > verts[c].repeat else 0)
-            keys += [(v.depth + lift[v.id] + 2 * j, low[v.id], v.id) for j in range(v.repeat)]
-        keys.sort()
-        rep = [k[2] for k in keys]
-        copies: list[list[int]] = [[] for _ in verts]
-        for fid, vid in enumerate(rep):
-            copies[vid].append(fid)
-        return Expansion(rep, [k[0] for k in keys], copies)
-
-    def _runs(self):
-        """In preorder, each run of per-depth ids that hang one from the next,
-        with the vertex whose children hang from its last id: a vertex's one
-        copy, or a pair's first vertex's copies alternating with its second's
-        (whose children are the pair's).  An explicit stack, since chains can
-        be deeper than the recursion limit."""
-        verts, copies = self.vertices, self.expansion.copies
-        stack = [0]
-        while stack:
-            v = verts[stack.pop()]
+        start = [0] * len(verts)  # the depth of each vertex's first copy
+        cols = []  # (first depth, depth past the last, smallest member, vertex at even offsets, at odd ones)
+        for v in verts:  # a parent precedes its children, so its start is final
+            for c in v.children:  # the child of a pair's second vertex sits below every copy of the pair
+                start[c] = start[v.id] + 1 + (2 * v.repeat - 2 if v.repeat > verts[c].repeat else 0)
             if v.repeat == 1:
-                yield copies[v.id], v
+                cols.append((start[v.id], start[v.id] + 1, low[v.id], v.id, v.id))
+            elif verts[v.children[0]].repeat == v.repeat:  # the first of a pair
+                cols.append((start[v.id], start[v.id] + 2 * v.repeat, low[v.id], v.id, v.children[0]))
+        bounds = sorted({c[0] for c in cols}.union([c[1] for c in cols]))
+        cols.sort(reverse=True)  # the next column to start is last
+        active, bands, copies, first = [], [], [[] for _ in verts], 0
+        for d0, d1 in zip(bounds, bounds[1:]):
+            active = [c for c in active if c[1] > d0]
+            while cols and cols[-1][0] == d0:
+                active.append(cols.pop())
+            active.sort(key=itemgetter(2))
+            k, end = len(active), first + len(active) * (d1 - d0)
+            # the vertex of each column at depth d0, then at d0 + 1; each has an id every second depth
+            at, after = zip(*[(v, w) if (d0 - s) % 2 == 0 else (w, v) for s, _, _, v, w in active])
+            for fid, vid in enumerate(at + after, first):
+                if fid < end:
+                    copies[vid].append(range(fid, end, 2 * k))
+            bands.append(Band(d0, d1, first, at + after))
+            first = end
+        return Expansion(first, tuple(bands), copies)
+
+    def rows(self):
+        """(per-depth id, vertex of the cut tree, depth) for each vertex of the
+        per-depth tree, by id: band by band, in arithmetic on the band."""
+        if not self.repeats:  # nothing cut: the tree is its own per-depth tree
+            return ((v.id, v.id, v.depth) for v in self.vertices)
+        return chain.from_iterable(map(_band_rows, self.expansion.bands))
+
+    def per_depth_runs(self):
+        """In preorder, each run of per-depth ids that hang one from the next (a
+        vertex's one copy, or a pair's column): the ids, the depth of the first,
+        the vertices they copy in turn, and the vertex whose children hang from
+        the last id.  An explicit stack, since chains outgrow the recursion limit."""
+        verts, copies = self.vertices, self.expansion.copies
+        stack = [(0, 0)]
+        while stack:
+            vid, depth = stack.pop()
+            v = verts[vid]
+            if v.repeat == 1:
+                yield copies[vid][0], depth, (vid,), v
             else:
                 w = verts[v.children[0]]
                 run = [0] * (2 * v.repeat)
-                run[::2], run[1::2] = copies[v.id], copies[w.id]
-                yield run, w
-                v = w
-            stack += reversed(v.children)
-
-    def per_depth_preorder(self) -> list[int]:
-        """Per-depth ids in preorder, each vertex's children in id order."""
-        order: list[int] = []
-        for run, _ in self._runs():
-            order += run
-        return order
+                run[::2], run[1::2] = chain.from_iterable(copies[vid]), chain.from_iterable(copies[w.id])
+                yield run, depth, (vid, w.id), w
+                v, depth = w, depth + len(run) - 1
+            stack += [(c, depth + 1) for c in reversed(v.children)]
 
     def per_depth_parents(self) -> list[int | None]:
         """The parent of each per-depth id, by id."""
-        copies = self.expansion.copies
-        parent: list[int | None] = [None] * len(self.expansion.rep)
-        for run, last in self._runs():
+        exp = self.expansion
+        parent: list[int | None] = [None] * exp.size
+        for run, _, _, last in self.per_depth_runs():
             for up, down in zip(run, run[1:]):
                 parent[down] = up
             for c in last.children:
-                parent[copies[c][0]] = run[-1]
+                parent[exp.copies[c][0][0]] = run[-1]
         return parent
 
     def expand(self) -> ClusterTree:
         """The per-depth tree: this tree if nothing is cut, else one vertex per copy."""
-        exp = self.expansion
-        if len(exp.rep) == len(self.vertices):
+        if not self.repeats:
             return self
         parent = self.per_depth_parents()
         children: list[list[int]] = [[] for _ in parent]
@@ -238,13 +264,21 @@ class ClusterTree:
                 children[up].append(fid)
         verts = self.vertices
         out: list[ClusterVertex] = []
-        for fid, (vid, depth, up, kids) in enumerate(zip(exp.rep, exp.depth, parent, children)):
+        for (fid, vid, depth), up, kids in zip(self.rows(), parent, children):
             v = verts[vid]
             out.append(v._replace(
                 id=fid, depth=depth, children=tuple(kids), repeat=1,
                 f_val=out[up].f_val + v.wt if up is not None else 0,
             ))
         return ClusterTree(tuple(out), self.num_roots, self.nu_df)
+
+
+def _band_rows(band: Band):
+    """The rows of one band, as :meth:`ClusterTree.rows` gives them."""
+    start, stop, first, vids = band
+    k = len(vids) // 2
+    depths = range(start, stop) if k == 1 else chain.from_iterable(map(repeat, range(start, stop), repeat(k)))
+    return zip(range(first, first + k * (stop - start)), cycle(vids), depths)
 
 
 def per_depth_total(terms, repeats: dict) -> int:
@@ -324,13 +358,8 @@ class _ResiduePairs:
     def split(self, members: tuple[int, ...], floor: int) -> list[list[int]]:
         """The classes of residues mod p^(floor + 1), ordered by smallest
         member, after certifying that every pair across two classes has
-        valuation floor, in O(classes).
-
-        A pair has valuation floor exactly when its residues agree mod p^floor
-        and differ mod p^(floor + 1).  The members of a class agree mod
-        p^(floor + 1), so every pair across two classes is checked by checking
-        the first members of all classes: all of them agree mod p^floor, and
-        no two agree mod p^(floor + 1)."""
+        valuation floor, in O(classes): the first members of all classes agree
+        mod p^floor, and no two agree mod p^(floor + 1) (see the module docstring)."""
         values, p = self.values, self.p
         high = p ** (floor + 1)
         low = high // p
@@ -430,13 +459,10 @@ def build_cluster_tree(
     per-depth tree.  The tree's ``nu_df`` is twice the sum of the certified
     pair valuations.
 
-    The certificate runs once, with chains cut (see the module docstring).  A
-    violation :func:`validate_ultrametric` confirms is an
-    :class:`UltrametricViolationError`, whatever else is wrong with the
-    matrix; otherwise the budget is decided on the finished cut tree, and
-    ``cut_chains=False`` grows the tree again without cuts.  A matrix must be
-    symmetric, as ``check_shape`` ensures.  Roots mode builds no matrix, also
-    when it is rejected.
+    The certificate runs once, with chains cut (see the module docstring);
+    ``cut_chains=False`` then grows the tree again without cuts.  A matrix
+    must be symmetric, as ``check_shape`` ensures.  Roots mode builds no
+    matrix, also when it is rejected.
     """
     n = source.n
     if n % 2 != 0:

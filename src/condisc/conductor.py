@@ -16,7 +16,8 @@ tree as the sum over its vertices weighted by ``repeat``.  A report's
 output, and :attr:`Report.contractible`, expand it back to the per-depth
 tree, so they cost the size of the output.  The writers format each
 cut-tree vertex's row once, as a template tail; every per-depth copy of the
-vertex is then written as its id, its depth and that tail.
+vertex is then written as its id, its depth and that tail, the id and depth
+read from the tree's depth bands (:attr:`ClusterTree.expansion`).
 
 A :class:`VertexLedger` is a named tuple.  A :class:`Report` is a namespace
 built by keyword, and stays mutable: its attributes can be set after
@@ -26,7 +27,6 @@ built by keyword, and stays mutable: its attributes can be set after
 from __future__ import annotations
 
 import json
-from itertools import count
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -170,7 +170,7 @@ class Report(SimpleNamespace):
         if not self.nonminimal:
             return ()
         copies = self.tree.expansion.copies
-        return tuple(sorted(fid for vid in set(self.nonminimal) for fid in copies[vid]))
+        return tuple(sorted(fid for vid in set(self.nonminimal) for ids in copies[vid] for fid in ids))
 
     def per_depth_graphs(self) -> tuple[YGraph, XGraph]:
         """T_Y and T_X of the per-depth tree, for output: this report's graphs
@@ -200,13 +200,7 @@ class Report(SimpleNamespace):
     def _vertex_rows(self):
         """(id, vertex of the cut tree, depth) per vertex of the per-depth
         tree, by id; none for a report without ledgers."""
-        tree = self.tree
-        if not self.ledgers:
-            return ()
-        if not tree.repeats:  # nothing cut: the tree is its own per-depth tree
-            return ((v.id, v.id, v.depth) for v in tree.vertices)
-        exp = tree.expansion
-        return zip(count(), exp.rep, exp.depth)
+        return self.tree.rows() if self.ledgers else ()
 
     def to_json_dict(self) -> dict:
         verts, ledgers = self.tree.vertices, self.ledgers

@@ -40,7 +40,11 @@ _REQUIRED = {
 }
 
 
-_ECHO_CHARS = 40  # of a root too long to read, echoed in the message that rejects it
+_ECHO_CHARS = 40  # of a root, echoed in the message that rejects it
+
+
+def _echo(raw: str) -> str:
+    return repr(raw) if len(raw) <= _ECHO_CHARS else f"{raw[:_ECHO_CHARS]!r}..."
 
 
 def _parse_root(raw, index: int) -> Fraction:
@@ -52,7 +56,7 @@ def _parse_root(raw, index: int) -> Fraction:
         raise InstanceError(f"root {index} must be an integer or a decimal string, got {type(raw).__name__}")
     # Fraction("1e10000000") computes 10**10000000: its cost is not bounded by the string's length
     if "e" in raw or "E" in raw:
-        raise InstanceError(f"root {index} must not use exponent notation: {raw!r}")
+        raise InstanceError(f"root {index} must not use exponent notation: {_echo(raw)}")
     num, slash, den = raw.partition("/")
     try:
         # ASCII "-?digits" or "-?digits/digits" is read by int(), without Fraction's regex
@@ -69,9 +73,9 @@ def _bad_root(raw: str, index: int) -> str:
     if limit and digits > limit:
         return (
             f"root {index} has {digits} digits in a row ({len(raw)} characters), more than the {limit} "
-            f"this interpreter reads as an integer (PYTHONINTMAXSTRDIGITS): {raw[:_ECHO_CHARS]!r}..."
+            f"this interpreter reads as an integer (PYTHONINTMAXSTRDIGITS): {_echo(raw)}"
         )
-    return f"root {index} is not a decimal integer or fraction: {raw!r}"
+    return f"root {index} is not a decimal integer or fraction: {_echo(raw)}"
 
 
 def parse_instance_dict(data) -> Instance | ValuationMatrix:

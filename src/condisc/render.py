@@ -7,6 +7,8 @@ parallel edges.
 
 from __future__ import annotations
 
+from itertools import count, cycle
+
 from .conductor import Report
 from .dualgraph import INSERT, LEAF, XGraph, YGraph
 
@@ -14,16 +16,14 @@ from .dualgraph import INSERT, LEAF, XGraph, YGraph
 def text_rows(report: Report):
     """:func:`render_text` in pieces, each ending in a newline: the header
     lines, then one row per vertex of the per-depth tree, in preorder."""
-    contractible = report.contractible
+    tree, contractible = report.tree, report.contractible
     # each row after its id, once per vertex of the cut tree
     tails = [
         f"  wt={v.wt}  {v.parity:4}  d={led.d}  D''={led.D_double_prime}  "
         f"{'=' if led.equality else f'<  (defect {led.d - led.D_double_prime})'}\n"
-        for v, led in zip(report.tree.vertices, report.ledgers)
+        for v, led in zip(tree.vertices, report.ledgers)
     ]
-    exp = report.tree.expansion
-    rep, depth, order = exp.rep, exp.depth, report.tree.per_depth_preorder()
-    pad = " " * (2 * max(depth) + 2)  # each row's indent is a slice of this
+    pad = " " * (2 * tree.expansion.bands[-1].stop)  # each row's indent is a slice of this
 
     head = report.label or "instance"
     if report.p is not None:
@@ -45,8 +45,9 @@ def text_rows(report: Report):
     for w in report.warnings:
         yield f"warning: {w}\n"
     yield "\ntree (wt, parity, d, D'', =?):\n"
-    for fid in order:
-        yield f"{pad[:2 * depth[fid] + 2]}v{fid}{tails[rep[fid]]}"
+    for run, depth, vids, _ in tree.per_depth_runs():  # a row's indent is 2 * depth + 2, one step deeper per row
+        for fid, indent, tail in zip(run, count(2 * depth + 2, 2), cycle([tails[vid] for vid in vids])):
+            yield f"{pad[:indent]}v{fid}{tail}"
 
 
 def render_text(report: Report) -> str:
@@ -58,7 +59,7 @@ def dot_tree(report: Report) -> str:
     tree = report.tree
     verts = tree.vertices
     lines = ["graph t_b {"]
-    for fid, vid in enumerate(tree.expansion.rep):
+    for fid, vid, _ in tree.rows():
         v = verts[vid]
         lines.append(f'  v{fid} [label="wt={v.wt}/{v.parity}"];')
     for up, fid in sorted((up, fid) for fid, up in enumerate(tree.per_depth_parents()) if up is not None):

@@ -33,13 +33,20 @@ def cluster_rows(n, clusters):
 def chain_cases(length):
     """(name, rows) with a chain of `length` vertices: at the root, under an even
     parent (the root) and under an odd parent (weight 7 at depth 1), of even and
-    odd weight, and one between two more chains."""
+    odd weight, and one between two more chains.  The last three put per-depth
+    vertices of different columns at the same depths: beside a chain of
+    `length + 9` vertices that starts a step higher, beside a bushy subtree, and
+    above a second cut chain."""
     yield "root", cluster_rows(6, [(range(6), length - 1), ((0, 1), length + 1)])
     for w in (2, 3, 4, 5):
         yield f"even-parent-w{w}", cluster_rows(6, [(range(w), length)])
     for w in (2, 3, 4, 5, 6):
         yield f"odd-parent-w{w}", cluster_rows(8, [(range(7), 1), (range(w), 1 + length)])
     yield "nested", cluster_rows(8, [(range(6), length), (range(5), length + 9), ((0, 1), 2 * length + 9)])
+    yield "siblings", cluster_rows(8, [(range(4), 1), ((0, 1), 1 + length), ((4, 5, 6), length + 9)])
+    bushy = [(range(8), 1), (range(4), 2), (range(4, 8), 2), ((0, 1), 3), ((2, 3), 5), ((4, 5), 4), ((6, 7), 6)]
+    yield "bushy", cluster_rows(10, [*bushy, ((8, 9), length)])
+    yield "pair-under-pair", cluster_rows(8, [(range(6), length), (range(4), 2 * length)])
 
 
 def make(fx) -> Instance:

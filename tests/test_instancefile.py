@@ -171,3 +171,26 @@ def test_a_root_past_the_digit_limit_gets_one_short_line(tmp_path, capsys, root)
     assert captured.out == "" and captured.err.count("\n") == 1
     assert len(captured.err.encode()) < 200
     assert captured.err.startswith("error: root 5 has 5000 digits in a row") and "4300" in captured.err
+
+
+@pytest.mark.parametrize("root", ["x" * 5000, "1e" + "x" * 5000], ids=["malformed", "exponent"])
+def test_a_long_malformed_root_is_echoed_in_part(tmp_path, capsys, root):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"mode": "roots", "p": 5, "roots": ["0", "1", "2", "3", "4", root]}))
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 200
+    assert captured.err.endswith(f" {root[:40]!r}...\n")
+
+
+@pytest.mark.parametrize("root, message", [
+    ("5x", "error: root 5 is not a decimal integer or fraction: '5x'\n"),
+    ("x" * 40, f"error: root 5 is not a decimal integer or fraction: '{'x' * 40}'\n"),
+    ("1e5", "error: root 5 must not use exponent notation: '1e5'\n"),
+])
+def test_a_short_malformed_root_is_echoed_whole(tmp_path, capsys, root, message):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"mode": "roots", "p": 5, "roots": ["0", "1", "2", "3", "4", root]}))
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == message

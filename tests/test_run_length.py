@@ -6,6 +6,9 @@ same pipeline on the per-depth tree.  Every report field, every ledger total
 and every output must agree.
 """
 
+import random
+import tracemalloc
+
 import pytest
 
 from condisc import (
@@ -54,15 +57,60 @@ def test_cut_chains_agree_with_the_per_depth_pipeline():
             m = matrix_from_rows(rows)
             ours, oracle = analyze(m, label=name), per_depth_oracle(m, label=name)
             assert all(v.repeat == 1 for v in oracle.tree)
-            # every chain of 8 or more vertices is cut, and the nested case has one of 9
-            assert (len(ours.tree) < len(oracle.tree)) == (length >= 8 or name == "nested")
+            # every chain of 8 or more vertices is cut; the nested case has one of 9, and
+            # the siblings case one of length + 9
+            assert (len(ours.tree) < len(oracle.tree)) == (length >= 8 or name in ("nested", "siblings"))
             covered += 1
             for field in REPORT_FIELDS:
                 assert getattr(ours, field) == getattr(oracle, field), (name, length, field)
             assert _totals(ours) == _totals(oracle), (name, length)
             assert ours.tree.expand() == oracle.tree
             assert _outputs(ours, ours.per_depth_graphs()) == _outputs(oracle, (oracle.ygraph, oracle.xgraph))
-    assert covered == 50 * 11
+    assert covered == 50 * 14
+
+
+def _random_laminar_rows(rng):
+    """Valuation rows of a random laminar family: each cluster splits into 2 to 4
+    runs of roots, and each run of two or more sits 1 to 24 steps deeper, so
+    chains of different lengths run side by side, beside bushy subtrees, and
+    nest."""
+    n = rng.choice((6, 8, 10, 12))
+    top = rng.choice((0, 0, 1, 9, 12))  # > 0: every root in one residue disc, a chain at the root
+    clusters = [(range(n), top)] if top else []
+    todo = [(list(range(n)), top)]
+    while todo:
+        members, floor = todo.pop()
+        cuts = sorted(rng.sample(range(1, len(members)), min(rng.randint(1, 3), len(members) - 1)))
+        for a, b in zip([0, *cuts], [*cuts, len(members)]):
+            if b - a >= 2:
+                run = (members[a:b], floor + rng.choice((1, 2, 3, rng.randint(8, 24), rng.randint(8, 24))))
+                clusters.append(run)
+                todo.append(run)
+    return cluster_rows(n, clusters)
+
+
+def test_random_laminar_families_agree_with_the_per_depth_pipeline():
+    rng = random.Random(20261019)
+    side_by_side = 0
+    for k in range(500):
+        m = matrix_from_rows(_random_laminar_rows(rng))
+        ours, oracle = analyze(m, label=f"laminar-{k}"), per_depth_oracle(m, label=f"laminar-{k}")
+        assert ours.tree.expand() == oracle.tree
+        assert _outputs(ours, ours.per_depth_graphs()) == _outputs(oracle, (oracle.ygraph, oracle.xgraph))
+        side_by_side += any(len(band.vids) > 2 and band.stop - band.start > 1 for band in ours.tree.expansion.bands)
+    assert side_by_side >= 150  # 187: two cut chains share a band of several depths
+
+
+def test_json_rows_of_a_deep_chain_take_constant_memory():
+    report = analyze(matrix_from_rows(cluster_rows(6, [((0, 1), 10**5)])))
+    tracemalloc.start()
+    try:
+        rows = sum(1 for _ in report.json_rows())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 10**5 + 3  # the header, a row per per-depth vertex, the close
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("length", [8, 9, 10, 11, 50])
@@ -109,7 +157,7 @@ def test_components_and_edges_carry_the_repeat_of_their_owner():
             assert x.edge_repeats.get((a, b), 1) == owner[x.components[up].over].repeat
         assert 1 not in x.repeats.values() and 1 not in x.edge_repeats.values()
         cut += bool(x.repeats)
-    assert cut >= 4 * 11  # every chain instance of length 8, 9, 23 and 50
+    assert cut >= 4 * 14  # every chain instance of length 8, 9, 23 and 50
 
 
 def test_deep_matrix_chain_is_analyzed_on_a_tree_of_constant_size():
