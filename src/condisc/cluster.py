@@ -58,16 +58,17 @@ the matrix; a failure the scan does not explain, or one on residues
 the vertex budget decided, on the finished cut tree: O(n) vertices whatever the
 valuations.
 
-Per vertex we track:
+Per vertex we track (*property*: read from the other fields, never stored):
 
 * ``children`` -- child ids, each above the vertex's: the tree's one adjacency,
 * ``wt``       -- number of roots in the vertex's disk,
-* ``l_prime``  -- roots that separate here (singleton at the next depth),
-* ``r`` / ``s``-- children of odd / even weight,
-* ``l``        -- l_prime + r,
+* ``l_prime``  -- *property*: ``len(sep_roots)``, the roots that separate here,
+* ``r`` / ``s``-- children of odd / even weight; ``s`` is a *property*, ``len(children) - r``,
+* ``l``        -- *property*: l_prime + r,
 * ``f_val``    -- order of vanishing of f along the component (root: 0,
   child: parent + child weight), whose parity drives the double cover,
-* ``odd``      -- ``f_val`` odd, stored once when the vertex is built,
+* ``odd``      -- *property*: ``f_val`` odd; the analysis's per-vertex loops read
+  ``f_val % 2`` itself, as a property read costs about four field reads (Python 3.11),
 * ``repeat``   -- copies of the vertex in the per-depth tree.
 """
 
@@ -99,18 +100,30 @@ class ClusterVertex(NamedTuple):
     depth: int
     children: tuple[int, ...]
     wt: int
-    l_prime: int
     r: int
-    s: int
-    l: int
     f_val: int
-    odd: bool
     sep_roots: tuple[int, ...]
     repeat: int = 1
 
     @property
+    def l_prime(self) -> int:
+        return len(self.sep_roots)
+
+    @property
+    def s(self) -> int:
+        return len(self.children) - self.r
+
+    @property
+    def l(self) -> int:
+        return len(self.sep_roots) + self.r
+
+    @property
+    def odd(self) -> bool:
+        return self.f_val % 2 == 1
+
+    @property
     def parity(self) -> str:
-        return "odd" if self.odd else "even"
+        return "odd" if self.f_val % 2 else "even"
 
     @property
     def is_leaf(self) -> bool:
@@ -492,12 +505,10 @@ def build_cluster_tree(
         rec.append(new)
     vertices: list[ClusterVertex] = []
     for new, (depth, _, wt, f_val, sep, kids, repeat, _) in enumerate(records):
-        r = sum(kid[2] % 2 for kid in kids)
-        # positional, in field order: with keyword arguments a vertex costs 1.5 us
-        # against 0.65 us (timeit, Python 3.11, 2-vCPU Xeon)
+        # positional, in field order: with keyword arguments a vertex costs 1.0-1.5 us
+        # against 0.75 us (timeit, Python 3.11, 2-vCPU Xeon)
         vertices.append(ClusterVertex(
-            new, depth, tuple([kid[7] for kid in kids]), wt, len(sep), r,
-            len(kids) - r, len(sep) + r, f_val, f_val % 2 == 1, sep, repeat,
+            new, depth, tuple([kid[7] for kid in kids]), wt, sum(kid[2] % 2 for kid in kids), f_val, sep, repeat,
         ))
     return ClusterTree(tuple(vertices), num_roots=n, nu_df=2 * total)
 
@@ -540,9 +551,9 @@ def check_tree_invariants(tree: ClusterTree) -> None:
     the root is some smaller id's child exactly once, so ``children`` form one
     tree.  A vertex's members are its separating roots and its children's
     members; as each root separates at exactly one vertex, the root holds all
-    roots and the children of a vertex hold disjoint parts of its members.  The
-    parity rules read the parent through ``up``, never ``v.parent_odd``, whose
-    identities on ``f_val`` and ``odd`` are checked last."""
+    roots and the children of a vertex hold disjoint parts of its members.
+    ``l_prime``, ``s``, ``l`` and ``odd`` are read from the checked fields, so
+    no rule compares them with their definitions."""
     verts, root, n = tree.vertices, tree.root, tree.num_roots
     seen = [False] * n
     up: list[int | None] = [None] * len(verts)  # parent id, by id
@@ -567,42 +578,20 @@ def check_tree_invariants(tree: ClusterTree) -> None:
         raise InternalInvariantViolation("root f_val != 0", vertex=root.id)
     if not all(seen):
         raise InternalInvariantViolation(f"root {seen.index(False)} separates at no vertex", vertex=root.id)
-    if root.l % 2 != 0:
-        raise InternalInvariantViolation("root must have even l", vertex=root.id)
+    if n % 2 != 0:  # with the rules below, the root's l is even
+        raise InternalInvariantViolation("root count must be even", vertex=root.id)
     _check_repeats(verts, up)
     for v in verts:
         if v.wt < 2:
             raise InternalInvariantViolation("vertex weight below 2", vertex=v.id)
-        if v.l_prime != len(v.sep_roots):
-            raise InternalInvariantViolation("l_prime != number of separating roots", vertex=v.id)
         weights = [verts[c].wt for c in v.children]
-        if v.wt != v.l_prime + sum(weights):
+        if v.wt != len(v.sep_roots) + sum(weights):
             raise InternalInvariantViolation("wt != l_prime + sum of child weights", vertex=v.id)
         if v.r != sum(w % 2 for w in weights):
             raise InternalInvariantViolation("r != number of odd-weight children", vertex=v.id)
-        if v.s != len(weights) - v.r:
-            raise InternalInvariantViolation("s != number of children - r", vertex=v.id)
-        if v.l != v.l_prime + v.r:
-            raise InternalInvariantViolation("l != l_prime + r", vertex=v.id)
-        if v.wt < v.l_prime + 3 * v.r + 2 * v.s:
-            raise InternalInvariantViolation("wt < l_prime + 3r + 2s", vertex=v.id)
-        if v.r == v.s == 0 and v.wt != v.l_prime:
-            raise InternalInvariantViolation("leaf with wt != l_prime", vertex=v.id)
-        parent_odd = False
         if up[v.id] is not None:
             p = verts[up[v.id]]
-            parent_odd = p.odd
             if v.depth != p.depth + 1:
                 raise InternalInvariantViolation("child depth != parent depth + 1", vertex=v.id)
-            # parity table: odd child of even parent <=> odd weight, of odd parent <=> even weight
-            expect_odd = (v.wt % 2 == 1) if not parent_odd else (v.wt % 2 == 0)
-            if v.odd != expect_odd:
-                raise InternalInvariantViolation("child parity contradicts weight parity rule", vertex=v.id)
             if v.f_val != p.f_val + v.wt:
                 raise InternalInvariantViolation("f_val != parent's f_val + wt", vertex=v.id)
-        if not v.odd:
-            # an even vertex has odd l exactly when its parent exists and is odd
-            if (v.l % 2 == 1) != parent_odd:
-                raise InternalInvariantViolation("even vertex with l parity contradicting parent parity", vertex=v.id)
-        if v.odd != (v.f_val % 2 == 1):
-            raise InternalInvariantViolation("odd != parity of f_val", vertex=v.id)

@@ -59,18 +59,18 @@ STRICT = "STRICT"
 
 def local_artin(v: ClusterVertex, tree: ClusterTree) -> int:
     """Share of the conductor carried by one vertex (closed form)."""
-    if not v.odd:
-        return (v.l % 2) + 2 * v.r + 2 * v.s
+    if not v.f_val % 2:
+        return (v.l % 2) + 2 * len(v.children)
     base = -2 if not v.parent_odd else -1
     return base - v.r + 3 * v.s + 2 * v.l
 
 
 def _shift(v: ClusterVertex, parent_odd: bool, odd_child_shift: int) -> int:
     """E from the vertex, its parent's parity and sum(2 - wt(wt-1)) over its odd children."""
-    if not v.odd:
+    if not v.f_val % 2:
         return -(v.l % 2) - odd_child_shift
     base = 2 if not parent_odd else 1
-    return v.r + v.s + base - v.wt * (v.wt - 1) - odd_child_shift
+    return len(v.children) + base - v.wt * (v.wt - 1) - odd_child_shift
 
 
 class VertexLedger(NamedTuple):
@@ -99,13 +99,13 @@ def compare_vertex(v: ClusterVertex, tree: ClusterTree) -> VertexLedger:
         q = child.wt * (child.wt - 1)
         d += q
         wt2 += child.wt == 2
-        if child.odd:
+        if child.f_val % 2:
             odd_sq += q
             odd_shift += 2 - q
         else:
             odd_only = False
             even_wt2 = even_wt2 and child.wt == 2
-    odd = v.odd
+    odd = v.f_val % 2 == 1
     D = local_artin(v, tree)
     E = _shift(v, v.parent_odd, odd_shift)
     dp = D + E
@@ -277,11 +277,12 @@ def _check_shift_identities(tree: ClusterTree, ledgers) -> None:
     counted once from the parent (its ``s``) and once from itself, so
     agreement is informative."""
     verts = tree.vertices
-    odd_child_shift = [sum(2 - verts[c].wt * (verts[c].wt - 1) for c in v.children if verts[c].odd) for v in verts]
+    odd = [v.f_val % 2 == 1 for v in verts]
+    odd_child_shift = [sum(2 - verts[c].wt * (verts[c].wt - 1) for c in v.children if odd[c]) for v in verts]
     for terms, what in (
-        ([2 - v.wt * (v.wt - 1) - k if v.odd else -k for v, k in zip(verts, odd_child_shift)], "odd/even weight"),
-        ([v.r if v.odd else -(v.l % 2) for v in verts], "parent-parity"),
-        ([v.s - v.parent_odd if v.odd else 0 for v in verts], "odd-parent count"),
+        ([2 - v.wt * (v.wt - 1) - k if o else -k for v, o, k in zip(verts, odd, odd_child_shift)], "odd/even weight"),
+        ([v.r if o else -(v.l % 2) for v, o in zip(verts, odd)], "parent-parity"),
+        ([v.s - v.parent_odd if o else 0 for v, o in zip(verts, odd)], "odd-parent count"),
     ):
         if per_depth_total(terms, tree.repeats) != 0:
             raise InternalInvariantViolation(f"{what} rebalancing does not cancel")
@@ -291,7 +292,7 @@ def _check_shift_identities(tree: ClusterTree, ledgers) -> None:
 
 def _check_bound_bijection(tree: ClusterTree, ledgers) -> int:
     """Checks the moves from D' to D'' and returns the sum of D''."""
-    odd_wt2_leaves = per_depth_total([v.odd and v.wt == 2 and v.is_leaf for v in tree], tree.repeats)
+    odd_wt2_leaves = per_depth_total([v.wt == 2 and v.is_leaf and v.odd for v in tree], tree.repeats)
     chain_heads = per_depth_total([led.L_count for led in ledgers], tree.repeats)
     if odd_wt2_leaves != chain_heads:
         raise InternalInvariantViolation(

@@ -98,14 +98,14 @@ def build_ty(tree: ClusterTree) -> YGraph:
 
     # records are built positionally, in field order, as in build_cluster_tree:
     # keyword arguments cost about 2.5 times as much
-    for v in tree:  # strict transforms reuse tree ids
-        attached = v.sep_roots if not v.odd else ()
-        vertices.append(YVertex(v.id, ST, (v.id,), v.odd, attached))
+    for v in tree:  # strict transforms reuse tree ids; later loops read their parity
+        odd = v.f_val % 2 == 1
+        vertices.append(YVertex(v.id, ST, (v.id,), odd, v.sep_roots if not odd else ()))
 
     nxt = len(tree)
     for v in tree:
         for c in v.children:
-            if v.odd and tree[c].odd:
+            if vertices[v.id].odd and vertices[c].odd:
                 vertices.append(YVertex(nxt, INSERT, (v.id, c), False, ()))
                 parent[nxt] = v.id
                 parent[c] = nxt
@@ -113,7 +113,7 @@ def build_ty(tree: ClusterTree) -> YGraph:
             else:
                 parent[c] = v.id
     for v in tree:
-        if v.odd:
+        if vertices[v.id].odd:
             for i in v.sep_roots:
                 vertices.append(YVertex(nxt, LEAF, (v.id, i), False, (i,)))
                 parent[nxt] = v.id
@@ -139,8 +139,8 @@ def check_y_invariants(y: YGraph) -> None:
         if beta % 2 != 0:
             raise InternalInvariantViolation("odd branch degree at an even vertex", vertex=v.id)
         if v.kind == ST:
-            b = tverts[v.origin[0]]
-            if beta != b.l + (b.l % 2):
+            l = tverts[v.origin[0]].l
+            if beta != l + (l % 2):
                 raise InternalInvariantViolation(
                     "branch degree != l + (l mod 2) at an even strict transform", vertex=v.id
                 )
@@ -258,17 +258,17 @@ def check_x_invariants(x: XGraph) -> None:
     y = x.ygraph
     comps, verts, parent, beta = x.components, y.vertices, y.parent, y.branch_degrees
     tverts = y.tree.vertices
+    odd = [v.f_val % 2 == 1 for v in tverts]  # the tree's parities, not T_Y's copies
     split: dict[int, list[int]] = {}  # odd tree vertex -> components over [ST, INSERT, LEAF] cover vertices
     for c in comps:
         yv = verts[c.over]
         base = yv.origin[0]
-        odd_base = tverts[base].odd
-        expect_m2 = odd_base and yv.kind != LEAF
+        expect_m2 = odd[base] and yv.kind != LEAF
         if (c.m == 2) != expect_m2:
             raise InternalInvariantViolation("multiplicity contradicts the cover rule", vertex=c.id)
         if c.m == 2 and c.chi != 2:
             raise InternalInvariantViolation("multiplicity-2 component must be rational", vertex=c.id)
-        if odd_base:
+        if odd[base]:
             if base not in split:
                 split[base] = [0, 0, 0]
             split[base][_KIND_SLOT[yv.kind]] += 1
@@ -290,7 +290,7 @@ def check_x_invariants(x: XGraph) -> None:
                 raise InternalInvariantViolation("weight-2 intersection in a forbidden position", vertex=(a, b))
     # over an odd tree vertex the fiber splits as 1 + s + l' components
     for bv in tverts:
-        if bv.odd and split.get(bv.id) != [1, bv.s, bv.l_prime]:
+        if odd[bv.id] and split.get(bv.id) != [1, bv.s, bv.l_prime]:
             raise InternalInvariantViolation("odd fiber does not split as 1 + s + l'", vertex=bv.id)
 
 
@@ -339,10 +339,10 @@ def detect_nonminimal(tree: ClusterTree) -> list[int]:
     found = []
     for v in tree:
         if (
-            v.odd
+            len(v.children) == 1
+            and v.odd
             and v.l_prime == 0
             and not v.parent_odd  # the root is even, so v has a parent
-            and len(v.children) == 1
             and not tree[v.children[0]].odd
         ):
             found.append(v.id)

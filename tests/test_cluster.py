@@ -6,6 +6,7 @@ import pytest
 import condisc.cluster
 from condisc import (
     ClusterTree,
+    ClusterVertex,
     Instance,
     InstanceError,
     TooFewRootsError,
@@ -342,7 +343,8 @@ def test_ids_out_of_position_rejected(fixture_a):
 
 
 @pytest.mark.parametrize("edit, message", [
-    ({1: (0,), 2: (1, 4, 3)}, r"l_prime != number of separating roots \(at vertex 1\)"),  # 3 moved from v1 to v2
+    # 3 moved from v1 to v2: still a partition, but v1's weight no longer counts its roots
+    ({1: (0,), 2: (1, 4, 3)}, r"wt != l_prime \+ sum of child weights \(at vertex 1\)"),
     ({1: (0,)}, r"root 3 separates at no vertex \(at vertex 0\)"),
     ({1: (0, 1)}, r"root 1 separates at two vertices or is out of range \(at vertex 2\)"),
     ({1: (0, 6)}, r"root 6 separates at two vertices or is out of range \(at vertex 1\)"),
@@ -368,11 +370,10 @@ def test_separating_roots_that_do_not_partition_the_roots_rejected(fixture_a, ed
     ({4: {"children": (6,)}}, r"child id 6 is out of range or not above its parent's \(at vertex 4\)"),
     ({0: {"f_val": 2}}, r"root f_val != 0 \(at vertex 0\)"),
     ({5: {"f_val": 13}}, r"f_val != parent's f_val \+ wt \(at vertex 5\)"),  # parity still agrees
-    ({0: {"odd": True}}, r"odd != parity of f_val \(at vertex 0\)"),
     # the children of the equal-parity siblings 1 and 2 swapped: depths and parities still agree
     ({1: {"children": (4,)}, 2: {"children": (3,)}}, r"wt != l_prime \+ sum of child weights \(at vertex 1\)"),
 ], ids=["named-twice", "orphan", "child-before-parent", "child-out-of-range", "root-f_val", "f_val-off-by-2",
-        "odd-not-f_val-parity", "swapped-children"])
+        "swapped-children"])
 def test_children_that_do_not_form_the_tree_rejected(edit, message):
     tree = build_cluster_tree(build_matrix(gen_instance(GenSpec(seed=5, p=3, genus=3, max_depth=2, chain_prob=0.3))))
     assert [v.children for v in tree] == [(1, 2), (3,), (4,), (5,), (), ()]
@@ -385,19 +386,42 @@ def test_children_that_do_not_form_the_tree_rejected(edit, message):
         check_tree_invariants(ClusterTree(tuple(verts), tree.num_roots))
 
 
-# the same seed-5 tree: the root has r = 2 (children of weights 5 and 3), s = 0 and l = l_prime + r = 2
+# the same seed-5 tree: the root has r = 2 (children of weights 5 and 3), s = 0 and l = l_prime + r = 2;
+# s and l are read from r, so r = 0 also makes s = 2 and l = 0
 @pytest.mark.parametrize("fields, message", [
-    ({"r": 0, "s": 2, "l": 0}, r"r != number of odd-weight children \(at vertex 0\)"),
-    ({"s": 1}, r"s != number of children - r \(at vertex 0\)"),
-    ({"l": 4}, r"l != l_prime \+ r \(at vertex 0\)"),  # still even, as the root's l must be
-], ids=["r", "s", "l"])
+    ({"r": 0}, r"r != number of odd-weight children \(at vertex 0\)"),
+], ids=["r"])
 def test_child_counts_that_disagree_with_the_children_rejected(fields, message):
     tree = build_cluster_tree(build_matrix(gen_instance(GenSpec(seed=5, p=3, genus=3, max_depth=2, chain_prob=0.3))))
     root = tree.root
     assert (root.l_prime, root.r, root.s, root.l) == (0, 2, 0, 2)
     verts = [root._replace(**fields), *tree.vertices[1:]]
+    assert (verts[0].s, verts[0].l) == (2, 0)
     with pytest.raises(InternalInvariantViolation, match=message):
         check_tree_invariants(ClusterTree(tuple(verts), tree.num_roots))
+
+
+@pytest.mark.parametrize("derived", ["l_prime", "s", "l", "odd"])
+def test_derived_values_cannot_be_set(fixture_a, derived):
+    """They are properties of the stored fields, so no vertex holds a copy that disagrees."""
+    assert ClusterVertex._fields == ("id", "depth", "children", "wt", "r", "f_val", "sep_roots", "repeat")
+    v = tree_of(fixture_a).root
+    with pytest.raises(ValueError, match=derived):
+        v._replace(**{derived: 1})
+    with pytest.raises(AttributeError):
+        setattr(v, derived, 1)
+
+
+def test_odd_root_count_rejected():
+    # three roots: 2 separates at the root, 0 and 1 at its child; every other rule holds, and
+    # the root's l = l_prime + r = 1 is odd
+    tree = ClusterTree((
+        ClusterVertex(0, 0, (1,), 3, 0, 0, (2,)),
+        ClusterVertex(1, 1, (), 2, 0, 2, (0, 1)),
+    ), 3)
+    assert tree.root.l == 1
+    with pytest.raises(InternalInvariantViolation, match=r"root count must be even \(at vertex 0\)"):
+        check_tree_invariants(tree)
 
 
 def test_root_whose_weight_is_not_the_root_count_rejected(fixture_a):

@@ -3,8 +3,21 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condisc import Instance, analyze, build_matrix, equation_discriminant, val, validate_ultrametric
+from condisc import (
+    Instance,
+    analyze,
+    build_cluster_tree,
+    build_matrix,
+    check_tree_invariants,
+    equation_discriminant,
+    matrix_from_rows,
+    val,
+    validate_ultrametric,
+)
 from condisc.harness import GEN_PRIMES, GenSpec, disc_oracle, gen_instance, mutate_entry
+from condisc.valuation import residues
+
+from conftest import chain_cases
 
 primes = st.sampled_from(GEN_PRIMES)
 nonzero_rationals = st.fractions(
@@ -91,3 +104,40 @@ def test_mutated_matrices_either_pass_or_get_flagged(spec, pick):
     else:
         a, b, c = verdict.violations[0]
         assert mutated.entries[a][c] < min(mutated.entries[a][b], mutated.entries[b][c])
+
+
+def assert_tree_theorems(tree):
+    """The facts check_tree_invariants once tested rule by rule, on every vertex:
+    with l_prime, s, l and odd read from the stored fields, its remaining rules
+    imply them."""
+    check_tree_invariants(tree)
+    verts = tree.vertices
+    up = {c: v.id for v in verts for c in v.children}
+    assert tree.root.l % 2 == 0
+    for v in verts:
+        assert v.wt >= v.l_prime + 3 * v.r + 2 * v.s
+        if v.r == v.s == 0:
+            assert v.wt == v.l_prime
+        parent_odd = v.id in up and verts[up[v.id]].odd
+        assert parent_odd == v.parent_odd
+        # parity table: an odd child of an even parent has odd weight, of an odd parent even
+        # weight; the root, of even weight, reads as the even child of an even parent
+        assert v.odd == (parent_odd != (v.wt % 2 == 1))
+        if not v.odd:  # an even vertex has odd l exactly when its parent exists and is odd
+            assert (v.l % 2 == 1) == parent_odd
+
+
+@given(gen_specs)
+@settings(max_examples=40, deadline=None)
+def test_dropped_tree_rules_hold_as_theorems(spec):
+    inst = gen_instance(spec)
+    assert_tree_theorems(build_cluster_tree(residues(inst)))
+    assert_tree_theorems(build_cluster_tree(build_matrix(inst)))
+
+
+def test_dropped_tree_rules_hold_on_cut_and_expanded_chains():
+    for length in range(1, 13):
+        for _, rows in chain_cases(length):
+            tree = build_cluster_tree(matrix_from_rows(rows))
+            assert_tree_theorems(tree)
+            assert_tree_theorems(tree.expand())
