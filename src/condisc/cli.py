@@ -35,6 +35,13 @@ class _Version(argparse.Action):  # argparse's version action, through _emit: a 
         parser.exit()
 
 
+class _Count(argparse.Action):  # --trials: an int, 0 or more
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            parser.error(f"argument {option_string}: must be 0 or more, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="condisc",
@@ -59,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--allow-small-genus", action="store_true")
 
     pf = sub.add_parser("fuzz")  # internal: randomized identity sweep
-    pf.add_argument("--trials", type=int, default=100)
+    pf.add_argument("--trials", type=int, default=100, action=_Count)
     pf.add_argument("--seed", type=int, default=0)
     return parser
 

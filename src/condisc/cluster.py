@@ -401,7 +401,7 @@ def _off_floor(v, floor: int, i: int, j: int) -> InternalInvariantViolation:
     return InternalInvariantViolation(f"valuation {v} differs from the split depth {floor}", vertex=(i, j))
 
 
-def _grow(pairs: _MatrixPairs | _ResiduePairs, n: int, cut_chains: bool) -> tuple[list[list], int, str | None]:
+def _grow(pairs: _MatrixPairs | _ResiduePairs, n: int) -> tuple[list[list], int, str | None]:
     """Split clusters from a work list, certifying each split; returns the vertex
     records [depth, smallest member, weight, f_val (the parent's plus the weight),
     sep, child records, repeat], the sum of the certified valuations over all pairs,
@@ -432,7 +432,7 @@ def _grow(pairs: _MatrixPairs | _ResiduePairs, n: int, cut_chains: bool) -> tupl
         # step; a long one loses an even number of steps and its third and fourth
         # vertices stand for the pairs lost
         length = floor - top + 1
-        cut = length - 6 - length % 2 if cut_chains and length >= SHORTEST_CUT_CHAIN else 0
+        cut = length - 6 - length % 2 if length >= SHORTEST_CUT_CHAIN else 0
         for step in range(1, length - cut):
             link = [depth + step, rec[1], rec[2], rec[3] + rec[2], (), [], 1 + cut // 2 if step in (2, 3) else 1]
             rec[5].append(link)
@@ -456,11 +456,9 @@ def _grow(pairs: _MatrixPairs | _ResiduePairs, n: int, cut_chains: bool) -> tupl
     return records, total, over
 
 
-def build_cluster_tree(
-    source: ValuationMatrix | Residues, *, allow_small: bool = False, cut_chains: bool = True
-) -> ClusterTree:
-    """Build the annotated refinement tree from a valuation matrix, or from
-    the residues of an instance's roots (:func:`~condisc.valuation.residues`).
+def build_cluster_tree(source: ValuationMatrix | Residues, *, allow_small: bool = False) -> ClusterTree:
+    """Build the annotated refinement tree, with long chains cut, from a valuation
+    matrix or from the residues of an instance's roots (:func:`~condisc.valuation.residues`).
 
     The root count must be even and at least 6 (2 with ``allow_small``); a
     matrix that is not ultrametric, and a per-depth tree of more than
@@ -468,14 +466,13 @@ def build_cluster_tree(
     minimum internal valuation exceeds its depth, chain vertices are emitted
     one per intermediate depth before the split; a chain of
     :data:`SHORTEST_CUT_CHAIN` or more vertices is cut as the module
-    docstring describes, unless ``cut_chains`` is false, which gives the
+    docstring describes, and :meth:`ClusterTree.expand` gives back the
     per-depth tree.  The tree's ``nu_df`` is twice the sum of the certified
     pair valuations.
 
-    The certificate runs once, with chains cut (see the module docstring);
-    ``cut_chains=False`` then grows the tree again without cuts.  A matrix
-    must be symmetric, as ``check_shape`` ensures.  Roots mode builds no
-    matrix, also when it is rejected.
+    The tree is grown once, and the certificate runs as it grows (see the
+    module docstring).  A matrix must be symmetric, as ``check_shape``
+    ensures.  Roots mode builds no matrix, also when it is rejected.
     """
     n = source.n
     if n % 2 != 0:
@@ -486,7 +483,7 @@ def build_cluster_tree(
         raise TooFewRootsError(n)
     pairs = _MatrixPairs(source) if isinstance(source, ValuationMatrix) else _ResiduePairs(source)
     try:
-        records, total, over = _grow(pairs, n, True)
+        records, total, over = _grow(pairs, n)
     except InternalInvariantViolation:
         if isinstance(pairs, _MatrixPairs):
             verdict = validate_ultrametric(source)
@@ -495,8 +492,6 @@ def build_cluster_tree(
         raise
     if over is not None:
         raise InstanceError(over)
-    if not cut_chains:  # certified and within budget: the per-depth tree
-        records, total, _ = _grow(pairs, n, False)
 
     # canonical ids: sort by (depth, smallest member), so a parent precedes its
     # children and siblings keep their class order; each id goes in slot 7.

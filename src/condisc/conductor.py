@@ -329,13 +329,7 @@ def _check_conductor_decomposition(tree: ClusterTree, x: XGraph, ledgers, artin:
     return local_sum
 
 
-def analyze(
-    source: Instance | ValuationMatrix,
-    *,
-    allow_small: bool = False,
-    label: str | None = None,
-    cut_chains: bool = True,
-) -> Report:
+def analyze(source: Instance | ValuationMatrix, *, allow_small: bool = False, label: str | None = None) -> Report:
     """Run the full pipeline and return a fully cross-checked report.
 
     Accepts either a split-roots instance or a bare ultrametric valuation
@@ -346,10 +340,9 @@ def analyze(
     :class:`InternalInvariantViolation` (or a subclass) if any proved
     identity fails, which would mean a bug in this package.
 
-    ``cut_chains=False`` analyzes the per-depth tree instead of the cut one;
-    :func:`~condisc.harness.per_depth_oracle` compares the two.
+    It runs on the tree with long chains cut; :func:`~condisc.harness.per_depth_oracle`
+    runs it on the shift-and-divide oracle's per-depth tree, for comparison.
     """
-    warnings: list[str] = []
     if isinstance(source, Instance):
         source.validate()
         pairs = residues(source)
@@ -359,13 +352,15 @@ def analyze(
         pairs = source
         pairs.check_shape()
         p = None
+    return _report(build_cluster_tree(pairs, allow_small=allow_small), p, label)
 
-    n = pairs.n
+
+def _report(tree: ClusterTree, p: int | None, label: str | None) -> Report:
+    """Check a refinement tree whose ``nu_df`` is set, build T_Y and T_X on it,
+    certify the inequality vertex by vertex and collect the report."""
+    n = tree.num_roots
     genus = (n - 2) // 2
-    if n < 6:
-        warnings.append(f"{n} roots: genus {genus} < 2 is out of scope for the underlying theory")
-
-    tree = build_cluster_tree(pairs, allow_small=allow_small, cut_chains=cut_chains)
+    warnings = (f"{n} roots: genus {genus} < 2 is out of scope for the underlying theory",) if n < 6 else ()
     check_tree_invariants(tree)
 
     nu_df = tree.nu_df
@@ -428,6 +423,6 @@ def analyze(
         ygraph=y,
         xgraph=x,
         self_int=selfint,
-        warnings=tuple(warnings),
+        warnings=warnings,
         nonminimal=nonminimal,
     )

@@ -8,10 +8,12 @@ pipeline so that agreement is evidence rather than tautology:
   valuations.
 * :func:`naive_tree_oracle` builds the refinement tree by the
   shift-and-divide route (partition one depth at a time on a decremented
-  submatrix) instead of global depth slicing with chain jumps.
-* :func:`per_depth_oracle` runs the whole pipeline on the per-depth tree,
-  one vertex per depth step, where :func:`~condisc.conductor.analyze` runs it
-  on the tree with long chains cut and weights its totals by ``repeat``.
+  submatrix) instead of global depth slicing with chain jumps;
+  :func:`trees_agree` compares a tree, expanded, with it vertex for vertex,
+  ids and child order included, as :func:`oracle_tree` numbers it.
+* :func:`per_depth_oracle` runs the pipeline on that per-depth tree, where
+  :func:`~condisc.conductor.analyze` runs it on the tree it grows with long
+  chains cut and weights its totals by ``repeat``; they share no growth code.
 * :func:`local_disc` and :func:`local_shift` evaluate the per-vertex terms
   ``d`` and ``E`` each by its own scan of the vertex's children, where
   :func:`~condisc.conductor.compare_vertex` reads them from one shared scan.
@@ -28,8 +30,8 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cluster import ClusterTree, ClusterVertex
-from .conductor import Report, _shift, analyze
+from .cluster import ClusterTree, ClusterVertex, equation_discriminant
+from .conductor import Report, _report, _shift, analyze
 from .errors import InternalInvariantViolation
 from .valuation import INFINITY, Instance, ValuationMatrix, build_matrix
 
@@ -204,37 +206,37 @@ def member_sets(tree: ClusterTree) -> list[frozenset[int]]:
     return sets
 
 
-def per_depth_oracle(source: Instance | ValuationMatrix, **kwargs) -> Report:
-    """The report of the pipeline run on the per-depth tree; its output, totals
-    and headline fields must equal :func:`~condisc.conductor.analyze`'s."""
-    return analyze(source, cut_chains=False, **kwargs)
+def oracle_tree(records: list[OracleVertex]) -> ClusterTree:
+    """:func:`naive_tree_oracle`'s records as a per-depth tree (``nu_df`` unset), numbered
+    as :func:`~condisc.cluster.build_cluster_tree` numbers one: ids by depth, then by
+    smallest member, children and separating roots ascending, repeat 1."""
+    recs = sorted(records, key=lambda o: (o.depth, min(o.members)))
+    ids = {(o.depth, o.members): k for k, o in enumerate(recs)}
+    kids: list[list[int]] = [[] for _ in recs]
+    for k, o in enumerate(recs):
+        if o.parent_members is not None:
+            kids[ids[o.depth - 1, o.parent_members]].append(k)  # ascending, as k is
+    sep = [tuple(sorted(o.members.difference(*[recs[c].members for c in ks]))) for o, ks in zip(recs, kids)]
+    vertices = tuple(ClusterVertex(k, o.depth, tuple(kids[k]), o.wt, o.r, o.f_val, sep[k]) for k, o in enumerate(recs))
+    return ClusterTree(vertices, num_roots=recs[0].wt)
+
+
+def per_depth_oracle(source: Instance | ValuationMatrix, *, label: str | None = None) -> Report:
+    """The report of the pipeline run on :func:`naive_tree_oracle`'s per-depth tree, for valid
+    input; its output, totals and headline fields must equal :func:`~condisc.conductor.analyze`'s."""
+    if isinstance(source, Instance):
+        p, m = source.p, build_matrix(source)
+        label = label if label is not None else source.label
+    else:
+        p, m = None, source
+    tree = oracle_tree(naive_tree_oracle(m))
+    tree.nu_df = equation_discriminant(m)
+    return _report(tree, p, label)
 
 
 def trees_agree(tree: ClusterTree, oracle: list[OracleVertex]) -> bool:
-    """Isomorphism with identical annotations, keyed by (depth, member set);
-    a tree with cut chains is compared as the per-depth tree it stands for.
-    The member sets are rebuilt from each vertex's separating roots."""
-    tree = tree.expand()
-    members = member_sets(tree)
-    up = {c: v.id for v in tree for c in v.children}
-    ours = {
-        (v.depth, members[v.id]): (
-            v.wt,
-            v.l_prime,
-            v.r,
-            v.s,
-            v.l,
-            v.f_val,
-            v.odd,
-            members[up[v.id]] if v.id in up else None,
-        )
-        for v in tree
-    }
-    theirs = {
-        (o.depth, o.members): (o.wt, o.l_prime, o.r, o.s, o.l, o.f_val, o.odd, o.parent_members)
-        for o in oracle
-    }
-    return ours == theirs
+    """Whether ``tree``, expanded to the per-depth tree, is the oracle's, vertex for vertex."""
+    return tree.expand() == oracle_tree(oracle)
 
 
 def mutate_entry(m: ValuationMatrix, i: int, j: int, delta: int = 1) -> ValuationMatrix:

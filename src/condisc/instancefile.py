@@ -118,7 +118,7 @@ def parse_instance_dict(data) -> Instance | ValuationMatrix:
 def load_instance(path: str | Path) -> tuple[Instance | ValuationMatrix, str | None]:
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))  # JSON is UTF-8, whatever the locale
     except OSError as exc:
         raise InstanceError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -291,7 +291,8 @@ def test_no_command_prints_help(capsys):
     (["analyze"], "the following arguments are required: input"),
     (["batch", "D", "--format", "csv"], "argument --format: invalid choice: 'csv'"),
     (["fuzz", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
-], ids=["no-input", "bad-format", "bad-trials"])
+    (["fuzz", "--trials", "-5"], "argument --trials: must be 0 or more, got -5"),
+], ids=["no-input", "bad-format", "bad-trials", "negative-trials"])
 def test_usage_error_exits_one(capsys, argv, needle):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -822,3 +823,19 @@ def test_dot_files_are_utf8_under_an_ascii_locale(fixture_a_file, tmp_path):
                            str(tmp_path / "dots")], capture_output=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "χ=2" in (tmp_path / "dots" / "t_x.dot").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["analyze", "batch"])
+def test_instance_files_are_read_as_utf8_under_an_ascii_locale(tmp_path, command):
+    import subprocess
+    import sys
+
+    src = Path(condisc.conductor.__file__).resolve().parents[1]
+    env = {"PYTHONPATH": str(src), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    path = tmp_path / "cafe.json"
+    doc = {"mode": "roots", "p": 3, "roots": ["0", "1", "2", "3", "4", "5"], "label": "χ-café"}
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")  # the label's bytes are not ASCII
+    argv = ["analyze", str(path), "--format", "json"] if command == "analyze" else ["batch", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-m", "condisc", *argv], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["label"] == "χ-café"

@@ -296,7 +296,7 @@ def _counting_grow(monkeypatch):
     grow = condisc.cluster._grow
 
     def counted(*args):
-        calls.append(args[2])  # cut_chains
+        calls.append(args)
         return grow(*args)
 
     monkeypatch.setattr(condisc.cluster, "_grow", counted)
@@ -323,14 +323,7 @@ def test_the_certificate_runs_once_per_build(monkeypatch, case):
         monkeypatch.setattr(condisc.cluster, "TREE_VERTEX_BUDGET", 7)
         with pytest.raises(InstanceError, match="budget of 7 vertices"):
             condisc.conductor.analyze(Instance.from_values(3, (0, 3**7, 1, 2, 4, 5)))
-    assert calls == [True]
-
-
-def test_the_per_depth_tree_is_grown_after_one_certified_cut_pass(monkeypatch):
-    calls = _counting_grow(monkeypatch)
-    tree = build_cluster_tree(_six_roots_with_a_cut_chain(), cut_chains=False)
-    assert calls == [True, False]
-    assert len(tree) == 13 and tree == build_cluster_tree(_six_roots_with_a_cut_chain()).expand()
+    assert len(calls) == 1
 
 
 def test_ids_out_of_position_rejected(fixture_a):

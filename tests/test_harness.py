@@ -1,6 +1,15 @@
 import pytest
 
-from condisc import UltrametricViolationError, build_cluster_tree, build_matrix, validate_ultrametric
+import condisc.cluster
+from condisc import (
+    ClusterTree,
+    UltrametricViolationError,
+    analyze,
+    build_cluster_tree,
+    build_matrix,
+    matrix_from_rows,
+    validate_ultrametric,
+)
 from condisc.harness import (
     GenSpec,
     default_specs,
@@ -8,11 +17,13 @@ from condisc.harness import (
     gen_instance,
     mutate_entry,
     naive_tree_oracle,
+    oracle_tree,
+    per_depth_oracle,
     run_trial,
     trees_agree,
 )
 
-from conftest import FIXTURE_A, FIXTURE_B, FIXTURE_C, GOOD_RED, make
+from conftest import FIXTURE_A, FIXTURE_B, FIXTURE_C, GOOD_RED, cluster_rows, make
 
 
 def test_generation_is_deterministic():
@@ -47,6 +58,64 @@ def test_naive_oracle_matches_fixtures():
     for fx in (FIXTURE_A, FIXTURE_B, FIXTURE_C, GOOD_RED):
         m = build_matrix(make(fx))
         assert trees_agree(build_cluster_tree(m), naive_tree_oracle(m))
+
+
+def _edited(tree, edit):
+    verts = list(tree.vertices)
+    edit(verts)
+    return ClusterTree(tuple(verts), tree.num_roots)
+
+
+def test_trees_agree_rejects_an_f_val_that_is_off(fixture_c):
+    m = build_matrix(fixture_c)
+    tree = build_cluster_tree(m)
+    assert trees_agree(tree, naive_tree_oracle(m)) and not tree.repeats  # nothing cut: expand() is the tree itself
+
+    def edit(verts):
+        verts[2] = verts[2]._replace(f_val=verts[2].f_val + 2)  # the parity stays
+
+    assert not trees_agree(_edited(tree, edit), naive_tree_oracle(m))
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_trees_agree_rejects_a_cut_pair_whose_repeat_is_off_by_one(delta):
+    m = matrix_from_rows(cluster_rows(6, [((0, 1), 12)]))  # a chain of 12 vertices, cut to 6
+    tree = build_cluster_tree(m)
+    pair = sorted(tree.repeats)
+    assert len(pair) == 2 and trees_agree(tree, naive_tree_oracle(m))
+
+    def edit(verts):
+        for vid in pair:
+            verts[vid] = verts[vid]._replace(repeat=verts[vid].repeat + delta)
+
+    assert not trees_agree(_edited(tree, edit), naive_tree_oracle(m))
+
+
+def test_trees_agree_rejects_siblings_whose_ids_are_swapped(fixture_a):
+    m = build_matrix(fixture_a)
+    tree = build_cluster_tree(m)
+    assert tree.root.children == (1, 2, 3) and all(tree[c].is_leaf for c in (1, 2, 3))
+
+    def edit(verts):  # the same tree, its leaves {0, 3} and {1, 4} numbered out of member order
+        verts[1], verts[2] = verts[2]._replace(id=1), verts[1]._replace(id=2)
+
+    # keyed by depth and member set, the two trees are the same
+    assert not trees_agree(_edited(tree, edit), naive_tree_oracle(m))
+
+
+def test_per_depth_oracle_does_not_grow_the_tree(monkeypatch):
+    m = matrix_from_rows(cluster_rows(6, [((0, 1), 12)]))
+    ours = analyze(m)
+
+    def grow(*args):
+        raise AssertionError("the per-depth oracle grew its tree with _grow")
+
+    monkeypatch.setattr(condisc.cluster, "_grow", grow)
+    oracle = per_depth_oracle(m)
+    assert len(oracle.tree) == 13 and oracle.tree == ours.tree.expand() == oracle_tree(naive_tree_oracle(m))
+    assert (oracle.nu_df, oracle.artin) == (ours.nu_df, ours.artin)
+    with pytest.raises(AssertionError, match="grew its tree"):
+        analyze(m)
 
 
 def test_naive_oracle_sees_fixture_c_chain(fixture_c):

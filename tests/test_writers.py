@@ -76,7 +76,7 @@ def _laminar_rows(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(rows=_laminar_rows())
-def test_writers_on_several_cut_chains_match_the_per_depth_pipeline(rows):
+def test_writers_on_laminar_families_match_the_per_depth_pipeline(rows):
     m = matrix_from_rows(rows)
     ours, oracle = analyze(m, label="laminar"), per_depth_oracle(m, label="laminar")
     assert ours.tree.expand() == oracle.tree
