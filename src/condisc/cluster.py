@@ -544,9 +544,12 @@ def check_tree_invariants(tree: ClusterTree) -> None:
     Each vertex's id must equal its position, since the checks below and the
     per-vertex ledgers index ``tree.vertices`` by id directly.  Each vertex but
     the root is some smaller id's child exactly once, so ``children`` form one
-    tree.  A vertex's members are its separating roots and its children's
-    members; as each root separates at exactly one vertex, the root holds all
-    roots and the children of a vertex hold disjoint parts of its members.
+    tree, and each vertex lists its children in id order, the order the
+    writers follow (:meth:`ClusterTree.expand` renumbers siblings, so no
+    comparison of expanded trees sees it).  A vertex's members are its
+    separating roots and its children's members; as each root separates at
+    exactly one vertex, the root holds all roots and the children of a vertex
+    hold disjoint parts of its members.
     ``l_prime``, ``s``, ``l`` and ``odd`` are read from the checked fields, so
     no rule compares them with their definitions."""
     verts, root, n = tree.vertices, tree.root, tree.num_roots
@@ -555,12 +558,16 @@ def check_tree_invariants(tree: ClusterTree) -> None:
     for pos, v in enumerate(verts):
         if v.id != pos:
             raise InternalInvariantViolation(f"vertex id differs from its position {pos}", vertex=v.id)
+        last = pos
         for c in v.children:
             if not pos < c < len(verts):
                 raise InternalInvariantViolation(f"child id {c} is out of range or not above its parent's", vertex=v.id)
             if up[c] is not None:
                 raise InternalInvariantViolation(f"child {c} is named by two vertices", vertex=v.id)
+            if c <= last:
+                raise InternalInvariantViolation(f"child {c} is listed after child {last}", vertex=v.id)
             up[c] = pos
+            last = c
         for i in v.sep_roots:
             if not 0 <= i < n or seen[i]:
                 raise InternalInvariantViolation(f"root {i} separates at two vertices or is out of range", vertex=v.id)

@@ -9,8 +9,8 @@ pipeline so that agreement is evidence rather than tautology:
 * :func:`naive_tree_oracle` builds the refinement tree by the
   shift-and-divide route (partition one depth at a time on a decremented
   submatrix) instead of global depth slicing with chain jumps;
-  :func:`trees_agree` compares a tree, expanded, with it vertex for vertex,
-  ids and child order included, as :func:`oracle_tree` numbers it.
+  it returns the per-depth tree, and :func:`trees_agree` compares a tree,
+  expanded, with it vertex for vertex, ids included.
 * :func:`per_depth_oracle` runs the pipeline on that per-depth tree, where
   :func:`~condisc.conductor.analyze` runs it on the tree it grows with long
   chains cut and weights its totals by ``repeat``; they share no growth code.
@@ -128,33 +128,23 @@ def disc_oracle(inst: Instance) -> int:
     return v
 
 
-class OracleVertex(NamedTuple):
-    depth: int
-    members: frozenset[int]
-    parent_members: frozenset[int] | None
-    wt: int
-    l_prime: int
-    r: int
-    s: int
-    l: int
-    f_val: int
-    odd: bool
-
-
-def naive_tree_oracle(m: ValuationMatrix) -> list[OracleVertex]:
-    """Refinement tree by shift-and-divide, as flat annotated records in pre-order.
+def naive_tree_oracle(m: ValuationMatrix) -> ClusterTree:
+    """Refinement tree by shift-and-divide, as the per-depth tree (``nu_df`` unset),
+    numbered as :func:`~condisc.cluster.build_cluster_tree` numbers one: ids by
+    depth, then by smallest member, children and separating roots ascending, repeat 1.
 
     Each step partitions one vertex's indices under "local valuation >= 1" on
     its submatrix, then hands every class of two or more a copy of its block
     with the finite entries decremented.  An explicit stack holds the blocks
     not yet partitioned, so depth is not limited by the recursion limit.
+    Indices and classes stay ascending, so a block's first index is its
+    smallest member, and a vertex is keyed by its depth and that member.
     """
-    out: list[OracleVertex] = []
-    # (indices, submatrix, depth, parent members, parent f_val)
-    stack: list[tuple] = [(tuple(range(m.n)), [list(row) for row in m.entries], 0, None, None)]
+    recs: list[tuple] = []  # (depth, smallest member, wt, r, f_val, separating roots, parent's key)
+    # (indices, submatrix, depth, parent's key, parent's f_val)
+    stack: list[tuple] = [(tuple(range(m.n)), [list(row) for row in m.entries], 0, None, 0)]
     while stack:
         indices, sub, depth, parent, parent_f = stack.pop()
-        mine = frozenset(indices)
         # one refinement step: classes under "local valuation >= 1"
         classes: list[list[int]] = []
         for pos, idx in enumerate(indices):
@@ -167,34 +157,27 @@ def naive_tree_oracle(m: ValuationMatrix) -> list[OracleVertex]:
             else:
                 classes.append([idx])
         kids = [cls for cls in classes if len(cls) >= 2]
-        singles = [cls[0] for cls in classes if len(cls) == 1]
         wt = len(indices)
-        kid_wts = [len(k) for k in kids]
-        r = sum(1 for w in kid_wts if w % 2 == 1)
-        s = len(kid_wts) - r
-        f_val = 0 if parent_f is None else parent_f + wt
-        out.append(
-            OracleVertex(
-                depth=depth,
-                members=mine,
-                parent_members=parent,
-                wt=wt,
-                l_prime=len(singles),
-                r=r,
-                s=s,
-                l=len(singles) + r,
-                f_val=f_val,
-                odd=f_val % 2 == 1,
-            )
-        )
-        for cls in reversed(kids):  # reversed, so the first class is popped first
+        f_val = 0 if parent is None else parent_f + wt
+        singles = tuple(cls[0] for cls in classes if len(cls) == 1)
+        recs.append((depth, indices[0], wt, sum(len(k) % 2 for k in kids), f_val, singles, parent))
+        for cls in kids:
             pos_of = [indices.index(i) for i in cls]
             shifted = [
                 [sub[a][b] if sub[a][b] is INFINITY else sub[a][b] - 1 for b in pos_of]
                 for a in pos_of
             ]
-            stack.append((tuple(cls), shifted, depth + 1, mine, f_val))
-    return out
+            stack.append((tuple(cls), shifted, depth + 1, (depth, indices[0]), f_val))
+    recs.sort()  # by (depth, smallest member), unique: one depth's blocks are disjoint
+    ids = {rec[:2]: k for k, rec in enumerate(recs)}
+    children: list[list[int]] = [[] for _ in recs]
+    for k, rec in enumerate(recs):
+        if rec[6] is not None:
+            children[ids[rec[6]]].append(k)  # ascending, as k is
+    return ClusterTree(
+        tuple(ClusterVertex(k, rec[0], tuple(children[k]), *rec[2:6]) for k, rec in enumerate(recs)),
+        num_roots=m.n,
+    )
 
 
 def member_sets(tree: ClusterTree) -> list[frozenset[int]]:
@@ -206,21 +189,6 @@ def member_sets(tree: ClusterTree) -> list[frozenset[int]]:
     return sets
 
 
-def oracle_tree(records: list[OracleVertex]) -> ClusterTree:
-    """:func:`naive_tree_oracle`'s records as a per-depth tree (``nu_df`` unset), numbered
-    as :func:`~condisc.cluster.build_cluster_tree` numbers one: ids by depth, then by
-    smallest member, children and separating roots ascending, repeat 1."""
-    recs = sorted(records, key=lambda o: (o.depth, min(o.members)))
-    ids = {(o.depth, o.members): k for k, o in enumerate(recs)}
-    kids: list[list[int]] = [[] for _ in recs]
-    for k, o in enumerate(recs):
-        if o.parent_members is not None:
-            kids[ids[o.depth - 1, o.parent_members]].append(k)  # ascending, as k is
-    sep = [tuple(sorted(o.members.difference(*[recs[c].members for c in ks]))) for o, ks in zip(recs, kids)]
-    vertices = tuple(ClusterVertex(k, o.depth, tuple(kids[k]), o.wt, o.r, o.f_val, sep[k]) for k, o in enumerate(recs))
-    return ClusterTree(vertices, num_roots=recs[0].wt)
-
-
 def per_depth_oracle(source: Instance | ValuationMatrix, *, label: str | None = None) -> Report:
     """The report of the pipeline run on :func:`naive_tree_oracle`'s per-depth tree, for valid
     input; its output, totals and headline fields must equal :func:`~condisc.conductor.analyze`'s."""
@@ -229,14 +197,14 @@ def per_depth_oracle(source: Instance | ValuationMatrix, *, label: str | None = 
         label = label if label is not None else source.label
     else:
         p, m = None, source
-    tree = oracle_tree(naive_tree_oracle(m))
+    tree = naive_tree_oracle(m)
     tree.nu_df = equation_discriminant(m)
     return _report(tree, p, label)
 
 
-def trees_agree(tree: ClusterTree, oracle: list[OracleVertex]) -> bool:
+def trees_agree(tree: ClusterTree, oracle: ClusterTree) -> bool:
     """Whether ``tree``, expanded to the per-depth tree, is the oracle's, vertex for vertex."""
-    return tree.expand() == oracle_tree(oracle)
+    return tree.expand() == oracle
 
 
 def mutate_entry(m: ValuationMatrix, i: int, j: int, delta: int = 1) -> ValuationMatrix:

@@ -1,3 +1,4 @@
+import functools
 import json
 from pathlib import Path
 
@@ -47,6 +48,61 @@ def chain_cases(length):
     bushy = [(range(8), 1), (range(4), 2), (range(4, 8), 2), ((0, 1), 3), ((2, 3), 5), ((4, 5), 4), ((6, 7), 6)]
     yield "bushy", cluster_rows(10, [*bushy, ((8, 9), length)])
     yield "pair-under-pair", cluster_rows(8, [(range(6), length), (range(4), 2 * length)])
+
+
+@functools.cache
+def tree_shapes(n, gaps):
+    """Every refinement-tree shape of a cluster of `n` roots, once up to
+    isomorphism, as `(gap, children)`: the cluster stays whole for `gap` steps
+    below its depth (a chain of `gap + 1` vertices) and splits at its floor
+    into two or more classes; `children` holds the `(size, shape)` of its
+    classes of two or more roots, in one fixed order, and its other roots
+    separate there.  `gaps` is a tuple."""
+    return tuple((gap, kids) for gap in gaps for kids in _child_multisets(n, gaps))  # cached: shared, so immutable
+
+
+def _child_multisets(n, gaps):
+    """Each multiset of `(size, shape)` whose sizes sum to at most `n`, with at
+    least two classes once the roots left over count as one class each, once,
+    as a tuple in the order of `kinds`."""
+    kinds = [(size, shape) for size in range(2, n) for shape in tree_shapes(size, gaps)]
+    out = []
+
+    def extend(start, left, picked):
+        if len(picked) + left >= 2:
+            out.append(tuple(picked))
+        for k in range(start, len(kinds)):
+            if kinds[k][0] <= left:
+                extend(k, left - kinds[k][0], picked + [kinds[k]])
+
+    extend(0, n, [])
+    return out
+
+
+def realize_shape(shape, n, p):
+    """Valuation rows and integer roots with the tree `shape`: within a
+    cluster at depth d, the classes of its split get roots consecutively and
+    each class its own digit times p**(d + gap), so no split may have more
+    than p classes."""
+    rows = [[None if i == j else 0 for j in range(n)] for i in range(n)]
+    roots = [0] * n
+    stack = [(shape, 0, range(n))]
+    while stack:
+        (gap, kids), depth, members = stack.pop()
+        floor = depth + gap
+        classes, start = [], members.start
+        for size, kid in kids:
+            classes.append(range(start, start + size))
+            stack.append((kid, floor + 1, classes[-1]))
+            start += size
+        classes += [range(i, i + 1) for i in range(start, members.stop)]
+        for digit, cls in enumerate(classes):
+            for i in cls:
+                roots[i] += digit * p**floor
+                for j in members:
+                    if j != i:
+                        rows[i][j] = max(rows[i][j], floor)
+    return rows, roots
 
 
 def make(fx) -> Instance:

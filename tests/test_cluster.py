@@ -379,6 +379,19 @@ def test_children_that_do_not_form_the_tree_rejected(edit, message):
         check_tree_invariants(ClusterTree(tuple(verts), tree.num_roots))
 
 
+def test_children_out_of_id_order_rejected():
+    # {0, 1} is a chain of 12 vertices, cut; {2, 3} and {4, 5} are leaves beside it
+    m = matrix_from_rows(cluster_rows(8, [((0, 1), 12), ((2, 3), 1), ((4, 5), 1)]))
+    tree = build_cluster_tree(m)
+    assert tree.root.children == (1, 2, 3) and tree.repeats
+    verts = list(tree.vertices)
+    verts[0] = verts[0]._replace(children=(2, 1, 3))
+    relabelled = ClusterTree(tuple(verts), tree.num_roots)
+    assert trees_agree(relabelled, naive_tree_oracle(m))  # expand() renumbers the siblings
+    with pytest.raises(InternalInvariantViolation, match=r"child 1 is listed after child 2 \(at vertex 0\)"):
+        check_tree_invariants(relabelled)
+
+
 # the same seed-5 tree: the root has r = 2 (children of weights 5 and 3), s = 0 and l = l_prime + r = 2;
 # s and l are read from r, so r = 0 also makes s = 2 and l = 0
 @pytest.mark.parametrize("fields, message", [

@@ -15,9 +15,9 @@ from condisc.harness import (
     default_specs,
     disc_oracle,
     gen_instance,
+    member_sets,
     mutate_entry,
     naive_tree_oracle,
-    oracle_tree,
     per_depth_oracle,
     run_trial,
     trees_agree,
@@ -112,7 +112,7 @@ def test_per_depth_oracle_does_not_grow_the_tree(monkeypatch):
 
     monkeypatch.setattr(condisc.cluster, "_grow", grow)
     oracle = per_depth_oracle(m)
-    assert len(oracle.tree) == 13 and oracle.tree == ours.tree.expand() == oracle_tree(naive_tree_oracle(m))
+    assert len(oracle.tree) == 13 and oracle.tree == ours.tree.expand() == naive_tree_oracle(m)
     assert (oracle.nu_df, oracle.artin) == (ours.nu_df, ours.artin)
     with pytest.raises(AssertionError, match="grew its tree"):
         analyze(m)
@@ -120,15 +120,16 @@ def test_per_depth_oracle_does_not_grow_the_tree(monkeypatch):
 
 def test_naive_oracle_sees_fixture_c_chain(fixture_c):
     oracle = naive_tree_oracle(build_matrix(fixture_c))
-    chain = sorted(o.depth for o in oracle if o.members == frozenset({0, 1}))
+    sets = member_sets(oracle)
+    chain = [v.depth for v in oracle if sets[v.id] == frozenset({0, 1})]
     assert chain == [1, 2]
 
 
 def test_naive_oracle_trivial_instance(good_reduction):
     oracle = naive_tree_oracle(build_matrix(good_reduction))
-    assert len(oracle) == 1
-    root = oracle[0]
-    assert (root.wt, root.l_prime, root.depth, root.f_val) == (6, 6, 0, 0)
+    assert len(oracle) == 1 and oracle.num_roots == 6
+    root = oracle.root
+    assert (root.wt, root.l_prime, root.depth, root.f_val, root.sep_roots) == (6, 6, 0, 0, tuple(range(6)))
 
 
 def test_oracles_agree_on_generated_instances():
