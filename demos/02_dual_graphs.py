@@ -56,7 +56,7 @@ report = analyze(inst)
 outdir = Path(__file__).parent / "dot_out"
 outdir.mkdir(exist_ok=True)
 ygraph, xgraph = report.per_depth_graphs()  # the report's own graphs, unless a long chain was cut
-(outdir / "t_b.dot").write_text(dot_tree(report))
+(outdir / "t_b.dot").write_text(dot_tree(ygraph.tree))
 (outdir / "t_y.dot").write_text(dot_cover(ygraph))
 (outdir / "t_x.dot").write_text(dot_model(xgraph))
 print(f"\nDOT files written to {outdir}/")

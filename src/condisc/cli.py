@@ -107,7 +107,7 @@ def _cmd_analyze(args) -> int:
         try:
             outdir.mkdir(parents=True, exist_ok=True)
             # UTF-8 whatever the locale: T_X's labels hold a χ
-            (outdir / "t_b.dot").write_text(dot_tree(report), encoding="utf-8")
+            (outdir / "t_b.dot").write_text(dot_tree(ygraph.tree), encoding="utf-8")
             (outdir / "t_y.dot").write_text(dot_cover(ygraph), encoding="utf-8")
             (outdir / "t_x.dot").write_text(dot_model(xgraph), encoding="utf-8")
         except OSError as exc:

@@ -28,7 +28,8 @@ the refinement tree of the matrix with the valuations inside the cut
 cluster lowered by the cut, so every per-vertex check holds on it as it
 stands.  For output, :attr:`ClusterTree.expansion` gives back the per-depth
 tree, its ids ordered by depth and then by smallest member, as bands of depths
-computed from the cut tree, and :meth:`ClusterTree.expand` builds it whole.
+and each column's ids, computed from the cut tree, and
+:meth:`ClusterTree.expand` builds it whole.
 
 The tree is built from a work list of clusters not yet split, with no
 recursion.  Each split records its vertex's separating roots and child
@@ -75,7 +76,7 @@ Per vertex we track (*property*: read from the other fields, never stored):
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, cycle, repeat
+from itertools import chain, cycle, pairwise, repeat
 from math import gcd
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -151,7 +152,9 @@ class Expansion(NamedTuple):
 
     size: int                      # vertices of the per-depth tree
     bands: tuple[Band, ...]        # by depth
-    copies: list[list[range]]      # by vertex of the cut tree: its per-depth ids, ascending, a range per band
+    # by the first vertex of each column: its per-depth ids, by depth, as a range per band
+    # whose step is the band's column count
+    columns: dict[int, list[range]]
 
 
 class ClusterTree:
@@ -211,22 +214,22 @@ class ClusterTree:
             elif verts[v.children[0]].repeat == v.repeat:  # the first of a pair
                 cols.append((start[v.id], start[v.id] + 2 * v.repeat, low[v.id], v.id, v.children[0]))
         bounds = sorted({c[0] for c in cols}.union([c[1] for c in cols]))
+        columns = {c[3]: [] for c in cols}
         cols.sort(reverse=True)  # the next column to start is last
-        active, bands, copies, first = [], [], [[] for _ in verts], 0
+        active, bands, first = [], [], 0
         for d0, d1 in zip(bounds, bounds[1:]):
             active = [c for c in active if c[1] > d0]
             while cols and cols[-1][0] == d0:
                 active.append(cols.pop())
             active.sort(key=itemgetter(2))
             k, end = len(active), first + len(active) * (d1 - d0)
-            # the vertex of each column at depth d0, then at d0 + 1; each has an id every second depth
+            for fid, c in enumerate(active, first):
+                columns[c[3]].append(range(fid, end, k))
+            # the vertex of each column at depth d0, then at d0 + 1
             at, after = zip(*[(v, w) if (d0 - s) % 2 == 0 else (w, v) for s, _, _, v, w in active])
-            for fid, vid in enumerate(at + after, first):
-                if fid < end:
-                    copies[vid].append(range(fid, end, 2 * k))
             bands.append(Band(d0, d1, first, at + after))
             first = end
-        return Expansion(first, tuple(bands), copies)
+        return Expansion(first, tuple(bands), columns)
 
     def rows(self):
         """(per-depth id, vertex of the cut tree, depth) for each vertex of the
@@ -236,52 +239,41 @@ class ClusterTree:
         return chain.from_iterable(map(_band_rows, self.expansion.bands))
 
     def per_depth_runs(self):
-        """In preorder, each run of per-depth ids that hang one from the next (a
-        vertex's one copy, or a pair's column): the ids, the depth of the first,
-        the vertices they copy in turn, and the vertex whose children hang from
-        the last id.  An explicit stack, since chains outgrow the recursion limit."""
-        verts, copies = self.vertices, self.expansion.copies
+        """In preorder, each column's run of per-depth ids, which hang one from the
+        next: its ranges (one per band, read in turn), the depth of its first id
+        and the vertices its ids copy in turn; the children of the last of them
+        hang from the last id.  An explicit stack, since chains outgrow the
+        recursion limit."""
+        verts, columns = self.vertices, self.expansion.columns
         stack = [(0, 0)]
         while stack:
             vid, depth = stack.pop()
             v = verts[vid]
-            if v.repeat == 1:
-                yield copies[vid][0], depth, (vid,), v
-            else:
-                w = verts[v.children[0]]
-                run = [0] * (2 * v.repeat)
-                run[::2], run[1::2] = chain.from_iterable(copies[vid]), chain.from_iterable(copies[w.id])
-                yield run, depth, (vid, w.id), w
-                v, depth = w, depth + len(run) - 1
-            stack += [(c, depth + 1) for c in reversed(v.children)]
-
-    def per_depth_parents(self) -> list[int | None]:
-        """The parent of each per-depth id, by id."""
-        exp = self.expansion
-        parent: list[int | None] = [None] * exp.size
-        for run, _, _, last in self.per_depth_runs():
-            for up, down in zip(run, run[1:]):
-                parent[down] = up
-            for c in last.children:
-                parent[exp.copies[c][0][0]] = run[-1]
-        return parent
+            vids = (vid,) if v.repeat == 1 else (vid, v.children[0])
+            yield columns[vid], depth, vids
+            stack += [(c, depth + len(vids) * v.repeat) for c in reversed(verts[vids[-1]].children)]
 
     def expand(self) -> ClusterTree:
         """The per-depth tree: this tree if nothing is cut, else one vertex per copy."""
         if not self.repeats:
             return self
-        parent = self.per_depth_parents()
-        children: list[list[int]] = [[] for _ in parent]
+        verts, columns = self.vertices, self.expansion.columns
+        parent: list[int | None] = [None] * self.expansion.size
+        for ranges, _, vids in self.per_depth_runs():
+            for up, down in pairwise(chain.from_iterable(ranges)):
+                parent[down] = up
+            for c in verts[vids[-1]].children:
+                parent[columns[c][0][0]] = ranges[-1][-1]
+        children: list[list[int]] = [[] for _ in parent]  # by id, so siblings come in id order
         for fid, up in enumerate(parent):
             if up is not None:
                 children[up].append(fid)
-        verts = self.vertices
         out: list[ClusterVertex] = []
         for (fid, vid, depth), up, kids in zip(self.rows(), parent, children):
             v = verts[vid]
-            out.append(v._replace(
-                id=fid, depth=depth, children=tuple(kids), repeat=1,
-                f_val=out[up].f_val + v.wt if up is not None else 0,
+            # positional, in field order: about 2.5 times as fast as _replace (timeit, Python 3.11)
+            out.append(ClusterVertex(
+                fid, depth, tuple(kids), v.wt, v.r, out[up].f_val + v.wt if up is not None else 0, v.sep_roots,
             ))
         return ClusterTree(tuple(out), self.num_roots, self.nu_df)
 

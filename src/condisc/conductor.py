@@ -169,8 +169,8 @@ class Report(SimpleNamespace):
         """Per-depth ids of the vertices whose component chain contracts."""
         if not self.nonminimal:
             return ()
-        copies = self.tree.expansion.copies
-        return tuple(sorted(fid for vid in set(self.nonminimal) for ids in copies[vid] for fid in ids))
+        flagged = set(self.nonminimal)
+        return tuple(fid for fid, vid, _ in self.tree.rows() if vid in flagged)
 
     def per_depth_graphs(self) -> tuple[YGraph, XGraph]:
         """T_Y and T_X of the per-depth tree, for output: this report's graphs

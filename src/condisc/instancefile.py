@@ -9,8 +9,9 @@ An instance file is a JSON object in one of two modes::
      "label": "optional"}
 
 Roots are decimal strings, either integers, fractions ``"a/b"`` or decimals,
-without exponent notation, so the file format carries no integer-width
-assumptions; plain JSON integers are accepted as well.  A label must be text
+without exponent notation, underscores or whitespace inside, so the file
+format carries no integer-width assumptions and reads alike on every supported
+Python; plain JSON integers are accepted as well.  A label must be text
 that can be written as UTF-8.  The matrix diagonal must be ``null``.
 Exactly the fields of the declared mode may appear.
 
@@ -62,6 +63,8 @@ def _parse_root(raw, index: int) -> Fraction:
         # ASCII "-?digits" or "-?digits/digits" is read by int(), without Fraction's regex
         if raw.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
             return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        if "_" in raw or len(raw.split()) > 1:  # Fraction reads these on some Python versions only
+            raise ValueError
         return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise InstanceError(_bad_root(raw, index)) from exc
@@ -69,7 +72,7 @@ def _parse_root(raw, index: int) -> Fraction:
 
 def _bad_root(raw: str, index: int) -> str:
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    digits = max((len(run) - run.count("_") for run in re.findall(r"[\d_]+", raw)), default=0)
+    digits = max(map(len, re.findall(r"\d+", raw)), default=0)
     if limit and digits > limit:
         return (
             f"root {index} has {digits} digits in a row ({len(raw)} characters), more than the {limit} "

@@ -7,15 +7,17 @@ parallel edges.
 
 from __future__ import annotations
 
-from itertools import count, cycle
+from itertools import chain, count, cycle, repeat
 
+from .cluster import ClusterTree
 from .conductor import Report
 from .dualgraph import INSERT, LEAF, XGraph, YGraph
 
 
 def text_rows(report: Report):
-    """:func:`render_text` in pieces, each ending in a newline: the header
-    lines, then one row per vertex of the per-depth tree, in preorder."""
+    """:func:`render_text` in pieces: the header lines, then one row per vertex
+    of the per-depth tree, in preorder, each ending in a newline (a row indented
+    past 2**15 spaces comes in several pieces)."""
     tree, contractible = report.tree, report.contractible
     # each row after its id, once per vertex of the cut tree
     tails = [
@@ -23,7 +25,10 @@ def text_rows(report: Report):
         f"{'=' if led.equality else f'<  (defect {led.d - led.D_double_prime})'}\n"
         for v, led in zip(tree.vertices, report.ledgers)
     ]
-    pad = " " * (2 * tree.expansion.bands[-1].stop)  # each row's indent is a slice of this
+    # an indent is copies of pad, then a slice of it: no piece written reaches glibc's
+    # 128 KiB mmap threshold, past which malloc maps and unmaps it on every row
+    block = 2**15
+    pad = " " * block
 
     head = report.label or "instance"
     if report.p is not None:
@@ -45,25 +50,24 @@ def text_rows(report: Report):
     for w in report.warnings:
         yield f"warning: {w}\n"
     yield "\ntree (wt, parity, d, D'', =?):\n"
-    for run, depth, vids, _ in tree.per_depth_runs():  # a row's indent is 2 * depth + 2, one step deeper per row
-        for fid, indent, tail in zip(run, count(2 * depth + 2, 2), cycle([tails[vid] for vid in vids])):
-            yield f"{pad[:indent]}v{fid}{tail}"
+    for ranges, depth, vids in tree.per_depth_runs():  # a row's indent is 2 * depth + 2, one step deeper per row
+        ids = chain.from_iterable(ranges)
+        for fid, indent, tail in zip(ids, count(2 * depth + 2, 2), cycle([tails[vid] for vid in vids])):
+            if indent >= block:
+                yield from repeat(pad, indent // block)
+            yield f"{pad[:indent % block]}v{fid}{tail}"
 
 
 def render_text(report: Report) -> str:
     return "".join(text_rows(report))
 
 
-def dot_tree(report: Report) -> str:
+def dot_tree(tree: ClusterTree) -> str:
     """T_B as DOT: the per-depth tree, vertices and then edges by id."""
-    tree = report.tree
-    verts = tree.vertices
+    full = tree.expand()
     lines = ["graph t_b {"]
-    for fid, vid, _ in tree.rows():
-        v = verts[vid]
-        lines.append(f'  v{fid} [label="wt={v.wt}/{v.parity}"];')
-    for up, fid in sorted((up, fid) for fid, up in enumerate(tree.per_depth_parents()) if up is not None):
-        lines.append(f"  v{up} -- v{fid};")
+    lines += [f'  v{v.id} [label="wt={v.wt}/{v.parity}"];' for v in full]
+    lines += [f"  v{v.id} -- v{c};" for v in full for c in v.children]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -132,8 +132,14 @@ def test_parsing_leaves_validation_to_analyze():
 
 
 def _reads_as_fraction_does(raw: str) -> None:
-    """_parse_root(raw) is Fraction(raw), or InstanceError where Fraction raises."""
+    """_parse_root(raw) is Fraction(raw), or InstanceError where Fraction raises
+    and where raw holds an underscore or whitespace inside its stripped form:
+    Python 3.11 and later read underscores between digits, and 3.12 and later
+    whitespace around the slash, so the grammar leaves both out and reads
+    alike on every supported version."""
     try:
+        if "_" in raw or any(c.isspace() for c in raw.strip()):
+            raise ValueError
         expected = Fraction(raw)
     except (ValueError, ZeroDivisionError):
         with pytest.raises(InstanceError, match="root 3 is not a decimal integer or fraction"):
@@ -148,6 +154,12 @@ def _reads_as_fraction_does(raw: str) -> None:
                                  "-5/7", "0/3", "3.50", "", "-", "/5", "5/", "--5", "-/5", "1/2/3"])
 def test_a_root_string_reads_as_fraction_reads_it(raw):
     _reads_as_fraction_does(raw)
+
+
+@pytest.mark.parametrize("raw", ["1_000", "1/ 5", "1 /5", " 1 / 5 ", "1_0/3", "1.5_0"])
+def test_a_root_with_an_underscore_or_inner_whitespace_is_rejected(raw):
+    with pytest.raises(InstanceError, match="root 3 is not a decimal integer or fraction"):
+        _parse_root(raw, 3)
 
 
 @settings(max_examples=400, deadline=None)

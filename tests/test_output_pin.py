@@ -20,7 +20,7 @@ def test_outputs_match_the_pinned_digest():
         inst = gen_instance(spec)
         for source in (inst, build_matrix(inst)):
             r = analyze(source)
-            for text in (r.to_json(), render_text(r), dot_tree(r), dot_cover(r.ygraph), dot_model(r.xgraph)):
+            for text in (r.to_json(), render_text(r), dot_tree(r.tree), dot_cover(r.ygraph), dot_model(r.xgraph)):
                 digest.update(text.encode())
                 digest.update(b"\0")
     assert digest.hexdigest() == PINNED

@@ -31,7 +31,7 @@ from condisc.harness import (
     naive_tree_oracle,
     per_depth_oracle,
 )
-from condisc.render import dot_cover, dot_model, dot_tree, render_text
+from condisc.render import dot_cover, dot_model, dot_tree, render_text, text_rows
 from conftest import chain_cases, cluster_rows
 
 LEDGER_FIELDS = ("d", "D", "E", "D_prime", "D_double_prime", "L_count", "equality")
@@ -52,8 +52,13 @@ def _totals(report):
 
 
 def _outputs(report, graphs):
+    """Every output, with T_B's DOT from the report's tree and from the tree of
+    the per-depth graphs, as ``--dot-dir`` writes it."""
     y, x = graphs
-    return (report.to_json(), report.to_json_line(), render_text(report), dot_tree(report), dot_cover(y), dot_model(x))
+    return (
+        report.to_json(), report.to_json_line(), render_text(report),
+        dot_tree(report.tree), dot_tree(y.tree), dot_cover(y), dot_model(x),
+    )
 
 
 def test_chain_cases_agree_with_the_per_depth_pipeline():
@@ -117,6 +122,39 @@ def test_json_rows_of_a_deep_chain_take_constant_memory():
         tracemalloc.stop()
     assert rows == 10**5 + 3  # the header, a row per per-depth vertex, the close
     assert peak < 2**20
+
+
+def test_per_depth_runs_of_a_deep_chain_take_constant_memory():
+    tree = build_cluster_tree(matrix_from_rows(cluster_rows(6, [((0, 1), 10**5)])))
+    tree.expansion  # O(cut tree), built once
+    tracemalloc.start()
+    try:
+        ids = sum(1 for run in tree.per_depth_runs() for r in run[0] for _ in r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ids == 10**5 + 1
+    assert peak < 64 * 2**10
+
+
+def test_deep_text_rows_come_in_pieces_below_the_mmap_threshold():
+    """At depth 70000 a row is indented by up to 140002 spaces.  Written whole, each
+    such row would pass glibc's 128 KiB mmap threshold, and malloc would map and
+    unmap it on every row; a long indent comes first as copies of one pad."""
+    depth = 70000
+    pieces = text_rows(analyze(matrix_from_rows(cluster_rows(6, [((0, 1), depth)]))))
+    while not next(pieces).startswith("\ntree"):
+        pass
+    indent = fid = 0  # the chain is a path: the per-depth id of each row is its depth
+    for piece in pieces:
+        assert len(piece) < 2**17
+        if piece.endswith("\n"):
+            spaces = piece.index("v")
+            assert indent + spaces == 2 * fid + 2 and piece.startswith(f"v{fid} ", spaces)
+            indent, fid = 0, fid + 1
+        else:
+            indent += len(piece)
+    assert fid == depth + 1
 
 
 @pytest.mark.parametrize("length", [8, 9, 10, 11, 50])
