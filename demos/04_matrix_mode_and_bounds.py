@@ -20,7 +20,7 @@ rows = [
     [0, 0, 0, 0, 0, None],
 ]
 matrix = matrix_from_rows(rows)
-assert validate_ultrametric(matrix).ok
+assert validate_ultrametric(matrix) == ()  # no violating triple
 
 report = analyze(matrix, label="hand-written matrix")
 print(f"nu(d_f) = {report.nu_df}, -Art = {report.artin}, n(X) = {report.n_components}")

@@ -364,7 +364,8 @@ class _ResiduePairs:
         """The classes of residues mod p^(floor + 1), ordered by smallest
         member, after certifying that every pair across two classes has
         valuation floor, in O(classes): the first members of all classes agree
-        mod p^floor, and no two agree mod p^(floor + 1) (see the module docstring)."""
+        mod p^floor (see the module docstring).  No two classes agree mod
+        p^(floor + 1), as each holds the members of one residue."""
         values, p = self.values, self.p
         high = p ** (floor + 1)
         low = high // p
@@ -376,16 +377,12 @@ class _ResiduePairs:
             else:
                 groups[key] = [i]
         classes = list(groups.values())
-        base = values[members[0]] % low
-        firsts: dict[int, int] = {}  # residue mod p^(floor + 1) -> first member of its class
+        first = members[0]
+        base = values[first] % low
         for cls in classes:
             j = cls[0]
-            r = values[j]
-            key = r % high
-            if r % low != base or key in firsts:
-                i = firsts.get(key, members[0])
-                raise _off_floor(_int_val(values[i] - r, p), floor, i, j)
-            firsts[key] = j
+            if values[j] % low != base:
+                raise _off_floor(_int_val(values[first] - values[j], p), floor, first, j)
         return classes
 
 
@@ -478,9 +475,9 @@ def build_cluster_tree(source: ValuationMatrix | Residues, *, allow_small: bool 
         records, total, over = _grow(pairs, n)
     except InternalInvariantViolation:
         if isinstance(pairs, _MatrixPairs):
-            verdict = validate_ultrametric(source)
-            if not verdict.ok:
-                raise UltrametricViolationError(verdict.violations) from None
+            violations = validate_ultrametric(source)
+            if violations:
+                raise UltrametricViolationError(violations) from None
         raise
     if over is not None:
         raise InstanceError(over)

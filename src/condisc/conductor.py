@@ -57,7 +57,7 @@ ODD_WT3_NO_EVEN_CHILDREN = "ODD_WT3_NO_EVEN_CHILDREN"
 STRICT = "STRICT"
 
 
-def local_artin(v: ClusterVertex, tree: ClusterTree) -> int:
+def local_artin(v: ClusterVertex) -> int:
     """Share of the conductor carried by one vertex (closed form)."""
     if not v.f_val % 2:
         return (v.l % 2) + 2 * len(v.children)
@@ -65,11 +65,11 @@ def local_artin(v: ClusterVertex, tree: ClusterTree) -> int:
     return base - v.r + 3 * v.s + 2 * v.l
 
 
-def _shift(v: ClusterVertex, parent_odd: bool, odd_child_shift: int) -> int:
-    """E from the vertex, its parent's parity and sum(2 - wt(wt-1)) over its odd children."""
+def _shift(v: ClusterVertex, odd_child_shift: int) -> int:
+    """E from the vertex, which knows its parent's parity, and sum(2 - wt(wt-1)) over its odd children."""
     if not v.f_val % 2:
         return -(v.l % 2) - odd_child_shift
-    base = 2 if not parent_odd else 1
+    base = 2 if not v.parent_odd else 1
     return len(v.children) + base - v.wt * (v.wt - 1) - odd_child_shift
 
 
@@ -106,8 +106,8 @@ def compare_vertex(v: ClusterVertex, tree: ClusterTree) -> VertexLedger:
             odd_only = False
             even_wt2 = even_wt2 and child.wt == 2
     odd = v.f_val % 2 == 1
-    D = local_artin(v, tree)
-    E = _shift(v, v.parent_odd, odd_shift)
+    D = local_artin(v)
+    E = _shift(v, odd_shift)
     dp = D + E
     closed = 2 * (v.l + v.s) - v.wt * (v.wt - 1) + odd_sq if odd else 2 * v.s + odd_sq
     if dp != closed:

@@ -59,12 +59,10 @@ def _random_composition(rng: random.Random, total: int, parts: int) -> list[int]
 
 
 def _realize(rng: random.Random, n: int, depth: int, max_depth: int, chain_prob: float, p: int) -> list[int]:
-    """Integers whose pairwise valuations realize a random nesting of n roots."""
-    if n == 1:
-        return [0]
+    """Integers whose pairwise valuations realize a random nesting of n >= 2 roots."""
     if depth >= max_depth:
         parts = min(p, n)
-    elif n >= 2 and rng.random() < chain_prob:
+    elif rng.random() < chain_prob:
         parts = 1
     else:
         parts = rng.randint(2, min(p, n))
@@ -106,7 +104,7 @@ def local_disc(v: ClusterVertex, tree: ClusterTree) -> int:
 def local_shift(v: ClusterVertex, tree: ClusterTree) -> int:
     """Rebalancing term E; sums to zero over the whole tree."""
     odd_child_shift = sum(2 - tree[c].wt * (tree[c].wt - 1) for c in v.children if tree[c].odd)
-    return _shift(v, v.parent_odd, odd_child_shift)
+    return _shift(v, odd_child_shift)
 
 
 def disc_oracle(inst: Instance) -> int:
@@ -189,17 +187,12 @@ def member_sets(tree: ClusterTree) -> list[frozenset[int]]:
     return sets
 
 
-def per_depth_oracle(source: Instance | ValuationMatrix, *, label: str | None = None) -> Report:
-    """The report of the pipeline run on :func:`naive_tree_oracle`'s per-depth tree, for valid
-    input; its output, totals and headline fields must equal :func:`~condisc.conductor.analyze`'s."""
-    if isinstance(source, Instance):
-        p, m = source.p, build_matrix(source)
-        label = label if label is not None else source.label
-    else:
-        p, m = None, source
+def per_depth_oracle(m: ValuationMatrix, *, label: str | None = None) -> Report:
+    """The report of the pipeline run on :func:`naive_tree_oracle`'s per-depth tree, for a valid
+    matrix; its output, totals and headline fields must equal :func:`~condisc.conductor.analyze`'s."""
     tree = naive_tree_oracle(m)
     tree.nu_df = equation_discriminant(m)
-    return _report(tree, p, label)
+    return _report(tree, None, label)
 
 
 def trees_agree(tree: ClusterTree, oracle: ClusterTree) -> bool:

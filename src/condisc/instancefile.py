@@ -130,6 +130,4 @@ def load_instance(path: str | Path) -> tuple[Instance | ValuationMatrix, str | N
     # or arrays nested past the recursion limit
     except (ValueError, RecursionError) as exc:
         raise InstanceError(f"cannot read {path}: {exc}") from exc
-    parsed = parse_instance_dict(data)
-    label = data.get("label") if isinstance(data, dict) else None
-    return parsed, label
+    return parse_instance_dict(data), data.get("label")  # data is a dict once it parses

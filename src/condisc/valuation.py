@@ -168,10 +168,6 @@ class Instance(NamedTuple):
     def num_roots(self) -> int:
         return len(self.roots)
 
-    @property
-    def genus(self) -> int:
-        return (self.num_roots - 2) // 2
-
     def validate(self) -> None:
         """Check p (its size first) and integrality.  Duplicate roots are
         found by :func:`residues` and the root count where the tree is built,
@@ -316,19 +312,9 @@ def build_matrix(inst: Instance) -> ValuationMatrix:
     return ValuationMatrix(tuple(tuple(row) for row in rows))
 
 
-class UltrametricVerdict(NamedTuple):
-    violations: tuple[tuple[int, int, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_ultrametric(m: ValuationMatrix) -> UltrametricVerdict:
-    """Check the strong triangle rule on every index triple.
+def validate_ultrametric(m: ValuationMatrix) -> tuple[tuple[int, int, int], ...]:
+    """Check the strong triangle rule on every index triple; returns the
+    violating triples, none when the matrix is ultrametric.
 
     A triple passes exactly when the minimum of its three pairwise
     valuations is attained at least twice.  A violating triple (i, j, k) is
@@ -352,7 +338,7 @@ def validate_ultrametric(m: ValuationMatrix) -> UltrametricVerdict:
                     bad.append((j, i, k))
                 else:  # short side (i, k)
                     bad.append((i, j, k))
-    return UltrametricVerdict(tuple(bad))
+    return tuple(bad)
 
 
 def matrix_from_rows(rows: Sequence[Sequence]) -> ValuationMatrix:

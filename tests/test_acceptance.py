@@ -184,7 +184,7 @@ def test_criterion_8_validation_gates(tmp_path, capsys, monkeypatch):
         ok = write_instance(tmp_path / "fixtureA.json", FIXTURE_A)
         true_formula = condisc.conductor._shift
         monkeypatch.setattr(condisc.conductor, "_shift",
-                            lambda v, parent_odd, shift: true_formula(v, parent_odd, shift) + 1)
+                            lambda v, shift: true_formula(v, shift) + 1)
         assert main(["analyze", str(ok)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("internal invariant violation") and "D + E disagrees with the closed form of D'" in err

@@ -111,8 +111,8 @@ def test_injected_invariant_violation_exit_two(fixture_a_file, capsys, monkeypat
     # mutation build: corrupt one local formula and watch the analyzer object
     true_formula = condisc.conductor.local_artin
 
-    def corrupted(v, tree):
-        return true_formula(v, tree) + (2 if v.depth == 0 else 0)
+    def corrupted(v):
+        return true_formula(v) + (2 if v.depth == 0 else 0)
 
     monkeypatch.setattr(condisc.conductor, "local_artin", corrupted)
     assert main(["analyze", str(fixture_a_file)]) == 2

@@ -30,7 +30,7 @@ from condisc.harness import (
     naive_tree_oracle,
     trees_agree,
 )
-from condisc.valuation import UltrametricVerdict
+from condisc.valuation import Residues, residues
 
 from conftest import DEEP_PAIR, FIXTURE_C, cluster_rows, make
 
@@ -246,16 +246,16 @@ def test_certificate_agrees_with_the_triple_scan():
             i, j = pairs[(spec.seed * 7 + 11 * k) % len(pairs)]
             delta = 1 if k % 2 == 0 or m.entries[i][j] == 0 else -1
             mutated = mutate_entry(m, i, j, delta)
-            verdict = validate_ultrametric(mutated)
+            violations = validate_ultrametric(mutated)
             checked += 1
-            if verdict.ok:
+            if not violations:
                 tree = build_cluster_tree(mutated)
                 assert trees_agree(tree, naive_tree_oracle(mutated))
                 continue
             rejected += 1
             with pytest.raises(UltrametricViolationError) as err:
                 build_cluster_tree(mutated)
-            assert err.value.violations == verdict.violations
+            assert err.value.violations == violations
     assert checked >= 1000
     assert 0 < rejected < checked
 
@@ -276,7 +276,7 @@ def test_non_ultrametric_matrix_past_the_budget_gets_the_ultrametric_error():
 
 
 def test_certificate_mismatch_under_a_clean_scan_is_internal(monkeypatch):
-    monkeypatch.setattr(condisc.cluster, "validate_ultrametric", lambda m: UltrametricVerdict(()))
+    monkeypatch.setattr(condisc.cluster, "validate_ultrametric", lambda m: ())
     with pytest.raises(InternalInvariantViolation, match="differs from the split depth"):
         build_cluster_tree(matrix_from_rows(
             [[None, 2, 0, 0, 0, 0],
@@ -289,6 +289,34 @@ def test_certificate_mismatch_under_a_clean_scan_is_internal(monkeypatch):
     # a failure the scan does not explain is raised as it is, even past the vertex budget
     with pytest.raises(InternalInvariantViolation, match="differs from the split depth"):
         build_cluster_tree(_violation_beside_a_long_chain())
+
+
+def _shift_the_residue_floor(monkeypatch, by):
+    """Report each positive floor of the residue route ``by`` off its true value."""
+    floor = condisc.cluster._ResiduePairs.floor
+
+    def shifted(self, members):
+        f = floor(self, members)
+        return f + by if f else f
+
+    monkeypatch.setattr(condisc.cluster._ResiduePairs, "floor", shifted)
+
+
+@pytest.mark.parametrize("by, message", [
+    (1, r"valuation 1 differs from the split depth 2 \(at vertex \(2, 5\)\)"),  # the work list's last class
+    (-1, r"the cluster does not split at its floor 0"),
+], ids=["too-high", "too-low"])
+def test_the_residue_certificate_rejects_a_wrong_floor(fixture_a, monkeypatch, by, message):
+    # the root splits at floor 0 into {0, 3}, {1, 4} and {2, 5}, each of floor 1
+    res = residues(fixture_a)
+    _shift_the_residue_floor(monkeypatch, by)
+    with pytest.raises(InternalInvariantViolation, match=message):
+        build_cluster_tree(res)
+
+
+def test_the_residue_certificate_rejects_equal_residues():
+    with pytest.raises(InternalInvariantViolation, match="infinite valuation inside a cluster"):
+        build_cluster_tree(Residues(3, (5,) * 6))
 
 
 def _counting_grow(monkeypatch):
@@ -365,12 +393,16 @@ def test_separating_roots_that_do_not_partition_the_roots_rejected(fixture_a, ed
     ({5: {"f_val": 13}}, r"f_val != parent's f_val \+ wt \(at vertex 5\)"),  # parity still agrees
     # the children of the equal-parity siblings 1 and 2 swapped: depths and parities still agree
     ({1: {"children": (4,)}, 2: {"children": (3,)}}, r"wt != l_prime \+ sum of child weights \(at vertex 1\)"),
+    # root 2 moved from 5 to its parent 3, which counts 5 as odd: only 5's own weight is wrong
+    ({3: {"sep_roots": (2, 3, 4), "r": 1}, 5: {"wt": 1, "sep_roots": (1,)}}, r"vertex weight below 2 \(at vertex 5\)"),
+    ({5: {"depth": 4}}, r"child depth != parent depth \+ 1 \(at vertex 5\)"),
 ], ids=["named-twice", "orphan", "child-before-parent", "child-out-of-range", "root-f_val", "f_val-off-by-2",
-        "swapped-children"])
+        "swapped-children", "weight-1", "depth-skips"])
 def test_children_that_do_not_form_the_tree_rejected(edit, message):
     tree = build_cluster_tree(build_matrix(gen_instance(GenSpec(seed=5, p=3, genus=3, max_depth=2, chain_prob=0.3))))
     assert [v.children for v in tree] == [(1, 2), (3,), (4,), (5,), (), ()]
     assert [v.f_val for v in tree] == [0, 5, 3, 9, 6, 11]
+    assert [v.sep_roots for v in tree] == [(), (0,), (), (3, 4), (5, 6, 7), (1, 2)]
     check_tree_invariants(tree)
     verts = list(tree.vertices)
     for vid, fields in edit.items():

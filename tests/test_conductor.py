@@ -189,7 +189,7 @@ def test_one_scan_ledger_matches_the_per_term_walks():
         tree = build_cluster_tree(build_matrix(inst))
         for v in tree:
             led = compare_vertex(v, tree)
-            assert (led.d, led.D, led.E) == (local_disc(v, tree), local_artin(v, tree), local_shift(v, tree))
+            assert (led.d, led.D, led.E) == (local_disc(v, tree), local_artin(v), local_shift(v, tree))
             wt2 = sum(1 for c in v.children if tree[c].wt == 2)
             assert led.L_count == (wt2 if v.odd and v.wt > 2 else 0)
 

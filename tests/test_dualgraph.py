@@ -15,7 +15,7 @@ from condisc import (
 )
 from condisc.conductor import _check_conductor_decomposition
 from condisc.dualgraph import INSERT, LEAF, ST, _check_connected, check_x_invariants, check_y_invariants
-from condisc.errors import DisconnectedCover
+from condisc.errors import DisconnectedCover, GenusMismatch, NonIntegralSelfIntersection
 from condisc.harness import default_specs, gen_instance
 
 from conftest import (
@@ -271,13 +271,47 @@ def test_conductor_decomposition_names_the_vertex_an_edge_weight_breaks(fixture_
         _check_conductor_decomposition(report.tree, broken, report.ledgers, artin_conductor(broken))
 
 
-def test_edge_over_non_adjacent_cover_vertices_rejected():
-    tree, y, x = graphs_of(make(ODD_CHAIN))
-    a, b = x.over[tree.root.id][0], x.n_components - 1
-    assert y.parent.get(x.components[b].over) != x.components[a].over
-    stray = x._replace(edges={**x.edges, (a, b): 1})
-    with pytest.raises(InternalInvariantViolation, match="non-adjacent cover vertices"):
-        check_x_invariants(stray)
+def _with_component(x, cid, **fields):
+    comps = list(x.components)
+    comps[cid] = comps[cid]._replace(**fields)
+    return x._replace(components=tuple(comps))
+
+
+# ODD_CHAIN's model: component 0 lies over the even root (m = 1, chi = 0); 1 and 2 over the odd
+# tree vertices 1 and 2 (m = 2); 3 over the vertex inserted between them (m = 2); 4, 5 and 6
+# over leaves, for root 2 at vertex 1 and roots 0 and 1 at vertex 2 (m = 1)
+@pytest.mark.parametrize("tamper, message", [
+    # component 6's cover vertex hangs from 2's, not from 0's
+    (lambda x: x._replace(edges={**x.edges, (0, 6): 1}), r"edge joins components over non-adjacent cover vertices"),
+    (lambda x: _with_component(x, 0, m=2), r"multiplicity contradicts the cover rule \(at vertex 0\)"),
+    (lambda x: _with_component(x, 1, chi=0), r"multiplicity-2 component must be rational \(at vertex 1\)"),
+    (lambda x: x._replace(edges={**x.edges, (0, 1): 2}), r"weight-2 intersection in a forbidden position"),
+    # the leaf component of root 1 dropped, with its one edge
+    (lambda x: x._replace(components=x.components[:6], edges={e: w for e, w in x.edges.items() if 6 not in e}),
+     r"odd fiber does not split as 1 \+ s \+ l' \(at vertex 2\)"),
+], ids=["non-adjacent", "multiplicity", "m2-not-rational", "weight-2-at-odd", "leaf-missing"])
+def test_model_that_breaks_the_cover_rules_rejected(tamper, message):
+    _, y, x = graphs_of(make(ODD_CHAIN))
+    assert [y.parent.get(c.over) for c in x.components] == [None, 0, 3, 1, 1, 2, 2]
+    assert [(c.m, c.chi) for c in x.components] == [(1, 0), (2, 2), (2, 2), (2, 2), (1, 2), (1, 2), (1, 2)]
+    assert x.edges == {(0, 1): 1, (1, 3): 1, (2, 3): 1, (1, 4): 1, (2, 5): 1, (2, 6): 1}
+    with pytest.raises(InternalInvariantViolation, match=message):
+        check_x_invariants(tamper(x))
+
+
+def test_self_intersection_that_is_not_an_integer_rejected():
+    _, _, x = graphs_of(make(ODD_CHAIN))
+    # component 1 (m = 2) meets 0 (m = 1), 3 (m = 2) and 4 (m = 1): 1 + 2 + 1 = 4, now 5
+    tampered = x._replace(edges={**x.edges, (1, 4): 2})
+    with pytest.raises(NonIntegralSelfIntersection, match=r"self-intersection -5/2 is not an integer \(at vertex 1\)"):
+        self_intersections(tampered)
+
+
+def test_adjunction_that_misses_the_genus_rejected(fixture_b):
+    _, _, x = graphs_of(fixture_b)
+    si = self_intersections(x)
+    with pytest.raises(GenusMismatch, match=r"adjunction total 2 != 2g - 2 = 4"):
+        genus_check(x._replace(genus=3), si)
 
 
 def test_branch_degrees_match_the_neighbour_count():
@@ -293,6 +327,14 @@ def test_branch_degree_that_disagrees_with_the_tree_rejected(fixture_b):
     beta = list(y.branch_degrees)
     beta[tree.root.id] += 2  # still even, so only the comparison with l + (l mod 2) can see it
     with pytest.raises(InternalInvariantViolation, match=r"branch degree != l \+ \(l mod 2\)"):
+        check_y_invariants(y._replace(branch_degrees=tuple(beta)))
+
+
+def test_odd_branch_degree_at_an_even_vertex_rejected(fixture_b):
+    tree, y, _ = graphs_of(fixture_b)
+    beta = list(y.branch_degrees)
+    beta[tree.root.id] += 1
+    with pytest.raises(InternalInvariantViolation, match=r"odd branch degree at an even vertex \(at vertex 0\)"):
         check_y_invariants(y._replace(branch_degrees=tuple(beta)))
 
 
@@ -321,6 +363,12 @@ def test_cover_with_one_edge_removed_is_disconnected(fixture_b):
     cut = x._replace(edges={e: w for e, w in x.edges.items() if e != edge})
     with pytest.raises(DisconnectedCover, match="cover graph is disconnected"):
         _check_connected(cut)
+
+
+def test_cover_with_no_components_rejected(fixture_b):
+    _, _, x = graphs_of(fixture_b)
+    with pytest.raises(DisconnectedCover, match="cover graph has no components"):
+        _check_connected(x._replace(components=()))
 
 
 def test_union_find_agrees_with_the_neighbour_walk():

@@ -146,12 +146,12 @@ def test_mutation_probe_of_validator():
         for i in range(m.n):
             for j in range(i + 1, m.n):
                 mutated = mutate_entry(m, i, j)
-                verdict = validate_ultrametric(mutated)
-                if verdict.ok:
+                violations = validate_ultrametric(mutated)
+                if not violations:
                     continue
                 flagged += 1
                 # the reported triple must genuinely break the min-twice rule
-                for (a, b, c) in verdict.violations:
+                for (a, b, c) in violations:
                     vals = (mutated.entries[a][b], mutated.entries[b][c], mutated.entries[a][c])
                     lo = min(vals)
                     assert sum(1 for v in vals if v == lo) == 1

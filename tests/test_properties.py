@@ -53,7 +53,7 @@ gen_specs = st.builds(
 @settings(max_examples=60, deadline=None)
 def test_generated_matrices_are_ultrametric(spec):
     m = build_matrix(gen_instance(spec))
-    assert validate_ultrametric(m).ok
+    assert validate_ultrametric(m) == ()
 
 
 @given(gen_specs)
@@ -98,11 +98,11 @@ def test_mutated_matrices_either_pass_or_get_flagged(spec, pick):
     pairs = [(i, j) for i in range(m.n) for j in range(i + 1, m.n)]
     i, j = pairs[pick % len(pairs)]
     mutated = mutate_entry(m, i, j)
-    verdict = validate_ultrametric(mutated)
-    if verdict.ok:
+    violations = validate_ultrametric(mutated)
+    if not violations:
         analyze(mutated)  # still a legal instance; pipeline must accept it
     else:
-        a, b, c = verdict.violations[0]
+        a, b, c = violations[0]
         assert mutated.entries[a][c] < min(mutated.entries[a][b], mutated.entries[b][c])
 
 

@@ -164,33 +164,31 @@ def test_p_unit_denominators_allowed():
 
 
 def test_ultrametric_ok_on_built_matrices(fixture_a, fixture_b):
-    assert validate_ultrametric(build_matrix(fixture_a)).ok
-    assert validate_ultrametric(build_matrix(fixture_b)).ok
+    assert validate_ultrametric(build_matrix(fixture_a)) == ()
+    assert validate_ultrametric(build_matrix(fixture_b)) == ()
 
 
 def test_ultrametric_violation_reported():
     m = matrix_from_rows(
         [[None, 2, 0], [2, None, 2], [0, 2, None]]
     )
-    verdict = validate_ultrametric(m)
-    assert not verdict.ok
-    assert verdict.violations == ((0, 1, 2),)
+    assert validate_ultrametric(m) == ((0, 1, 2),)
 
 
 def test_ultrametric_equality_case_ok():
     m = matrix_from_rows(
         [[None, 1, 1], [1, None, 2], [1, 2, None]]
     )
-    assert validate_ultrametric(m).ok
+    assert validate_ultrametric(m) == ()
 
 
 def test_ultrametric_orientation_other_sides():
     # unique minimum on (0, 1): reported with 2 as middle vertex
     m = matrix_from_rows([[None, 0, 2], [0, None, 2], [2, 2, None]])
-    assert validate_ultrametric(m).violations == ((0, 2, 1),)
+    assert validate_ultrametric(m) == ((0, 2, 1),)
     # unique minimum on (1, 2)
     m = matrix_from_rows([[None, 2, 2], [2, None, 0], [2, 0, None]])
-    assert validate_ultrametric(m).violations == ((1, 0, 2),)
+    assert validate_ultrametric(m) == ((1, 0, 2),)
 
 
 def test_matrix_shape_gates():
@@ -285,3 +283,25 @@ def test_is_odd_prime_agrees_with_sympy():
     near_bound = range(_MR_EXACT_BELOW - 1000, _MR_EXACT_BELOW + 1000)
     for n in [*range(-50, 10**5), *near_bound, *KNOWN_PRIMALITY]:
         assert is_odd_prime(n) == (n != 2 and sympy.isprime(n)), n
+
+
+
+@pytest.mark.parametrize("n, symbols", [((2**89 - 1) ** 2, 0), (5 * (2**89 - 1), 1)],
+                         ids=["odd-square", "five-times-a-prime"])
+def test_lucas_test_rejects_a_square_and_a_multiple_of_five(monkeypatch, n, symbols):
+    # is_odd_prime strips small factors and runs a base-2 test first, so neither reaches it that way.
+    # A square has no Selfridge parameter D with Jacobi symbol -1, so it is rejected before the
+    # search; (5/n) = 0 when 5 divides n, so the search stops at its first D.
+    import condisc.valuation as cv
+
+    calls = []
+    jacobi = cv._jacobi
+
+    def counted(a, m):
+        calls.append(a)
+        assert len(calls) <= 50, "no parameter D found"
+        return jacobi(a, m)
+
+    monkeypatch.setattr(cv, "_jacobi", counted)
+    assert cv._strong_lucas_probable_prime(n) is False
+    assert len(calls) == symbols
