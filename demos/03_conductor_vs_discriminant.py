@@ -30,8 +30,7 @@ print(f"  largest discriminant surplus: {max(gaps)}")
 inst = Instance.from_values(p=5, roots=[0, 25, 5, 10, 1, 2], label="strict example")
 report = analyze(inst)
 print(f"\n{inst.label}: nu(d_f) = {report.nu_df}, -Art = {report.artin}")
-for led in report.ledgers:
-    v = report.tree[led.vertex]
+for v, led in zip(report.tree, report.ledgers):
     mark = "=" if led.equality else f"<  (defect {led.d - led.D_double_prime}, {led.reason})"
     print(f"  v{v.id} wt={v.wt} {v.parity:4}  d={led.d:3}  D''={led.D_double_prime:3}  {mark}")
 

@@ -74,7 +74,6 @@ def _shift(v: ClusterVertex, odd_child_shift: int) -> int:
 
 
 class VertexLedger(NamedTuple):
-    vertex: int
     d: int
     D: int
     E: int
@@ -129,7 +128,7 @@ def compare_vertex(v: ClusterVertex, tree: ClusterTree) -> VertexLedger:
         raise InequalityViolated(f"D'' = {dpp} exceeds d = {d}", vertex=v.id)
     if eq != (dpp == d):
         raise InternalInvariantViolation("equality clause disagrees with the computed values", vertex=v.id)
-    return VertexLedger(v.id, d, D, E, dp, dpp, l_count, eq, reason)  # positional, as in build_ty
+    return VertexLedger(d, D, E, dp, dpp, l_count, eq, reason)  # positional, as in build_ty
 
 
 # a vertex's JSON object after its "depth", as json.dumps writes it with
@@ -156,7 +155,7 @@ class Report(SimpleNamespace):
     equality_holds: bool
     x_minimal: bool
     component_bound_ok: bool
-    ledgers: tuple[VertexLedger, ...]
+    ledgers: tuple[VertexLedger, ...]  # by vertex id of the cut tree
     tree: ClusterTree
     ygraph: YGraph
     xgraph: XGraph
@@ -197,15 +196,10 @@ class Report(SimpleNamespace):
             "warnings": list(self.warnings),
         }
 
-    def _vertex_rows(self):
-        """(id, vertex of the cut tree, depth) per vertex of the per-depth
-        tree, by id; none for a report without ledgers."""
-        return self.tree.rows() if self.ledgers else ()
-
     def to_json_dict(self) -> dict:
         verts, ledgers = self.tree.vertices, self.ledgers
         vertices = []
-        for fid, vid, depth in self._vertex_rows():
+        for fid, vid, depth in self.tree.rows():
             v, led = verts[vid], ledgers[vid]
             vertices.append({
                 "id": fid,
@@ -246,10 +240,10 @@ class Report(SimpleNamespace):
         tails = [_TAIL % cells for cells in self._json_cells()]
         yield f'{head[:-2]},\n  "vertices": ['
         sep = "\n"
-        for fid, vid, depth in self._vertex_rows():
+        for fid, vid, depth in self.tree.rows():
             yield f'{sep}    {{\n      "id": {fid},\n      "depth": {depth},\n{tails[vid]}'
             sep = ",\n"
-        yield "]\n}" if sep == "\n" else "\n  ]\n}"
+        yield "\n  ]\n}"
 
     def to_json(self) -> str:
         """``json.dumps(self.to_json_dict(), indent=2)``, byte for byte.
@@ -266,7 +260,7 @@ class Report(SimpleNamespace):
         byte, from the same tails as :meth:`json_rows` in compact form."""
         head = json.dumps(self._header(), separators=(",", ":"))  # ends with "}"
         tails = [_TAIL_COMPACT % cells for cells in self._json_cells()]
-        rows = ",".join([f'{{"id":{fid},"depth":{depth},{tails[vid]}' for fid, vid, depth in self._vertex_rows()])
+        rows = ",".join([f'{{"id":{fid},"depth":{depth},{tails[vid]}' for fid, vid, depth in self.tree.rows()])
         return f'{head[:-1]},"vertices":[{rows}]}}'
 
 
@@ -317,11 +311,10 @@ def _check_conductor_decomposition(tree: ClusterTree, x: XGraph, ledgers, artin:
             up, lo = lo, up
         by_vertex[yverts[up.over].origin[0]] += lo.m * w
         by_vertex[yverts[lo.over].origin[0]] += (up.m - 1) * w
-    for led in ledgers:
-        if by_vertex[led.vertex] != led.D:
+    for vid, led in enumerate(ledgers):
+        if by_vertex[vid] != led.D:
             raise InternalInvariantViolation(
-                f"component terms over the vertex sum to {by_vertex[led.vertex]}, formula gives {led.D}",
-                vertex=led.vertex,
+                f"component terms over the vertex sum to {by_vertex[vid]}, formula gives {led.D}", vertex=vid
             )
     local_sum = per_depth_total([led.D for led in ledgers], tree.repeats)
     if local_sum != artin:
@@ -371,12 +364,9 @@ def _report(tree: ClusterTree, p: int | None, label: str | None) -> Report:
     genus_check(x, selfint)
 
     # second route to the conductor: 2g - 2 plus chi of the special fiber
-    nodes = x.total_edge_weight()
-    chi_special = per_depth_total([c.chi for c in x.components], x.repeats) - nodes
+    chi_special = per_depth_total([c.chi for c in x.components], x.repeats) - x.total_edge_weight()
     if artin != (2 * genus - 2) + chi_special:
         raise InternalInvariantViolation("conductor disagrees with the Euler-characteristic route")
-    if all(c.m == 1 for c in x.components) and artin != nodes:
-        raise InternalInvariantViolation("reduced special fiber but conductor != number of nodes")
 
     ledgers = tuple(compare_vertex(v, tree) for v in tree)
     if per_depth_total([led.d for led in ledgers], tree.repeats) != nu_df:

@@ -17,8 +17,10 @@ Over each T_Y edge the components of the two fibers meet by one rule: two
 split fibers meet sheet by sheet; otherwise every pair meets once, or twice
 where two single components over even vertices meet.  The two sheets of a
 split region are interchangeable by a graph automorphism, so every numeric
-invariant computed here is independent of which sheet meets which; fixing
-sheet index to sheet index makes output reproducible byte for byte.
+invariant computed here is independent of which sheet meets which.  A sheet
+is known only by its place in ``XGraph.over`` (the first or second of the
+two component ids over its cover vertex), and joining first to first and
+second to second makes output reproducible byte for byte.
 
 ``build_ty`` computes each cover vertex's branch degree ``beta`` once, in
 one pass over the T_Y edges, and stores it on the graph; ``build_tx`` and
@@ -149,7 +151,6 @@ def check_y_invariants(y: YGraph) -> None:
 class XComponent(NamedTuple):
     id: int
     over: int              # YVertex id
-    sheet: int | None      # 0 / 1 when the cover splits over `over`
     m: int                 # multiplicity in the special fiber, 1 or 2
     chi: int               # etale Euler characteristic
 
@@ -158,7 +159,6 @@ class XGraph(NamedTuple):
     components: tuple[XComponent, ...]
     edges: dict[tuple[int, int], int]          # (a, b) with a < b -> intersection number
     over: dict[int, tuple[int, ...]]           # YVertex id -> component ids
-    genus: int
     ygraph: YGraph
     repeats: dict[int, int]                    # component id -> repeat, where it is not 1
     edge_repeats: dict[tuple[int, int], int]   # edge -> repeat, where it is not 1
@@ -168,13 +168,10 @@ class XGraph(NamedTuple):
         """Components of the per-depth fiber: each counted ``repeat`` times."""
         return len(self.components) + sum(r - 1 for r in self.repeats.values())
 
-    def weight(self, a: int, b: int) -> int:
-        return self.edges.get((min(a, b), max(a, b)), 0)
-
     def neighbors(self, cid: int):
         for v in self.ygraph.neighbors(self.components[cid].over):
             for w in self.over[v]:
-                wt = self.weight(cid, w)
+                wt = self.edges.get((min(cid, w), max(cid, w)), 0)
                 if wt:
                     yield w, wt
 
@@ -193,16 +190,16 @@ def build_tx(y: YGraph) -> XGraph:
     for v, b in zip(y.vertices, y.branch_degrees):
         if v.odd:
             ids = (len(comps),)
-            comps.append(XComponent(ids[0], v.id, None, 2, 2))  # positional, as in build_ty
+            comps.append(XComponent(ids[0], v.id, 2, 2))  # positional, as in build_ty
         else:
             if b == 0:
                 ids = (len(comps), len(comps) + 1)
-                comps.append(XComponent(ids[0], v.id, 0, 1, 2))
-                comps.append(XComponent(ids[1], v.id, 1, 1, 2))
+                comps.append(XComponent(ids[0], v.id, 1, 2))
+                comps.append(XComponent(ids[1], v.id, 1, 2))
             else:
                 ids = (len(comps),)
                 mult = 2 if v.kind == INSERT else 1
-                comps.append(XComponent(ids[0], v.id, None, mult, 4 - b))
+                comps.append(XComponent(ids[0], v.id, mult, 4 - b))
         over[v.id] = ids
         r = tverts[v.origin[0]].repeat
         if r != 1:
@@ -222,13 +219,7 @@ def build_tx(y: YGraph) -> XGraph:
                 edge_repeats[edge] = r
 
     x = XGraph(
-        components=tuple(comps),
-        edges=edges,
-        over=over,
-        genus=(y.tree.num_roots - 2) // 2,
-        ygraph=y,
-        repeats=repeats,
-        edge_repeats=edge_repeats,
+        components=tuple(comps), edges=edges, over=over, ygraph=y, repeats=repeats, edge_repeats=edge_repeats
     )
     _check_connected(x)
     check_x_invariants(x)
@@ -325,10 +316,12 @@ def self_intersections(x: XGraph) -> dict[int, int]:
 
 def genus_check(x: XGraph, selfint: dict[int, int]) -> int:
     """Recompute 2g - 2 from the graph via adjunction, each component weighted
-    by its repeat; raises on mismatch."""
+    by its repeat, and compare it with 2g - 2 of the root count; raises on
+    mismatch."""
     total = per_depth_total([c.m * (-c.chi - selfint[c.id]) for c in x.components], x.repeats)
-    if total != 2 * x.genus - 2:
-        raise GenusMismatch(f"adjunction total {total} != 2g - 2 = {2 * x.genus - 2}")
+    expected = 2 * ((x.ygraph.tree.num_roots - 2) // 2) - 2
+    if total != expected:
+        raise GenusMismatch(f"adjunction total {total} != 2g - 2 = {expected}")
     return total
 
 

@@ -35,10 +35,6 @@ _FIELDS = {
     "roots": {"mode", "p", "roots", "label"},
     "matrix": {"mode", "valuations", "label"},
 }
-_REQUIRED = {
-    "roots": {"mode", "p", "roots"},
-    "matrix": {"mode", "valuations"},
-}
 
 
 _ECHO_CHARS = 40  # of a root, echoed in the message that rejects it
@@ -90,7 +86,7 @@ def parse_instance_dict(data) -> Instance | ValuationMatrix:
     extra = set(data) - _FIELDS[mode]
     if extra:
         raise InstanceError(f"unexpected fields for mode '{mode}': {sorted(extra)}")
-    missing = _REQUIRED[mode] - set(data)
+    missing = _FIELDS[mode] - {"label"} - set(data)
     if missing:
         raise InstanceError(f"missing fields for mode '{mode}': {sorted(missing)}")
     label = data.get("label")

@@ -12,9 +12,10 @@ matrices are a first-class input mode, :func:`matrix_from_rows` converts raw
 rows, and ``analyze`` checks every entry, once, through
 :meth:`ValuationMatrix.check_shape`.  Both read the n x n entries in builtins
 (``list``, ``zip``, ``map``, ``min``, ``in``), a pass per property with O(n)
-Python steps, and fall back to an entry-by-entry loop only for the rows or
-matrices that need it.  :func:`build_matrix` computes the matrix of an
-instance, as a second route that tests compare with the first.
+Python steps.  :func:`matrix_from_rows` goes entry by entry only through a
+row that still holds a ``None``, and ``check_shape`` only through a matrix
+that fails its whole-matrix test.  :func:`build_matrix` computes the matrix
+of an instance, as a second route that tests compare with the first.
 """
 
 from __future__ import annotations
@@ -209,10 +210,9 @@ class ValuationMatrix(NamedTuple):
         its upper triangle's minimum is nonnegative.  Such a matrix has none of
         the defects above.  The types are read in both triangles: a ``True``
         or ``1.0`` below the diagonal equals its ``1`` above it.  Only a matrix
-        that fails the test is scanned, in the order above, to name its first
-        defect: each row is tested whole in the same way, and a row that fails
-        is scanned entry by entry.  The scan also accepts what the test turns
-        down without a defect, such as an entry of a subclass of ``int``."""
+        that fails the test is scanned entry by entry, in the order above, to
+        name its first defect.  The scan also accepts what the test turns down
+        without a defect, such as an entry of a subclass of ``int``."""
         entries, n = self.entries, self.n
         rows = tuple(map(tuple, entries))
         if (
@@ -229,8 +229,6 @@ class ValuationMatrix(NamedTuple):
         for i, (row, col) in enumerate(zip(entries, zip(*entries))):
             if row[i] is not INFINITY:
                 raise InstanceError(f"matrix diagonal entry ({i}, {i}) must be null/INFINITY")
-            if tuple(row) == col and set(map(type, row[:i] + row[i + 1:])) <= {int} and min(row) >= 0:
-                continue
             for j, (e, t) in enumerate(zip(row, col)):
                 if i != j:
                     _check_entry(e, i, j)

@@ -83,7 +83,7 @@ def test_criterion_3_fixture_c():
         r = analyze(make(FIXTURE_C))
         assert (r.nu_df, r.artin, r.n_components, r.f_tilde) == (4, 4, 4, 1)
         x = r.xgraph
-        sheets = [c for c in x.components if c.sheet is not None]
+        sheets = [cid for ids in x.over.values() if len(ids) == 2 for cid in ids]
         assert len(sheets) == 2                               # split-sheet region
         degree = {c.id: 0 for c in x.components}
         for (a, b), w in x.edges.items():
@@ -143,8 +143,7 @@ def test_criterion_7_inequality_at_scale(suite):
         assert n_equal > 0 and n_strict > 0
         for r in reports:
             tree = r.tree
-            for led in r.ledgers:
-                v = tree[led.vertex]
+            for v, led in zip(tree, r.ledgers):
                 if not v.odd:
                     expect_eq = all(tree[c].wt == 2 for c in v.children if not tree[c].odd)
                     expect_reason = "EVEN_ALL_EVEN_CHILDREN_WT2" if expect_eq else "STRICT"

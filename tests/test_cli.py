@@ -92,6 +92,17 @@ def test_odd_root_count_exit_one(tmp_path, capsys):
     assert "even" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc", [{"mode": "roots", "p": 3, "roots": []}, {"mode": "matrix", "valuations": []}], ids=["roots", "matrix"]
+)
+def test_empty_input_exit_one(tmp_path, capsys, doc):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: need at least 2 roots, got 0\n")
+
+
 def test_small_genus_gate_and_flag(tmp_path, capsys):
     path = tmp_path / "small.json"
     path.write_text(json.dumps({"mode": "roots", "p": 5, "roots": ["0", "1", "2", "3"]}))

@@ -48,7 +48,6 @@ ALLOWED = {
     "cluster.equation_discriminant",
     "dualgraph.YGraph.neighbors",
     "dualgraph.XGraph.neighbors",
-    "dualgraph.XGraph.weight",
     # exported API that the oracles, the demos or the tests call
     "valuation.val",
     "valuation.Instance.from_values",

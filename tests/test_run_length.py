@@ -44,7 +44,7 @@ REPORT_FIELDS = (
 def _totals(report):
     """Each ledger field summed over the per-depth tree, and T_X's repeat-weighted totals."""
     verts, x = report.tree.vertices, report.xgraph
-    totals = {f: sum(getattr(led, f) * verts[led.vertex].repeat for led in report.ledgers) for f in LEDGER_FIELDS}
+    totals = {f: sum(getattr(led, f) * v.repeat for v, led in zip(verts, report.ledgers)) for f in LEDGER_FIELDS}
     totals.update(
         edge_weight=x.total_edge_weight(), artin=artin_conductor(x), adjunction=genus_check(x, report.self_int)
     )
