@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 invalid input, output that cannot be written or
 running out of memory, 2 internal invariant violation or any other unexpected
-error (a bug in the analyzer, not a property of the input).
+error (a bug in the analyzer, not a property of the input).  :func:`_failure`
+is the one statement of that rule for a raised exception.
 """
 
 from __future__ import annotations
@@ -90,8 +91,17 @@ def _emit(rows) -> None:
         raise _OutputError(exc) from exc
 
 
-def _describe(exc: Exception) -> str:  # an invariant's own message, any other error as `Type: message`
-    return str(exc) if isinstance(exc, InternalInvariantViolation) else f"{type(exc).__name__}: {exc}"
+def _failure(exc: Exception) -> tuple[int, str]:
+    """The exit code and message for an exception: 1 for invalid input, running out of memory (a
+    limit of the input and the machine) or output that cannot be written, 2 for anything else, an
+    analyzer bug whatever its type, with an invariant's own message or `Type: message`."""
+    if isinstance(exc, InstanceError):
+        return 1, str(exc)
+    if isinstance(exc, MemoryError):
+        return 1, "out of memory"
+    if isinstance(exc, _OutputError):
+        return 1, f"cannot write output: {exc.__cause__}"
+    return 2, str(exc) if isinstance(exc, InternalInvariantViolation) else f"{type(exc).__name__}: {exc}"
 
 
 def _cmd_analyze(args) -> int:
@@ -124,35 +134,27 @@ def _cmd_batch(args) -> int:
     if not files:
         print(f"no instances found in {args.directory}", file=sys.stderr)
         return 1
-    failures = 0
-    invariant_trips = 0
+    failed = {1: 0, 2: 0}  # files by exit code
 
     def lines():
-        nonlocal failures, invariant_trips
         for path in files:
             try:
                 source, label = load_instance(path)
                 report = analyze(source, allow_small=args.allow_small_genus,
                                  label=label if label is not None else path.stem)
-            except InstanceError as exc:
-                failures += 1
-                print(f"{path.name}: {exc}", file=sys.stderr)
+                line = report.to_json_line() + "\n"
+            except Exception as exc:  # counted against this file; the run goes on to the next
+                code, message = _failure(exc)
+                failed[code] += 1
+                print(f"{path.name}: {'' if code == 1 else 'INTERNAL: '}{message}", file=sys.stderr)
                 continue
-            except MemoryError:  # a limit of the input and the machine, not a bug
-                failures += 1
-                print(f"{path.name}: out of memory", file=sys.stderr)
-                continue
-            except Exception as exc:  # an analyzer bug: count it against this file and go on to the next
-                invariant_trips += 1
-                print(f"{path.name}: INTERNAL: {_describe(exc)}", file=sys.stderr)
-                continue
-            yield report.to_json_line() + "\n"
+            yield line
 
     _emit(lines())
-    if failures or invariant_trips:
-        print(f"batch: {failures} invalid, {invariant_trips} internal failures "
+    if failed[1] or failed[2]:
+        print(f"batch: {failed[1]} invalid, {failed[2]} internal failures "
               f"out of {len(files)} files", file=sys.stderr)
-    return 2 if invariant_trips else 1 if failures else 0
+    return 2 if failed[2] else 1 if failed[1] else 0
 
 
 def _cmd_fuzz(args) -> int:
@@ -181,22 +183,14 @@ def main(argv=None) -> int:
         if args.command == "batch":
             return _cmd_batch(args)
         return _cmd_fuzz(args)
-    except InstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _OutputError as exc:
-        # anything still buffered goes nowhere, so the flush at exit neither fails nor reports
-        if isinstance(exc.__cause__, OSError):
+    except Exception as exc:  # one line on stderr, never a traceback
+        if isinstance(exc, _OutputError) and isinstance(exc.__cause__, OSError):
+            # anything still buffered goes nowhere, so the flush at exit neither fails nor reports
             with suppress(OSError):  # a stdout with no file descriptor
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write output: {exc.__cause__}", file=sys.stderr)
-        return 1
-    except MemoryError:  # a limit of the input and the machine, not a bug
-        print("error: out of memory", file=sys.stderr)
-        return 1
-    except Exception as exc:  # an analyzer bug, whatever its type: exit 2, never a traceback
-        print(f"internal invariant violation: {_describe(exc)}", file=sys.stderr)
-        return 2
+        code, message = _failure(exc)
+        print(f"error: {message}" if code == 1 else f"internal invariant violation: {message}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:

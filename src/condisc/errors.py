@@ -1,10 +1,10 @@
 """Exception hierarchy.
 
 Two families matter to callers: :class:`InstanceError` means the input was
-bad (CLI exit code 1), :class:`InternalInvariantViolation` means the analyzer
-caught itself producing mathematically impossible output (CLI exit code 2).
-The second family should be unreachable; it exists so that bugs fail loudly
-instead of yielding a quietly wrong report.
+bad, :class:`InternalInvariantViolation` that the analyzer caught itself
+producing mathematically impossible output; the second should be unreachable,
+and exists so that bugs fail loudly instead of yielding a quietly wrong report.
+``condisc.cli._failure`` maps every exception to its CLI exit code and message.
 """
 
 from __future__ import annotations

@@ -118,12 +118,10 @@ def load_instance(path: str | Path) -> tuple[Instance | ValuationMatrix, str | N
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))  # JSON is UTF-8, whatever the locale
-    except OSError as exc:
-        raise InstanceError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InstanceError(f"{path} is not valid JSON: {exc}") from exc
-    # bytes that are not UTF-8, an integer past the interpreter's digit limit,
-    # or arrays nested past the recursion limit
-    except (ValueError, RecursionError) as exc:
+    # a file that cannot be opened, bytes that are not UTF-8, an integer past
+    # the interpreter's digit limit, or arrays nested past the recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise InstanceError(f"cannot read {path}: {exc}") from exc
     return parse_instance_dict(data), data.get("label")  # data is a dict once it parses

@@ -216,22 +216,39 @@ def test_batch_collects_per_file_errors(tmp_path, capsys):
     assert "bad.json" in captured.err and "1 invalid" in captured.err
 
 
+def _fail_on_fixture_b(monkeypatch, target, error):
+    """Make the CLI's `analyze`, or `Report.to_json_line`, raise `error` for fixtureB only."""
+    if target == "analyze":
+        true_analyze = condisc.cli.analyze
+
+        def analyze(source, **kwargs):
+            if kwargs["label"] == "fixtureB":
+                raise error
+            return true_analyze(source, **kwargs)
+
+        monkeypatch.setattr(condisc.cli, "analyze", analyze)
+    else:
+        true_line = condisc.conductor.Report.to_json_line
+
+        def to_json_line(report):
+            if report.label == "fixtureB":
+                raise error
+            return true_line(report)
+
+        monkeypatch.setattr(condisc.conductor.Report, "to_json_line", to_json_line)
+
+
 def test_batch_reports_an_unexpected_error_against_its_file_and_goes_on(tmp_path, capsys, monkeypatch):
     for fx in (FIXTURE_A, FIXTURE_B, FIXTURE_C):
         write_instance(tmp_path / f"{fx['label']}.json", fx)
-    true_analyze = condisc.cli.analyze
-
-    def analyze(source, **kwargs):
-        if kwargs["label"] == "fixtureB":
-            raise RuntimeError("boom")
-        return true_analyze(source, **kwargs)
-
-    monkeypatch.setattr(condisc.cli, "analyze", analyze)
-    assert main(["batch", str(tmp_path)]) == 2
-    captured = capsys.readouterr()
-    assert [json.loads(l)["label"] for l in captured.out.splitlines()] == ["fixtureA", "fixtureC"]
-    assert "fixtureB.json: INTERNAL: RuntimeError: boom\n" in captured.err
-    assert "0 invalid, 1 internal failures out of 3 files" in captured.err
+    for target in ("analyze", "to_json_line"):  # the file's analysis fails, then the making of its line
+        with monkeypatch.context() as patch:
+            _fail_on_fixture_b(patch, target, RuntimeError("boom"))
+            assert main(["batch", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert [json.loads(l)["label"] for l in captured.out.splitlines()] == ["fixtureA", "fixtureC"]
+        assert "fixtureB.json: INTERNAL: RuntimeError: boom\n" in captured.err
+        assert "0 invalid, 1 internal failures out of 3 files" in captured.err
 
 
 @pytest.mark.parametrize("command, owner, target, error", [
@@ -250,18 +267,15 @@ def test_unexpected_error_exits_two_with_one_line(fixture_a_file, capsys, monkey
     assert captured.err == f"internal invariant violation: {type(error).__name__}: {error}\n"
 
 
-@pytest.mark.parametrize("command", ["analyze", "batch"])
-def test_running_out_of_memory_exits_one_with_one_line(tmp_path, capsys, monkeypatch, command):
+@pytest.mark.parametrize("command, target", [
+    ("analyze", "analyze"),
+    ("batch", "analyze"),
+    ("batch", "to_json_line"),  # the file's line runs out of memory as it is made
+], ids=["analyze", "batch", "batch-line"])
+def test_running_out_of_memory_exits_one_with_one_line(tmp_path, capsys, monkeypatch, command, target):
     for fx in (FIXTURE_A, FIXTURE_B, FIXTURE_C):
         write_instance(tmp_path / f"{fx['label']}.json", fx)
-    true_analyze = condisc.cli.analyze
-
-    def analyze(source, **kwargs):
-        if kwargs["label"] == "fixtureB":
-            raise MemoryError
-        return true_analyze(source, **kwargs)
-
-    monkeypatch.setattr(condisc.cli, "analyze", analyze)
+    _fail_on_fixture_b(monkeypatch, target, MemoryError)
     if command == "analyze":
         assert main(["analyze", str(tmp_path / "fixtureB.json")]) == 1
         assert capsys.readouterr() == ("", "error: out of memory\n")
@@ -821,6 +835,18 @@ def test_write_failure_on_a_stdout_with_no_descriptor_exits_one(fixture_a_file, 
     monkeypatch.setattr(condisc.cli.sys, "stdout", Closed())
     assert main(["analyze", str(fixture_a_file)]) == 1
     assert capsys.readouterr().err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def test_flush_failure_exits_one_with_one_line(fixture_a_file, capsys, monkeypatch):
+    import errno
+
+    class Full(io.StringIO):  # every write is taken; the flush finds the disk full
+        def flush(self):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(condisc.cli.sys, "stdout", Full())
+    assert main(["analyze", str(fixture_a_file)]) == 1
+    assert capsys.readouterr().err == "error: cannot write output: [Errno 28] No space left on device\n"
 
 
 def test_dot_files_are_utf8_under_an_ascii_locale(fixture_a_file, tmp_path):

@@ -14,7 +14,7 @@ from condisc import (
     self_intersections,
 )
 from condisc.conductor import _check_conductor_decomposition
-from condisc.dualgraph import INSERT, LEAF, ST, _check_connected, check_x_invariants, check_y_invariants
+from condisc.dualgraph import INSERT, LEAF, ST, XGraph, _check_connected, check_x_invariants, check_y_invariants
 from condisc.errors import DisconnectedCover, GenusMismatch, NonIntegralSelfIntersection
 from condisc.harness import default_specs, gen_instance
 
@@ -364,6 +364,16 @@ def test_cover_with_one_edge_removed_is_disconnected(fixture_b):
     cut = x._replace(edges={e: w for e, w in x.edges.items() if e != edge})
     with pytest.raises(DisconnectedCover, match="cover graph is disconnected"):
         _check_connected(cut)
+
+
+def test_union_find_halves_the_path_of_a_second_endpoint():
+    # each edge's second endpoint is already a child when the edge is read, which build_tx's edge
+    # order never gives: the path-halving loop over b runs twice, then once with (0, 1) left out
+    path = XGraph(components=(None,) * 4, edges={(2, 3): 1, (1, 2): 1, (0, 1): 1},
+                  over={}, ygraph=None, repeats={}, edge_repeats={})
+    _check_connected(path)
+    with pytest.raises(DisconnectedCover, match="cover graph is disconnected"):
+        _check_connected(path._replace(edges={(2, 3): 1, (1, 2): 1}))
 
 
 def test_cover_with_no_components_rejected(fixture_b):
