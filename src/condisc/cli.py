@@ -187,7 +187,12 @@ def main(argv=None) -> int:
         if isinstance(exc, _OutputError) and isinstance(exc.__cause__, OSError):
             # anything still buffered goes nowhere, so the flush at exit neither fails nor reports
             with suppress(OSError):  # a stdout with no file descriptor
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                fd = sys.stdout.fileno()
+                null = os.open(os.devnull, os.O_WRONLY)
+                try:
+                    os.dup2(null, fd)
+                finally:
+                    os.close(null)
         code, message = _failure(exc)
         print(f"error: {message}" if code == 1 else f"internal invariant violation: {message}", file=sys.stderr)
         return code

@@ -41,22 +41,30 @@ valuation matrix, or root residues (:func:`~condisc.valuation.residues`), from
 which it computes the valuations it needs, with no n x n matrix.  The same
 loop certifies that the valuations are ultrametric.  At each split, every
 pair of roots in two different classes must have valuation exactly the
-split's depth.  Each pair is checked once, at its lowest common ancestor: in
-a matrix by reading its entry, O(n^2) in all; in residues through the first
-member of each class, since a pair across two classes has valuation
+split's depth.  Each pair is checked at its lowest common ancestor: in a
+matrix by reading its entry in both orientations, so every entry off the
+diagonal is read once, n(n - 1) reads in all; in residues once, through the
+first member of each class, since a pair across two classes has valuation
 ``floor`` exactly when their residues agree mod p^floor and differ mod
 p^(floor + 1), and the members of a class agree mod p^(floor + 1); a split
 then costs the size of its cluster.  When the check passes, the valuations
 equal the ultrametric of the tree, which proves them ultrametric (a matrix is
 ultrametric exactly when it equals the ultrametric of its single-linkage
 tree; Gower and Ross, 1969), and ``nu_df`` is twice their sum: twice the sum
-over splits of the floor times the pairs the split separates.  The loop runs
-once, to the end of the cut tree.  When a matrix fails it, the O(n^3) triple
-scan :func:`~condisc.valuation.validate_ultrametric` names every violating
-triple, as an :class:`UltrametricViolationError` whatever else is wrong with
-the matrix; a failure the scan does not explain, or one on residues
-(ultrametric by construction), is a bug and is raised as it is.  Only then is
-the vertex budget decided, on the finished cut tree: O(n) vertices whatever the
+over splits of the floor times the pairs the split separates.  For a matrix
+it proves more: entry (i, j) and entry (j, i) both equal the floor of the
+split that separates i and j, so the matrix is symmetric; and a cluster's
+floor lies above its parent's (its members were placed in it by entries above
+the parent's floor), so no entry is below the root's floor, and a negative
+floor is turned down.  The loop runs once, to the end of the cut tree.  When
+a matrix fails it, or has a root count turned down,
+:meth:`~condisc.valuation.ValuationMatrix._scan` first names its first defect,
+as ``check_shape`` would; then the O(n^3) triple scan
+:func:`~condisc.valuation.validate_ultrametric` names every violating triple,
+as an :class:`UltrametricViolationError`, also past the vertex budget; a
+failure neither scan explains, or one on residues (ultrametric by
+construction), is a bug and is raised as it is.  Only then is the vertex
+budget decided, on the finished cut tree: O(n) vertices whatever the
 valuations.
 
 Per vertex we track (*property*: read from the other fields, never stored):
@@ -313,7 +321,9 @@ class _MatrixPairs:
 
     def split(self, members: tuple[int, ...], floor: int) -> list[list[int]]:
         """The classes of m >= floor + 1, ordered by smallest member, after
-        certifying that every pair across two classes has valuation floor."""
+        certifying that every pair across two classes has valuation floor, in
+        both orientations: each member's row is read at every member outside
+        its class."""
         entries = self.entries
         classes: list[list[int]] = []
         for i in members:
@@ -324,16 +334,20 @@ class _MatrixPairs:
                     break
             else:
                 classes.append([i])
-        later: list[int] = []
-        for cls in reversed(classes):
-            if later:
-                get = _getter(later)
-                for i in cls:
-                    row = entries[i]
-                    if get(row).count(floor) != len(later):
-                        j = next(j for j in later if row[j] != floor)
-                        raise _off_floor(row[j], floor, i, j)
-            later += cls
+        if len(classes) < 2:
+            return classes  # no pair to certify: _grow rejects a cluster that does not split
+        order = list(chain.from_iterable(classes))
+        start = 0
+        for cls in classes:
+            stop = start + len(cls)
+            outside = order[:start] + order[stop:]
+            get = _getter(outside)
+            for i in cls:
+                row = entries[i]
+                if get(row).count(floor) != len(outside):
+                    j = next(j for j in outside if row[j] != floor)
+                    raise _off_floor(row[j], floor, i, j)
+            start = stop
         return classes
 
 
@@ -411,6 +425,8 @@ def _grow(pairs: _MatrixPairs | _ResiduePairs, n: int) -> tuple[list[list], int,
         floor = pairs.floor(members)
         if floor is INFINITY:
             raise InternalInvariantViolation("infinite valuation inside a cluster", vertex=members)
+        if floor < 0:  # each valuation certified in the cluster is at least its floor (module docstring)
+            raise InternalInvariantViolation(f"negative valuation {floor} inside a cluster", vertex=members)
         if over is None and size + floor - top > TREE_VERTEX_BUDGET:
             over = (
                 f"the refinement tree would exceed its budget of {TREE_VERTEX_BUDGET} vertices "
@@ -460,26 +476,31 @@ def build_cluster_tree(source: ValuationMatrix | Residues, *, allow_small: bool 
     pair valuations.
 
     The tree is grown once, and the certificate runs as it grows (see the
-    module docstring).  A matrix must be symmetric, as ``check_shape``
-    ensures.  Roots mode builds no matrix, also when it is rejected.
+    module docstring).  ``check_shape`` checks a matrix's row lengths, diagonal
+    and ``int`` entries; the certificate proves it symmetric, nonnegative and
+    ultrametric.  Before any rejection of a matrix but the budget's,
+    :meth:`~condisc.valuation.ValuationMatrix._scan` names its first defect, so
+    a matrix rejected here is named as ``check_shape`` would name it.  Roots
+    mode builds no matrix, also when it is rejected.
     """
     n = source.n
-    if n % 2 != 0:
-        raise InstanceError(f"root count must be even (2g + 2), got {n}")
-    if n < 2:
-        raise InstanceError(f"need at least 2 roots, got {n}")
-    if n < 6 and not allow_small:
-        raise TooFewRootsError(n)
-    pairs = _MatrixPairs(source) if isinstance(source, ValuationMatrix) else _ResiduePairs(source)
+    matrix = isinstance(source, ValuationMatrix)
     try:
-        records, total, over = _grow(pairs, n)
-    except InternalInvariantViolation:
-        if isinstance(pairs, _MatrixPairs):
-            violations = validate_ultrametric(source)
-            if violations:
+        if n % 2 != 0:
+            raise InstanceError(f"root count must be even (2g + 2), got {n}")
+        if n < 2:
+            raise InstanceError(f"need at least 2 roots, got {n}")
+        if n < 6 and not allow_small:
+            raise TooFewRootsError(n)
+        records, total, over = _grow(_MatrixPairs(source) if matrix else _ResiduePairs(source), n)
+    except (InstanceError, InternalInvariantViolation, TypeError) as exc:
+        # a TypeError comes from an entry that check_shape turns down, on a matrix it did not check
+        if matrix:
+            source._scan()
+            if isinstance(exc, InternalInvariantViolation) and (violations := validate_ultrametric(source)):
                 raise UltrametricViolationError(violations) from None
         raise
-    if over is not None:
+    if over is not None:  # a matrix that reaches here has no defect the scan names
         raise InstanceError(over)
 
     # canonical ids: sort by (depth, smallest member), so a parent precedes its

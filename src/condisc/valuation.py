@@ -8,14 +8,17 @@ root once to an integer mod ``p^K``, with ``K`` above every pair valuation, and
 the refinement tree reads each valuation it needs from two residues; no
 ``n x n`` matrix is built.  In matrix mode the valuation matrix
 ``m.entries[i][j] = v(b_i - b_j)`` is the input: hand-written ultrametric
-matrices are a first-class input mode, :func:`matrix_from_rows` converts raw
-rows, and ``analyze`` checks every entry, once, through
-:meth:`ValuationMatrix.check_shape`.  Both read the n x n entries in builtins
-(``list``, ``zip``, ``map``, ``min``, ``in``), a pass per property with O(n)
-Python steps.  :func:`matrix_from_rows` goes entry by entry only through a
-row that still holds a ``None``, and ``check_shape`` only through a matrix
-that fails its whole-matrix test.  :func:`build_matrix` computes the matrix
-of an instance, as a second route that tests compare with the first.
+matrices are a first-class input mode, and a valid one is read in four passes
+over its n x n entries, each in builtins with a Python step per row (per
+member of each split, for the certificate).  :func:`matrix_from_rows` copies
+each row twice (``list``, then ``tuple``); :meth:`ValuationMatrix.check_shape`
+maps the entries' types; and the tree's certificate
+(:func:`~condisc.cluster.build_cluster_tree`) reads every entry in both
+orientations, which proves the matrix symmetric, nonnegative and ultrametric.
+Only a matrix that fails one of them is scanned entry by entry
+(:meth:`ValuationMatrix._scan`), to name its first defect.
+:func:`build_matrix` computes the matrix of an instance, as a second route
+that tests compare with the first.
 """
 
 from __future__ import annotations
@@ -197,32 +200,34 @@ class ValuationMatrix(NamedTuple):
         return len(self.entries)
 
     def check_shape(self) -> None:
-        """The only per-entry validation of a matrix.  Its order decides which
-        defect a matrix with several is rejected for: every row's length; then
-        row by row, its diagonal entry, and for each entry (i, j) off it, the
-        entry for a duplicate (INFINITY) and for a nonnegative ``int`` (not
-        ``bool``); then, if its transpose (j, i) differs from it, the transpose
-        for the same defects, and last the pair for symmetry.
-
-        The whole matrix is tested first, with builtins and O(n) Python steps:
-        every row has length n, every entry off the diagonal has type ``int``
-        exactly, the diagonal is INFINITY, the matrix equals its transpose and
-        its upper triangle's minimum is nonnegative.  Such a matrix has none of
-        the defects above.  The types are read in both triangles: a ``True``
-        or ``1.0`` below the diagonal equals its ``1`` above it.  Only a matrix
-        that fails the test is scanned entry by entry, in the order above, to
-        name its first defect.  The scan also accepts what the test turns down
-        without a defect, such as an entry of a subclass of ``int``."""
+        """Check what the tree's certificate cannot: every row has length n,
+        the diagonal is INFINITY and every entry off it has type ``int``
+        exactly, tested on the whole matrix with builtins and O(n) Python
+        steps.  Symmetry and sign are left to
+        :func:`~condisc.cluster.build_cluster_tree`, whose certificate reads
+        every entry in both orientations.  A matrix that fails the test is
+        scanned entry by entry (:meth:`_scan`) to name its first defect; the
+        scan also accepts what the test turns down without a defect, such as
+        an entry of a subclass of ``int``."""
         entries, n = self.entries, self.n
-        rows = tuple(map(tuple, entries))
-        if (
+        if not (
             set(map(len, entries)) <= {n}
-            and list(map(type, chain.from_iterable(rows))).count(int) == n * n - n
-            and all(row[i] is INFINITY for i, row in enumerate(rows))
-            and rows == tuple(zip(*rows))
-            and min(chain.from_iterable(row[i + 1:] for i, row in enumerate(rows)), default=0) >= 0
+            and all(row[i] is INFINITY for i, row in enumerate(entries))
+            and list(map(type, chain.from_iterable(entries))).count(int) == n * n - n
         ):
-            return
+            self._scan()
+
+    def _scan(self) -> None:
+        """Name the first defect of the matrix, entry by entry; its order decides
+        which defect a matrix with several is rejected for: every row's length;
+        then row by row, its diagonal entry, and for each entry (i, j) off it,
+        the entry for a duplicate (INFINITY or ``None``) and for a nonnegative
+        ``int`` (not ``bool``); then, if its transpose (j, i) differs from it,
+        the transpose for the same defects, and last the pair for symmetry.
+        ``check_shape`` runs it on a matrix that fails its test, and
+        ``build_cluster_tree`` before any rejection of a matrix, so the defect
+        named does not depend on which of them found one."""
+        entries, n = self.entries, self.n
         for i, row in enumerate(entries):
             if len(row) != n:
                 raise InstanceError(f"matrix row {i} has length {len(row)}, expected {n}")
@@ -238,7 +243,7 @@ class ValuationMatrix(NamedTuple):
 
 
 def _check_entry(e, i: int, j: int) -> None:
-    if e is INFINITY:
+    if e is INFINITY or e is None:
         raise DuplicateRootsError([(min(i, j), max(i, j))])
     if isinstance(e, bool) or not isinstance(e, int) or e < 0:
         raise InstanceError(f"matrix entry ({i}, {j}) must be a nonnegative integer, got {e!r}")
@@ -340,17 +345,17 @@ def validate_ultrametric(m: ValuationMatrix) -> tuple[tuple[int, int, int], ...]
 
 
 def matrix_from_rows(rows: Sequence[Sequence]) -> ValuationMatrix:
-    """Convert raw rows, ``None`` becoming INFINITY; ``analyze`` checks the result.
+    """Convert raw rows, a diagonal ``None`` becoming INFINITY; ``analyze``
+    checks the result.
 
-    Each row is copied whole with ``list`` and its diagonal ``None``, where
-    a file has it, set to INFINITY; only a row that still holds a ``None``
-    after that (``in``, a scan in C) is converted entry by entry."""
+    Each row is copied whole (``list``, then ``tuple``) and its diagonal
+    ``None``, where a file has it, set to INFINITY.  A ``None`` off the
+    diagonal is kept: ``check_shape``'s type test turns it down, and its scan
+    names it as a pair of equal roots."""
     out = []
     for i, row in enumerate(rows):
         row = list(row)
         if i < len(row) and row[i] is None:
             row[i] = INFINITY
-        if None in row:
-            row = [INFINITY if e is None else e for e in row]
         out.append(tuple(row))
     return ValuationMatrix(tuple(out))

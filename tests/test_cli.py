@@ -1,7 +1,9 @@
+import collections
 import contextlib
 import copy
 import io
 import json
+import os
 import random
 import tempfile
 import time
@@ -510,6 +512,69 @@ def test_file_and_api_name_the_first_of_two_matrix_defects_alike(tmp_path, capsy
     assert _rejected_alike(tmp_path, capsys, rows) == TWO_DEFECTS[case]
 
 
+def _moved_defect(case):
+    """Rows whose only defects are asymmetry or sign, which check_shape leaves to the tree build."""
+    n = {"odd-asymmetric": 7, "four-negative": 4}.get(case, 6)
+    rows = [[None if i == j else 0 for j in range(n)] for i in range(n)]
+    if case == "odd-asymmetric":
+        rows[2][5] = 1
+    elif case == "four-negative":
+        rows[1][3] = rows[3][1] = -1
+    elif case == "all-negative":  # consistent and ultrametric: the certificate passes below depth 0
+        rows = [[None if i == j else -1 for j in range(n)] for i in range(n)]
+    elif case == "asymmetric-past-the-budget":  # (0, 1) stays together to depth 2**63 in row 0 only
+        rows[0][1], rows[1][0] = 2**63, 2**63 - 1
+    elif case == "asymmetric-below":  # classes {0, 1}, {2}, ...: only the lower orientation reads (2, 1)
+        rows[0][1] = rows[1][0] = rows[2][1] = 1
+    elif case == "negative-and-not-ultrametric":
+        for (i, j), v in {(0, 1): 2, (1, 2): 2, (0, 2): 1, (3, 4): -1}.items():
+            rows[i][j] = rows[j][i] = v
+    return rows
+
+
+MOVED_DEFECTS = {  # case -> the message check_shape gave for it, now given by the tree build's rejection
+    "odd-asymmetric": "matrix not symmetric at (2, 5)",
+    "four-negative": "matrix entry (1, 3) must be a nonnegative integer, got -1",
+    "all-negative": "matrix entry (0, 1) must be a nonnegative integer, got -1",
+    "asymmetric-past-the-budget": "matrix not symmetric at (0, 1)",
+    "asymmetric-below": "matrix not symmetric at (1, 2)",
+    "negative-and-not-ultrametric": "matrix entry (3, 4) must be a nonnegative integer, got -1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MOVED_DEFECTS))
+def test_tree_build_names_asymmetry_and_sign_as_check_shape_did(tmp_path, capsys, case):
+    rows = _moved_defect(case)
+    matrix_from_rows(rows).check_shape()  # lengths, diagonal and types are fine
+    assert _rejected_alike(tmp_path, capsys, rows) == MOVED_DEFECTS[case]
+
+
+def test_valid_matrix_is_certified_without_the_scans(monkeypatch):
+    import condisc.valuation as cv
+
+    rows = _valid_rows(random.Random("certified"), 60)
+    expected = analyze(matrix_from_rows(rows)).to_json()
+    for module, name in ((cv, "_check_entry"), (cv.ValuationMatrix, "_scan"), (condisc.cluster, "validate_ultrametric")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+    assert analyze(matrix_from_rows(rows)).to_json() == expected
+
+    class Row(tuple):  # counts the reads of each entry
+        def __getitem__(self, j):
+            reads[self.i, j] += 1
+            return tuple.__getitem__(self, j)
+
+    reads = collections.Counter()
+    entries = []
+    for i, row in enumerate(matrix_from_rows(rows).entries):
+        entries.append(Row(row))
+        entries[-1].i = i
+    build_cluster_tree(cv.ValuationMatrix(tuple(entries)))
+    n = len(rows)
+    # the certificate reads every entry off the diagonal, in both orientations
+    assert {pair for pair in reads if pair[0] != pair[1]} == {(i, j) for i in range(n) for j in range(n) if i != j}
+    assert sum(reads.values()) < 2 * n * n
+
+
 class _Valuation(int):
     """An int subclass: the entry check accepts it, as it accepts int."""
 
@@ -835,6 +900,32 @@ def test_write_failure_on_a_stdout_with_no_descriptor_exits_one(fixture_a_file, 
     monkeypatch.setattr(condisc.cli.sys, "stdout", Closed())
     assert main(["analyze", str(fixture_a_file)]) == 1
     assert capsys.readouterr().err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc to count open descriptors")
+def test_write_failures_leave_no_descriptor_open(fixture_a_file, tmp_path, capsys, monkeypatch):
+    class Broken(io.StringIO):  # no descriptor of its own, or the one given
+        def __init__(self, fd=None):
+            super().__init__()
+            self.fd = fd
+
+        def fileno(self):
+            return super().fileno() if self.fd is None else self.fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    target = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+    try:
+        for stdout in (Broken(), Broken(target)):
+            monkeypatch.setattr(condisc.cli.sys, "stdout", stdout)
+            before = len(os.listdir("/proc/self/fd"))
+            for _ in range(5):
+                assert main(["analyze", str(fixture_a_file)]) == 1
+            assert len(os.listdir("/proc/self/fd")) == before
+            assert capsys.readouterr().err == "error: cannot write output: [Errno 32] Broken pipe\n" * 5
+    finally:
+        os.close(target)
 
 
 def test_flush_failure_exits_one_with_one_line(fixture_a_file, capsys, monkeypatch):

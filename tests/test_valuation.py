@@ -192,12 +192,14 @@ def test_ultrametric_orientation_other_sides():
 
 
 def test_matrix_shape_gates():
-    from condisc import build_cluster_tree
+    from condisc import analyze, build_cluster_tree
 
+    # check_shape checks lengths, the diagonal and types; the tree build, symmetry and sign,
+    # and it names them before the root count
     with pytest.raises(InstanceError, match="symmetric"):
-        matrix_from_rows([[None, 1, 0], [2, None, 0], [0, 0, None]]).check_shape()
+        analyze(matrix_from_rows([[None, 1, 0], [2, None, 0], [0, 0, None]]))
     with pytest.raises(InstanceError, match="nonnegative"):
-        matrix_from_rows([[None, -1], [-1, None]]).check_shape()
+        analyze(matrix_from_rows([[None, -1], [-1, None]]))
     # the root-count gate sits at the analysis boundary, not on the matrix
     odd = matrix_from_rows([[None, 0, 0], [0, None, 0], [0, 0, None]])
     with pytest.raises(InstanceError, match="even"):
@@ -225,12 +227,15 @@ def test_doubling_valuation_matches_the_division_loop():
             assert _int_val(n, p) == brute_val(Fraction(n), p), (p, k)
 
 def test_null_off_the_diagonal_is_a_pair_of_equal_roots():
-    from condisc import analyze
+    from condisc import analyze, build_cluster_tree
 
     rows = [[None if i == j else 0 for j in range(6)] for i in range(6)]
     rows[2][4] = rows[4][2] = None
     with pytest.raises(DuplicateRootsError, match=r"duplicate roots at indices \(2, 4\)"):
         analyze(matrix_from_rows(rows))
+    # matrix_from_rows keeps it, and the tree build, called without check_shape, names it alike
+    with pytest.raises(DuplicateRootsError, match=r"duplicate roots at indices \(2, 4\)"):
+        build_cluster_tree(matrix_from_rows(rows))
 
 
 @pytest.mark.parametrize("bad, message", [
