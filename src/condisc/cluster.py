@@ -23,13 +23,15 @@ third and fourth vertices, each at least two steps from both ends, carry
 removed pair had, up to two steps in every direction, the same statistics
 and parities as the kept pair, so each of its terms equals the kept pair's
 term, and every total over the per-depth tree is the total over the cut
-tree with each vertex weighted by its ``repeat``.  The cut tree is itself
-the refinement tree of the matrix with the valuations inside the cut
-cluster lowered by the cut, so every per-vertex check holds on it as it
-stands.  For output, :attr:`ClusterTree.expansion` gives back the per-depth
-tree, its ids ordered by depth and then by smallest member, as bands of depths
-and each column's ids, computed from the cut tree, and
-:meth:`ClusterTree.expand` builds it whole.
+tree with each vertex weighted by its ``repeat``.  Each vertex of the cut
+tree stores the statistics of its first copy in the per-depth tree, so the
+two trees share one depth scale, and every per-vertex check holds on the cut
+tree as it stands; only :func:`check_tree_invariants` states that the child
+of a pair's second vertex sits below every copy of the pair.  For output,
+:attr:`ClusterTree.expansion` gives back the per-depth tree, its ids ordered
+by depth and then by smallest member, as bands of depths and each column's
+ids, computed from the cut tree, and :meth:`ClusterTree.expand` builds it
+whole.
 
 The tree is built from a work list of clusters not yet split, with no
 recursion.  Each split records its vertex's separating roots and child
@@ -69,13 +71,15 @@ valuations.
 
 Per vertex we track (*property*: read from the other fields, never stored):
 
+* ``depth``    -- depth of the vertex's first per-depth copy: the d of its disc D(b, d),
 * ``children`` -- child ids, each above the vertex's: the tree's one adjacency,
 * ``wt``       -- number of roots in the vertex's disk,
 * ``l_prime``  -- *property*: ``len(sep_roots)``, the roots that separate here,
 * ``r`` / ``s``-- children of odd / even weight; ``s`` is a *property*, ``len(children) - r``,
 * ``l``        -- *property*: l_prime + r,
-* ``f_val``    -- order of vanishing of f along the component (root: 0,
-  child: parent + child weight), whose parity drives the double cover,
+* ``f_val``    -- at the first copy, nu of the vertex's disc: the order of
+  vanishing of f along the component (root: 0, then one weight more per depth
+  step), whose parity drives the double cover,
 * ``odd``      -- *property*: ``f_val`` odd; the analysis's per-vertex loops read
   ``f_val % 2`` itself, as a property read costs about four field reads (Python 3.11),
 * ``repeat``   -- copies of the vertex in the per-depth tree.
@@ -139,7 +143,9 @@ class ClusterVertex(NamedTuple):
         return not self.children
 
     @property
-    def parent_odd(self) -> bool:  # f_val - wt is the parent's f_val; the root reads even
+    def parent_odd(self) -> bool:
+        # f_val - wt is the f_val of the parent's last copy, which has the parent's parity:
+        # a vertex's copies lie two steps apart.  The root reads even
         return (self.f_val - self.wt) % 2 == 1
 
 
@@ -207,20 +213,19 @@ class ClusterTree:
         """The depth bands, from the cut tree.  A vertex of repeat 1 is a column
         of one depth, and a pair (a vertex and its only child, of one repeat R)
         one of 2R depths, with the first vertex at even offsets.  A sweep over
-        the columns' ends in depth order gives at most two bands per column."""
+        the columns' ends in depth order gives at most two bands per column.
+        It reads a tree :func:`check_tree_invariants` accepts, as ``analyze``
+        checks every tree first: each vertex's depth is its first copy's."""
         verts = self.vertices
         low = [0] * len(verts)  # smallest member: children have larger ids than their parent
         for v in reversed(verts):
             low[v.id] = min([*v.sep_roots, *[low[c] for c in v.children]])
-        start = [0] * len(verts)  # the depth of each vertex's first copy
         cols = []  # (first depth, depth past the last, smallest member, vertex at even offsets, at odd ones)
-        for v in verts:  # a parent precedes its children, so its start is final
-            for c in v.children:  # the child of a pair's second vertex sits below every copy of the pair
-                start[c] = start[v.id] + 1 + (2 * v.repeat - 2 if v.repeat > verts[c].repeat else 0)
+        for v in verts:
             if v.repeat == 1:
-                cols.append((start[v.id], start[v.id] + 1, low[v.id], v.id, v.id))
+                cols.append((v.depth, v.depth + 1, low[v.id], v.id, v.id))
             elif verts[v.children[0]].repeat == v.repeat:  # the first of a pair
-                cols.append((start[v.id], start[v.id] + 2 * v.repeat, low[v.id], v.id, v.children[0]))
+                cols.append((v.depth, v.depth + 2 * v.repeat, low[v.id], v.id, v.children[0]))
         bounds = sorted({c[0] for c in cols}.union([c[1] for c in cols]))
         columns = {c[3]: [] for c in cols}
         cols.sort(reverse=True)  # the next column to start is last
@@ -253,13 +258,12 @@ class ClusterTree:
         hang from the last id.  An explicit stack, since chains outgrow the
         recursion limit."""
         verts, columns = self.vertices, self.expansion.columns
-        stack = [(0, 0)]
+        stack = [0]
         while stack:
-            vid, depth = stack.pop()
-            v = verts[vid]
-            vids = (vid,) if v.repeat == 1 else (vid, v.children[0])
-            yield columns[vid], depth, vids
-            stack += [(c, depth + len(vids) * v.repeat) for c in reversed(verts[vids[-1]].children)]
+            v = verts[stack.pop()]
+            vids = (v.id,) if v.repeat == 1 else (v.id, v.children[0])
+            yield columns[v.id], v.depth, vids
+            stack += reversed(verts[vids[-1]].children)
 
     def expand(self) -> ClusterTree:
         """The per-depth tree: this tree if nothing is cut, else one vertex per copy."""
@@ -277,12 +281,11 @@ class ClusterTree:
             if up is not None:
                 children[up].append(fid)
         out: list[ClusterVertex] = []
-        for (fid, vid, depth), up, kids in zip(self.rows(), parent, children):
+        for (fid, vid, depth), kids in zip(self.rows(), children):
             v = verts[vid]
+            f_val = v.f_val + (depth - v.depth) * v.wt  # v's first copy plus one weight per step
             # positional, in field order: about 2.5 times as fast as _replace (timeit, Python 3.11)
-            out.append(ClusterVertex(
-                fid, depth, tuple(kids), v.wt, v.r, out[up].f_val + v.wt if up is not None else 0, v.sep_roots,
-            ))
+            out.append(ClusterVertex(fid, depth, tuple(kids), v.wt, v.r, f_val, v.sep_roots))
         return ClusterTree(tuple(out), self.num_roots, self.nu_df)
 
 
@@ -406,20 +409,20 @@ def _off_floor(v, floor: int, i: int, j: int) -> InternalInvariantViolation:
 
 def _grow(pairs: _MatrixPairs | _ResiduePairs, n: int) -> tuple[list[list], int, str | None]:
     """Split clusters from a work list, certifying each split; returns the vertex
-    records [depth, smallest member, weight, f_val (the parent's plus the weight),
-    sep, child records, repeat], the sum of the certified valuations over all pairs,
-    and the budget message of the first cluster that takes the per-depth tree past
-    TREE_VERTEX_BUDGET, or None.  Only the clusters on the work list hold members."""
+    records [depth, smallest member, weight, f_val, sep, child records, repeat],
+    with the depth and f_val of the vertex's first per-depth copy, the sum of the
+    certified valuations over all pairs, and the budget message of the first
+    cluster that takes the per-depth tree past TREE_VERTEX_BUDGET, or None.  Only
+    the clusters on the work list hold members."""
     root: list = [0, 0, n, 0, (), [], 1]
     records = [root]
-    work = [(root, tuple(range(n)), 0)]  # (record, members ascending, steps cut from the chains above)
+    work = [(root, tuple(range(n)))]  # (record, members ascending)
     size = 1  # vertices of the per-depth tree so far
     total = 0
     over = None
     while work:
-        rec, members, lift = work.pop()
-        depth = rec[0]
-        top = depth + lift
+        rec, members = work.pop()
+        top, f_top, wt = rec[0], rec[3], rec[2]
         # the cluster minimum, taken on the first member's pairs: a smaller pair elsewhere
         # in the cluster would meet this floor or a deeper one in the certificate and fail
         floor = pairs.floor(members)
@@ -435,16 +438,16 @@ def _grow(pairs: _MatrixPairs | _ResiduePairs, n: int) -> tuple[list[list], int,
         size += floor - top
         # chain: the cluster survives unchanged from depth top to floor, one vertex per
         # step; a long one loses an even number of steps and its third and fourth
-        # vertices stand for the pairs lost
+        # vertices stand for the pairs lost.  Each kept vertex is the first copy of
+        # its step: past the pair, the steps cut come first
         length = floor - top + 1
         cut = length - 6 - length % 2 if length >= SHORTEST_CUT_CHAIN else 0
         for step in range(1, length - cut):
-            link = [depth + step, rec[1], rec[2], rec[3] + rec[2], (), [], 1 + cut // 2 if step in (2, 3) else 1]
+            t = step + cut if step > 3 else step
+            link = [top + t, rec[1], wt, f_top + t * wt, (), [], 1 + cut // 2 if step in (2, 3) else 1]
             rec[5].append(link)
             records.append(link)
             rec = link
-        lift += cut
-        depth = floor - lift
         # split at depth floor, certified: every pair across two classes has valuation floor
         classes = pairs.split(members, floor)
         if len(classes) < 2:
@@ -453,10 +456,10 @@ def _grow(pairs: _MatrixPairs | _ResiduePairs, n: int) -> tuple[list[list], int,
         rec[4] = tuple(cls[0] for cls in classes if len(cls) == 1)
         for cls in classes:
             if len(cls) >= 2:
-                child = [depth + 1, cls[0], len(cls), rec[3] + len(cls), (), [], 1]
+                child = [floor + 1, cls[0], len(cls), rec[3] + len(cls), (), [], 1]
                 rec[5].append(child)
                 records.append(child)
-                work.append((child, tuple(cls), lift))
+                work.append((child, tuple(cls)))
                 size += 1
     return records, total, over
 
@@ -503,8 +506,9 @@ def build_cluster_tree(source: ValuationMatrix | Residues, *, allow_small: bool 
     if over is not None:  # a matrix that reaches here has no defect the scan names
         raise InstanceError(over)
 
-    # canonical ids: sort by (depth, smallest member), so a parent precedes its
-    # children and siblings keep their class order; each id goes in slot 7.
+    # canonical ids: sort by (first-copy depth, smallest member), the key of the
+    # per-depth ids, so a parent precedes its children and siblings keep their
+    # class order; each id goes in slot 7.
     records.sort(key=itemgetter(0, 1))
     for new, rec in enumerate(records):
         rec.append(new)
@@ -603,7 +607,10 @@ def check_tree_invariants(tree: ClusterTree) -> None:
             raise InternalInvariantViolation("r != number of odd-weight children", vertex=v.id)
         if up[v.id] is not None:
             p = verts[up[v.id]]
-            if v.depth != p.depth + 1:
-                raise InternalInvariantViolation("child depth != parent depth + 1", vertex=v.id)
-            if v.f_val != p.f_val + v.wt:
+            # depth steps from the parent's first copy to the child's: the child of a
+            # pair's second vertex sits below every copy of the pair
+            gap = 2 * p.repeat - 1 if p.repeat > v.repeat else 1
+            if v.depth != p.depth + gap:
+                raise InternalInvariantViolation(f"child depth != parent depth + {gap}", vertex=v.id)
+            if v.f_val != p.f_val + gap * v.wt:
                 raise InternalInvariantViolation("f_val != parent's f_val + wt", vertex=v.id)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from condisc import Instance
+from condisc.harness import member_sets
 
 # Canonical instances used across the suite.  Expected values for these were
 # derived independently (big-integer discriminant products, residue
@@ -48,6 +49,27 @@ def chain_cases(length):
     bushy = [(range(8), 1), (range(4), 2), (range(4, 8), 2), ((0, 1), 3), ((2, 3), 5), ((4, 5), 4), ((6, 7), 6)]
     yield "bushy", cluster_rows(10, [*bushy, ((8, 9), length)])
     yield "pair-under-pair", cluster_rows(8, [(range(6), length), (range(4), 2 * length)])
+
+
+def first_copy_mismatches(tree, oracle):
+    """Ids of the vertices of `tree` whose (depth, f_val, wt, r, sep_roots) differ
+    from those of their first copy: the vertex of the per-depth tree `oracle` at
+    their depth with their smallest member."""
+    def stats(v):
+        return v.depth, v.f_val, v.wt, v.r, v.sep_roots
+
+    at = {(u.depth, min(s)): stats(u) for u, s in zip(oracle, member_sets(oracle))}
+    return [v.id for v, s in zip(tree, member_sets(tree)) if at.get((v.depth, min(s))) != stats(v)]
+
+
+def nu_mismatches(tree, rows):
+    """Ids of the vertices of `tree` whose f_val is not nu of their disc D(b, depth),
+    read from the valuation rows: with S the vertex's roots, depth for each root
+    of S, and each other root's valuation to a root of S."""
+    return [
+        v.id for v, s in zip(tree, member_sets(tree))
+        if v.f_val != len(s) * v.depth + sum(rows[r][min(s)] for r in range(len(rows)) if r not in s)
+    ]
 
 
 @functools.cache

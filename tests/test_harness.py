@@ -3,10 +3,12 @@ import pytest
 import condisc.cluster
 from condisc import (
     ClusterTree,
+    InternalInvariantViolation,
     UltrametricViolationError,
     analyze,
     build_cluster_tree,
     build_matrix,
+    check_tree_invariants,
     matrix_from_rows,
     validate_ultrametric,
 )
@@ -77,18 +79,49 @@ def test_trees_agree_rejects_an_f_val_that_is_off(fixture_c):
     assert not trees_agree(_edited(tree, edit), naive_tree_oracle(m))
 
 
-@pytest.mark.parametrize("delta", [-1, 1])
-def test_trees_agree_rejects_a_cut_pair_whose_repeat_is_off_by_one(delta):
-    m = matrix_from_rows(cluster_rows(6, [((0, 1), 12)]))  # a chain of 12 vertices, cut to 6
+def _cut_chain():
+    """A chain of 12 vertices, cut to 6: the matrix, its tree and the ids of the repeated pair."""
+    m = matrix_from_rows(cluster_rows(6, [((0, 1), 12)]))
     tree = build_cluster_tree(m)
     pair = sorted(tree.repeats)
     assert len(pair) == 2 and trees_agree(tree, naive_tree_oracle(m))
+    assert [(v.depth, v.repeat) for v in tree] == [(0, 1), (1, 1), (2, 1), (3, 4), (4, 4), (11, 1), (12, 1)]
+    return m, tree, pair
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_tree_invariants_reject_a_cut_pair_whose_repeat_alone_is_off_by_one(delta):
+    """The child of the pair's second vertex sits below every copy of the pair,
+    so its depth no longer fits a repeat changed alone."""
+    _, tree, pair = _cut_chain()
 
     def edit(verts):
         for vid in pair:
             verts[vid] = verts[vid]._replace(repeat=verts[vid].repeat + delta)
 
-    assert not trees_agree(_edited(tree, edit), naive_tree_oracle(m))
+    gap = 2 * (4 + delta) - 1
+    with pytest.raises(InternalInvariantViolation, match=rf"child depth != parent depth \+ {gap} \(at vertex 5\)"):
+        check_tree_invariants(_edited(tree, edit))
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_trees_agree_rejects_a_cut_pair_whose_repeat_is_off_by_one(delta):
+    """The repeat changed, and every vertex below the pair moved with it, so
+    the tree is consistent: only the oracle tells it from the matrix's."""
+    m, tree, pair = _cut_chain()
+    below = range(pair[1] + 1, len(tree))  # the pair's descendants, a path
+    assert tree[pair[1]].children == (below[0],) and tree[below[0]].children == (below[1],)
+
+    def edit(verts):
+        for vid in pair:
+            verts[vid] = verts[vid]._replace(repeat=verts[vid].repeat + delta)
+        for vid in below:
+            v = verts[vid]
+            verts[vid] = v._replace(depth=v.depth + 2 * delta, f_val=v.f_val + 2 * delta * v.wt)
+
+    edited = _edited(tree, edit)
+    check_tree_invariants(edited)
+    assert not trees_agree(edited, naive_tree_oracle(m))
 
 
 def test_trees_agree_rejects_siblings_whose_ids_are_swapped(fixture_a):

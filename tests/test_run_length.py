@@ -32,7 +32,7 @@ from condisc.harness import (
     per_depth_oracle,
 )
 from condisc.render import dot_cover, dot_model, dot_tree, render_text, text_rows
-from conftest import chain_cases, cluster_rows
+from conftest import chain_cases, cluster_rows, first_copy_mismatches, nu_mismatches
 
 LEDGER_FIELDS = ("d", "D", "E", "D_prime", "D_double_prime", "L_count", "equality")
 REPORT_FIELDS = (
@@ -78,6 +78,33 @@ def test_chain_cases_agree_with_the_per_depth_pipeline():
             assert ours.tree.expand() == oracle.tree
             assert _outputs(ours, ours.per_depth_graphs()) == _outputs(oracle, (oracle.ygraph, oracle.xgraph))
     assert covered == 50 * 14
+
+
+def _chain_case_trees():
+    """(case, matrix, tree) for every chain case of lengths 1 to 59."""
+    for length in range(1, 60):
+        for name, rows in chain_cases(length):
+            m = matrix_from_rows(rows)
+            yield (name, length), m, build_cluster_tree(m)
+
+
+def test_each_cut_tree_vertex_is_its_first_per_depth_copy():
+    """Depth, f_val and the rest of a vertex are those of its first copy."""
+    below_a_cut = 0
+    for case, m, tree in _chain_case_trees():
+        assert first_copy_mismatches(tree, naive_tree_oracle(m)) == [], case
+        below_a_cut += any(tree[c].repeat < v.repeat for v in tree for c in v.children)
+    assert below_a_cut == 52 * 14 + 7 * 2  # every case from length 8, and the nested and siblings ones below it
+
+
+def test_f_val_is_nu_of_the_disc():
+    """A vertex's f_val is nu of its disc D(b, depth), read from the matrix: on
+    generated instances, whose chains are too short to cut, and on cut chains."""
+    for spec in default_specs(300):
+        m = build_matrix(gen_instance(spec))
+        assert nu_mismatches(build_cluster_tree(m), m.entries) == [], spec
+    for case, m, tree in _chain_case_trees():
+        assert nu_mismatches(tree, m.entries) == [], case
 
 
 def _random_laminar_rows(rng):

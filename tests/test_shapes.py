@@ -4,8 +4,10 @@ A gap of 7 makes a chain of 8 vertices, which the tree cuts.  Each shape is
 realized as a valuation matrix and as integer roots at p = 7
 (``conftest.realize_shape``).  Matrix mode is checked against the
 shift-and-divide tree and the pipeline run on it, roots mode against the
-big-integer discriminant and its matrix twin.  The counts at the end pin how
-the corpus is classified, so a change in classification shows.
+big-integer discriminant and its matrix twin; in both, each vertex of the cut
+tree must be its first per-depth copy, with f_val the nu of its disc.  The
+counts at the end pin how the corpus is classified, so a change in
+classification shows.
 """
 
 from collections import Counter
@@ -13,7 +15,7 @@ from collections import Counter
 from condisc import Instance, analyze, matrix_from_rows
 from condisc.harness import disc_oracle, per_depth_oracle, trees_agree
 
-from conftest import realize_shape, tree_shapes
+from conftest import first_copy_mismatches, nu_mismatches, realize_shape, tree_shapes
 
 
 def test_every_six_root_shape_in_both_modes():
@@ -33,6 +35,8 @@ def test_every_six_root_shape_in_both_modes():
         by_roots = analyze(inst)
         assert disc_oracle(inst) == by_roots.nu_df, shape
         assert by_roots.to_json() == out, shape
+        for tree in (ours.tree, by_roots.tree):  # each vertex is its first per-depth copy, f_val its nu
+            assert first_copy_mismatches(tree, oracle.tree) == [] and nu_mismatches(tree, rows) == [], shape
 
         trees.add(oracle.tree.vertices)
         reasons.update(led.reason for led in oracle.ledgers)  # one per vertex of the per-depth tree
