@@ -9,6 +9,7 @@ is the one statement of that rule for a raised exception.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from contextlib import suppress
@@ -28,6 +29,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def print_help(self, file=None):  # through _emit, as --version: argparse would swallow a failed write
+        if file is not None:
+            return super().print_help(file)
+        _emit([self.format_help()])
 
 
 class _Version(argparse.Action):  # argparse's version action, through _emit: a failed write exits 1
@@ -78,8 +84,13 @@ class _OutputError(Exception):
 
 def _emit(rows) -> None:
     """Write each row to stdout as it is made, then flush.  A failed write
-    raises _OutputError; an error raised while making a row passes through."""
+    raises _OutputError, also before any row is made when there is no stdout
+    (file descriptor 1 was closed at start-up); an error raised while making a
+    row passes through."""
     out = sys.stdout
+    if out is None:
+        exc = OSError(errno.EBADF, os.strerror(errno.EBADF))
+        raise _OutputError(exc) from exc
     for row in rows:
         try:
             out.write(row)
@@ -184,7 +195,7 @@ def main(argv=None) -> int:
             return _cmd_batch(args)
         return _cmd_fuzz(args)
     except Exception as exc:  # one line on stderr, never a traceback
-        if isinstance(exc, _OutputError) and isinstance(exc.__cause__, OSError):
+        if isinstance(exc, _OutputError) and isinstance(exc.__cause__, OSError) and sys.stdout is not None:
             # anything still buffered goes nowhere, so the flush at exit neither fails nor reports
             with suppress(OSError):  # a stdout with no file descriptor
                 fd = sys.stdout.fileno()

@@ -151,10 +151,8 @@ class Report(SimpleNamespace):
     artin_local_sum: int              # conductor as a sum over tree vertices
     n_components: int
     f_tilde: int
-    inequality_holds: bool
     equality_holds: bool
     x_minimal: bool
-    component_bound_ok: bool
     ledgers: tuple[VertexLedger, ...]  # by vertex id of the cut tree
     tree: ClusterTree
     ygraph: YGraph
@@ -162,6 +160,10 @@ class Report(SimpleNamespace):
     self_int: dict[int, int]
     warnings: tuple[str, ...] = ()
     nonminimal: tuple[int, ...] = ()  # vertices detect_nonminimal flags, in the cut tree
+    # true on every report: _report raises when artin > nu_df, and when f_tilde < 0,
+    # which is n_components > artin + 1
+    inequality_holds = True
+    component_bound_ok = True
 
     @property
     def contractible(self) -> tuple[int, ...]:
@@ -385,14 +387,13 @@ def _report(tree: ClusterTree, p: int | None, label: str | None) -> Report:
     ledger_equality = all(led.equality for led in ledgers)
     if equality != ledger_equality:
         raise InternalInvariantViolation("global equality disagrees with the per-vertex ledger")
-    if equality != (ledger_equality and not nonminimal):
+    if equality and nonminimal:
         raise InternalInvariantViolation("equality with a contractible component present")
 
     n_x = x.n_components
     f_tilde = artin - n_x + 1
     if f_tilde < 0:  # the same inequality as n_x <= artin + 1
         raise InternalInvariantViolation(f"negative representation conductor {f_tilde}")
-    component_bound_ok = n_x <= artin + 1
 
     return Report(
         label=label,
@@ -404,10 +405,8 @@ def _report(tree: ClusterTree, p: int | None, label: str | None) -> Report:
         artin_local_sum=artin_local_sum,
         n_components=n_x,
         f_tilde=f_tilde,
-        inequality_holds=artin <= nu_df,
         equality_holds=equality,
         x_minimal=not nonminimal,
-        component_bound_ok=component_bound_ok,
         ledgers=ledgers,
         tree=tree,
         ygraph=y,

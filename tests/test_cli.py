@@ -311,7 +311,7 @@ def test_version(capsys):
 
 def test_no_command_prints_help(capsys):
     assert main([]) == 1
-    assert "analyze" in capsys.readouterr().out
+    assert capsys.readouterr() == (condisc.cli._build_parser().format_help(), "")
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -880,6 +880,50 @@ def test_output_that_cannot_be_written_exits_one_with_one_line(tmp_path, argv, s
     assert code == 1
     assert message.startswith("error: cannot write output: ") and needle in message
     assert message.count("\n") == 1  # no traceback, and no "Exception ignored" at exit
+
+
+def _run_child(argv, cwd, **kwargs):
+    """(exit code, stderr) of `python -m condisc argv` run in `cwd` from this checkout's source."""
+    import subprocess
+    import sys
+
+    src = Path(condisc.conductor.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "condisc", *argv], cwd=cwd, env={"PYTHONPATH": str(src)},
+                          stderr=subprocess.PIPE, text=True, timeout=120, **kwargs)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "in.json"], ["analyze", "in.json", "--format", "json"], ["batch", "."], ["fuzz", "--trials", "3"],
+    ["--version"], ["--help"], ["analyze", "--help"], [],
+], ids=["text", "json", "batch", "fuzz", "version", "help", "analyze-help", "no-command"])
+def test_closed_stdout_exits_one_with_one_line(tmp_path, argv):
+    # `condisc ... >&-`: with descriptor 1 closed at start-up, sys.stdout is None in the child
+    write_instance(tmp_path / "in.json", FIXTURE_A)
+    code, err = _run_child(argv, tmp_path, preexec_fn=lambda: os.close(1))
+    assert (code, err) == (1, "error: cannot write output: [Errno 9] Bad file descriptor\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], []], ids=["help", "analyze-help", "no-command"])
+def test_help_to_a_pipe_with_no_reader_exits_one_with_one_line(tmp_path, argv):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        code, err = _run_child(argv, tmp_path, stdout=write)
+    finally:
+        os.close(write)
+    assert (code, err) == (1, "error: cannot write output: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["batch", "--help"], ["fuzz", "--help"]])
+def test_help_is_argparse_help(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    parser = condisc.cli._build_parser()
+    if len(argv) > 1:
+        parser = parser._subparsers._group_actions[0].choices[argv[0]]
+    assert capsys.readouterr() == (parser.format_help(), "")
 
 
 def test_error_raised_while_making_a_row_exits_two(fixture_a_file, capsys, monkeypatch):

@@ -105,6 +105,14 @@ def test_analyze_fixture_a(fixture_a):
     assert r.genus == 2 and r.p == 3
 
 
+def test_verdicts_that_a_raise_decides_are_not_stored(fixture_a):
+    # _report raises on artin > nu_df and on f_tilde < 0 (tests/test_ledger_checks.py), so a
+    # report it returns reads both verdicts from the class
+    r = analyze(fixture_a)
+    assert r.inequality_holds is True and r.component_bound_ok is True
+    assert {"inequality_holds", "component_bound_ok"}.isdisjoint(vars(r))
+
+
 def test_analyze_fixture_c(fixture_c):
     r = analyze(fixture_c)
     assert (r.nu_df, r.artin, r.n_components, r.f_tilde) == (4, 4, 4, 1)
