@@ -19,9 +19,7 @@ from condisc import (
     build_matrix,
     build_tx,
     build_ty,
-    dot_cover,
-    dot_model,
-    dot_tree,
+    write_dot,
 )
 from condisc.harness import member_sets
 
@@ -50,14 +48,10 @@ for c in x.components:
     print(f"  x{c.id}: over y{c.over}, multiplicity {c.m}, chi {c.chi}")
 print("intersections:", {e: w for e, w in sorted(x.edges.items())})
 
-# One call does all of the above plus every cross-check, and the renderers
-# accept the pieces directly:
+# One call does all of the above plus every cross-check, and one more writes
+# the three graphs as DOT files (UTF-8, built again on the per-depth tree):
 report = analyze(inst)
 outdir = Path(__file__).parent / "dot_out"
-outdir.mkdir(exist_ok=True)
-ygraph, xgraph = report.per_depth_graphs()  # the report's own graphs, unless a long chain was cut
-(outdir / "t_b.dot").write_text(dot_tree(ygraph.tree))
-(outdir / "t_y.dot").write_text(dot_cover(ygraph))
-(outdir / "t_x.dot").write_text(dot_model(xgraph))
+write_dot(report, outdir)
 print(f"\nDOT files written to {outdir}/")
 print("conductor by both routes:", report.artin, "=", report.artin_local_sum)

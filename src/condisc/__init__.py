@@ -48,7 +48,7 @@ from .errors import (
     UltrametricViolationError,
 )
 from .instancefile import load_instance, parse_instance_dict
-from .render import dot_cover, dot_model, dot_tree, render_text
+from .render import dot_cover, dot_model, dot_tree, render_text, write_dot
 from .valuation import (
     INFINITY,
     Instance,
@@ -99,6 +99,7 @@ __all__ = [
     "dot_tree",
     "dot_cover",
     "dot_model",
+    "write_dot",
     "CondiscError",
     "InstanceError",
     "DuplicateRootsError",

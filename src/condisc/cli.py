@@ -20,7 +20,7 @@ from . import __version__
 from .conductor import analyze
 from .errors import InstanceError, InternalInvariantViolation
 from .instancefile import load_instance
-from .render import dot_cover, dot_model, dot_tree, text_rows
+from .render import text_rows, write_dot
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,14 +123,8 @@ def _cmd_analyze(args) -> int:
             print(f"error (strict): {w}", file=sys.stderr)
         return 1
     if args.dot_dir:
-        outdir = Path(args.dot_dir)
-        ygraph, xgraph = report.per_depth_graphs()
         try:
-            outdir.mkdir(parents=True, exist_ok=True)
-            # UTF-8 whatever the locale: T_X's labels hold a χ
-            (outdir / "t_b.dot").write_text(dot_tree(ygraph.tree), encoding="utf-8")
-            (outdir / "t_y.dot").write_text(dot_cover(ygraph), encoding="utf-8")
-            (outdir / "t_x.dot").write_text(dot_model(xgraph), encoding="utf-8")
+            write_dot(report, args.dot_dir)
         except OSError as exc:
             print(f"error: cannot write DOT files to {args.dot_dir}: {exc}", file=sys.stderr)
             return 1

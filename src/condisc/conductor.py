@@ -173,16 +173,6 @@ class Report(SimpleNamespace):
         flagged = set(self.nonminimal)
         return tuple(fid for fid, vid, _ in self.tree.rows() if vid in flagged)
 
-    def per_depth_graphs(self) -> tuple[YGraph, XGraph]:
-        """T_Y and T_X of the per-depth tree, for output: this report's graphs
-        when nothing is cut, else built again, with their checks, on the
-        expanded tree."""
-        full = self.tree.expand()
-        if full is self.tree:
-            return self.ygraph, self.xgraph
-        y = build_ty(full)
-        return y, build_tx(y)
-
     def _header(self) -> dict:
         return {
             "label": self.label,

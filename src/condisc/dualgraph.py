@@ -32,11 +32,11 @@ edges) is T_Y's one adjacency: the branch degrees, ``build_tx``,
 ``check_y_invariants`` and the DOT export each read every edge from it once,
 and ``check_x_invariants`` looks each T_X edge's ends up in it.  ``build_tx``
 only joins components over the two ends of a T_Y edge, so T_X keeps no
-adjacency of its own.  ``YGraph.neighbors``, and ``XGraph.neighbors`` through
-it, scan ``parent`` for a vertex's children; nothing on the analysis path
-calls either.  Connectivity (a union-find), the conductor and the
-self-intersections are each read from ``edges`` in one pass, and the checks
-index ``components`` and T_Y's ``vertices`` directly.
+adjacency of its own.  ``XGraph.neighbors`` scans ``parent`` for the children
+of a component's cover vertex; nothing on the analysis path calls it.
+Connectivity (a union-find), the conductor and the self-intersections are
+each read from ``edges`` in one pass, and the checks index ``components``
+and T_Y's ``vertices`` directly.
 
 Both graphs and their vertices are named tuples.  A graph is read through
 ``YGraph.vertices`` and ``XGraph.components``, each indexed by id: iterating
@@ -85,13 +85,6 @@ class YGraph(NamedTuple):
     parent: dict[int, int]                   # child id -> parent id: every edge once, in build order
     tree: ClusterTree
     branch_degrees: tuple[int, ...]          # beta of each vertex, by id
-
-    def neighbors(self, vid: int):
-        """The children of ``vid`` (a scan of ``parent``), then its parent."""
-        out = [c for c, p in self.parent.items() if p == vid]
-        if vid in self.parent:
-            out.append(self.parent[vid])
-        return out
 
 
 def build_ty(tree: ClusterTree) -> YGraph:
@@ -169,7 +162,13 @@ class XGraph(NamedTuple):
         return len(self.components) + sum(r - 1 for r in self.repeats.values())
 
     def neighbors(self, cid: int):
-        for v in self.ygraph.neighbors(self.components[cid].over):
+        """Each component meeting ``cid``, with the intersection number: over the
+        children of its cover vertex (a scan of T_Y's ``parent``), then over its parent."""
+        vid, parent = self.components[cid].over, self.ygraph.parent
+        around = [c for c, p in parent.items() if p == vid]
+        if vid in parent:
+            around.append(parent[vid])
+        for v in around:
             for w in self.over[v]:
                 wt = self.edges.get((min(cid, w), max(cid, w)), 0)
                 if wt:

@@ -8,10 +8,11 @@ parallel edges.
 from __future__ import annotations
 
 from itertools import chain, count, cycle, repeat
+from pathlib import Path
 
 from .cluster import ClusterTree
 from .conductor import Report
-from .dualgraph import INSERT, LEAF, XGraph, YGraph
+from .dualgraph import INSERT, LEAF, XGraph, YGraph, build_tx, build_ty
 
 
 def text_rows(report: Report):
@@ -106,3 +107,17 @@ def dot_model(x: XGraph) -> str:
             lines.append(f"  x{a} -- x{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def write_dot(report: Report, directory) -> None:
+    """Write ``t_b.dot``, ``t_y.dot`` and ``t_x.dot`` into ``directory``, made if
+    missing, in UTF-8 whatever the locale (T_X's labels hold a χ).  T_Y and T_X
+    are built again, with their checks, on the per-depth tree
+    (``report.tree.expand()``) before the directory is made, so a failed build
+    leaves none; each file is formatted as it is written."""
+    y = build_ty(report.tree.expand())
+    x = build_tx(y)
+    out = Path(directory)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, dot, graph in (("t_b", dot_tree, y.tree), ("t_y", dot_cover, y), ("t_x", dot_model, x)):
+        (out / f"{name}.dot").write_text(dot(graph), encoding="utf-8")

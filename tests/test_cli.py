@@ -17,7 +17,17 @@ import condisc.cli
 import condisc.cluster
 import condisc.conductor
 import condisc.harness
-from condisc import INFINITY, Instance, InstanceError, analyze, build_cluster_tree, build_matrix, matrix_from_rows
+import condisc.render
+from condisc import (
+    INFINITY,
+    Instance,
+    InstanceError,
+    InternalInvariantViolation,
+    analyze,
+    build_cluster_tree,
+    build_matrix,
+    matrix_from_rows,
+)
 from condisc.cli import main
 from condisc.harness import naive_tree_oracle, trees_agree
 
@@ -157,6 +167,18 @@ def test_dot_dir_that_cannot_be_written_exit_one(fixture_a_file, tmp_path, capsy
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write DOT files to {target}: ")
     assert "Traceback" not in captured.err
+
+
+def test_invariant_failure_building_the_dot_graphs_exits_two_and_writes_nothing(fixture_a_file, tmp_path,
+                                                                                capsys, monkeypatch):
+    def broken(y):
+        raise InternalInvariantViolation("boom")
+
+    monkeypatch.setattr(condisc.render, "build_tx", broken)  # the analysis itself calls conductor's build_tx
+    target = tmp_path / "dots"
+    assert main(["analyze", str(fixture_a_file), "--dot-dir", str(target)]) == 2
+    assert capsys.readouterr() == ("", "internal invariant violation: boom\n")
+    assert not target.exists()
 
 
 def test_dot_weight_two_drawn_doubled(tmp_path, capsys):
@@ -924,6 +946,14 @@ def test_help_is_argparse_help(capsys, argv):
     if len(argv) > 1:
         parser = parser._subparsers._group_actions[0].choices[argv[0]]
     assert capsys.readouterr() == (parser.format_help(), "")
+
+
+def test_help_to_a_given_file_is_argparse_help(capsys):
+    parser = condisc.cli._build_parser()
+    buf = io.StringIO()
+    parser.print_help(buf)
+    assert buf.getvalue() == parser.format_help()
+    assert capsys.readouterr() == ("", "")
 
 
 def test_error_raised_while_making_a_row_exits_two(fixture_a_file, capsys, monkeypatch):

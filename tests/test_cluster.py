@@ -468,3 +468,12 @@ def test_root_whose_weight_is_not_the_root_count_rejected(fixture_a):
     verts[0] = verts[0]._replace(wt=8)
     with pytest.raises(InternalInvariantViolation, match=r"root must hold all roots at depth 0 \(at vertex 0\)"):
         check_tree_invariants(ClusterTree(tuple(verts), tree.num_roots))
+
+
+def test_a_tree_is_unequal_to_a_non_tree_and_its_repr_names_its_vertices():
+    tree = build_cluster_tree(build_matrix(make(FIXTURE_C)))
+    assert tree.__eq__(tree.vertices) is NotImplemented
+    assert tree != tree.vertices and tree != object()
+    text = repr(tree)
+    assert text.startswith("ClusterTree(vertices=(") and text.endswith(f"num_roots={tree.num_roots})")
+    assert all(repr(v) in text for v in tree)

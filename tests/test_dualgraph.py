@@ -319,7 +319,13 @@ def test_branch_degrees_match_the_neighbour_count():
     for x in _models():
         y = x.ygraph
         verts = y.vertices
-        counted = tuple(sum(1 for w in y.neighbors(v.id) if verts[w].odd) + len(v.attached_roots) for v in verts)
+        parent = y.parent
+        counted = tuple(  # odd children (a scan of parent), the odd parent, the attached roots
+            sum(verts[c].odd for c, p in parent.items() if p == v.id)
+            + (v.id in parent and verts[parent[v.id]].odd)
+            + len(v.attached_roots)
+            for v in verts
+        )
         assert y.branch_degrees == counted
 
 

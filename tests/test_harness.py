@@ -1,6 +1,7 @@
 import pytest
 
 import condisc.cluster
+import condisc.harness
 from condisc import (
     ClusterTree,
     InternalInvariantViolation,
@@ -12,6 +13,7 @@ from condisc import (
     matrix_from_rows,
     validate_ultrametric,
 )
+from condisc.cli import main
 from condisc.harness import (
     GenSpec,
     default_specs,
@@ -197,6 +199,23 @@ def test_mutation_probe_of_validator():
 def test_run_trial_executes_all_cross_checks():
     report = run_trial(GenSpec(seed=11, p=5, genus=3, max_depth=3))
     assert report.inequality_holds
+
+
+@pytest.mark.parametrize("oracle, message", [
+    ("disc_oracle", "discriminant oracle disagrees"),
+    ("naive_tree_oracle", "tree oracle disagrees"),
+])
+def test_an_oracle_that_disagrees_fails_the_trial_and_the_fuzz_run(monkeypatch, capsys, oracle, message):
+    spec = default_specs(1)[0]
+    other = naive_tree_oracle(build_matrix(make(FIXTURE_B)))
+    assert other != naive_tree_oracle(build_matrix(gen_instance(spec)))
+    wrong = {"disc_oracle": lambda inst: analyze(inst).nu_df + 1, "naive_tree_oracle": lambda m: other}[oracle]
+    monkeypatch.setattr(condisc.harness, oracle, wrong)
+    with pytest.raises(InternalInvariantViolation) as exc:
+        run_trial(spec)
+    assert str(exc.value) == f"{message} ({spec})"
+    assert main(["fuzz", "--trials", "1"]) == 2
+    assert capsys.readouterr() == ("", f"internal invariant violation: {message} ({spec})\n")
 
 
 def test_every_exported_name_resolves_on_the_package():

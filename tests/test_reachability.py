@@ -28,7 +28,7 @@ import condisc.render
 import condisc.valuation
 from condisc import UltrametricViolationError, analyze, build_matrix, load_instance, matrix_from_rows
 from condisc.harness import default_specs, gen_instance
-from condisc.render import dot_cover, dot_model, dot_tree, render_text
+from condisc.render import render_text, write_dot
 
 from conftest import FIXTURE_A, chain_cases, write_instance
 
@@ -42,11 +42,11 @@ MODULES = (
 )
 
 ALLOWED = {
-    # perfbench/spans.py rebinds these by module and name, so they stay until
-    # the benchmark reads a tracer instead (ROADMAP items 9 and 12)
+    # perfbench/spans.py rebinds these three by module and name (XGraph.neighbors
+    # to count its calls), so they stay until the benchmark reads a tracer
+    # instead (ROADMAP items 9 and 12)
     "valuation.build_matrix",
     "cluster.equation_discriminant",
-    "dualgraph.YGraph.neighbors",
     "dualgraph.XGraph.neighbors",
     # exported API that the oracles, the demos or the tests call
     "valuation.val",
@@ -92,17 +92,14 @@ def public_code(module) -> dict:
     return out
 
 
-def _write_all(report) -> None:
+def _write_all(report, dot_dir) -> None:
     """Every writer, as the command line calls them."""
     report.to_json()
     report.to_json_line()
     report.to_json_dict()
     render_text(report)
     report.contractible
-    ygraph, xgraph = report.per_depth_graphs()
-    dot_tree(ygraph.tree)
-    dot_cover(ygraph)
-    dot_model(xgraph)
+    write_dot(report, dot_dir)
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +127,7 @@ def called(tmp_path_factory):
     try:
         sources += [load_instance(path)[0] for path in (roots_file, matrix_file)]
         for source in sources:
-            _write_all(analyze(source))
+            _write_all(analyze(source), tmp / "dots")
         with pytest.raises(UltrametricViolationError):
             analyze(bad)
     finally:

@@ -31,7 +31,7 @@ from condisc.harness import (
     naive_tree_oracle,
     per_depth_oracle,
 )
-from condisc.render import dot_cover, dot_model, dot_tree, render_text, text_rows
+from condisc.render import dot_cover, dot_model, dot_tree, render_text, text_rows, write_dot
 from conftest import chain_cases, cluster_rows, first_copy_mismatches, nu_mismatches
 
 LEDGER_FIELDS = ("d", "D", "E", "D_prime", "D_double_prime", "L_count", "equality")
@@ -51,17 +51,23 @@ def _totals(report):
     return totals
 
 
-def _outputs(report, graphs):
-    """Every output, with T_B's DOT from the report's tree and from the tree of
-    the per-depth graphs, as ``--dot-dir`` writes it."""
-    y, x = graphs
-    return (
-        report.to_json(), report.to_json_line(), render_text(report),
-        dot_tree(report.tree), dot_tree(y.tree), dot_cover(y), dot_model(x),
-    )
+def _outputs(report):
+    """Every output but the DOT files, with T_B's DOT from the report's tree."""
+    return report.to_json(), report.to_json_line(), render_text(report), dot_tree(report.tree)
 
 
-def test_chain_cases_agree_with_the_per_depth_pipeline():
+def _written_dots(report, directory):
+    """The three DOT files as ``--dot-dir`` writes them."""
+    write_dot(report, directory)
+    return tuple((directory / f"{name}.dot").read_text(encoding="utf-8") for name in ("t_b", "t_y", "t_x"))
+
+
+def _oracle_dots(oracle):
+    """The three DOT graphs of the per-depth oracle's own T_B, T_Y and T_X."""
+    return dot_tree(oracle.tree), dot_cover(oracle.ygraph), dot_model(oracle.xgraph)
+
+
+def test_chain_cases_agree_with_the_per_depth_pipeline(tmp_path):
     covered = 0
     for length in range(1, 51):
         for name, rows in chain_cases(length):
@@ -76,7 +82,8 @@ def test_chain_cases_agree_with_the_per_depth_pipeline():
                 assert getattr(ours, field) == getattr(oracle, field), (name, length, field)
             assert _totals(ours) == _totals(oracle), (name, length)
             assert ours.tree.expand() == oracle.tree
-            assert _outputs(ours, ours.per_depth_graphs()) == _outputs(oracle, (oracle.ygraph, oracle.xgraph))
+            assert _outputs(ours) == _outputs(oracle)
+            assert _written_dots(ours, tmp_path) == _oracle_dots(oracle)
     assert covered == 50 * 14
 
 
@@ -127,14 +134,15 @@ def _random_laminar_rows(rng):
     return cluster_rows(n, clusters)
 
 
-def test_random_laminar_families_agree_with_the_per_depth_pipeline():
+def test_random_laminar_families_agree_with_the_per_depth_pipeline(tmp_path):
     rng = random.Random(20261019)
     side_by_side = 0
     for k in range(500):
         m = matrix_from_rows(_random_laminar_rows(rng))
         ours, oracle = analyze(m, label=f"laminar-{k}"), per_depth_oracle(m, label=f"laminar-{k}")
         assert ours.tree.expand() == oracle.tree
-        assert _outputs(ours, ours.per_depth_graphs()) == _outputs(oracle, (oracle.ygraph, oracle.xgraph))
+        assert _outputs(ours) == _outputs(oracle)
+        assert _written_dots(ours, tmp_path) == _oracle_dots(oracle)
         side_by_side += any(len(band.vids) > 2 and band.stop - band.start > 1 for band in ours.tree.expansion.bands)
     assert side_by_side >= 150  # 187: two cut chains share a band of several depths
 
