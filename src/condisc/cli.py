@@ -147,13 +147,16 @@ def _cmd_batch(args) -> int:
                 source, label = load_instance(path)
                 report = analyze(source, allow_small=args.allow_small_genus,
                                  label=label if label is not None else path.stem)
-                line = report.to_json_line() + "\n"
+                rows = report.json_rows(compact=True)
+                head = next(rows)  # the header, after every row's tail is made
             except Exception as exc:  # counted against this file; the run goes on to the next
                 code, message = _failure(exc)
                 failed[code] += 1
                 print(f"{path.name}: {'' if code == 1 else 'INTERNAL: '}{message}", file=sys.stderr)
                 continue
-            yield line
+            yield head  # from here on an error ends the run, as in analyze --format json
+            yield from rows
+            yield "\n"
 
     _emit(lines())
     if failed[1] or failed[2]:

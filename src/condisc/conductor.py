@@ -17,7 +17,10 @@ output, and :attr:`Report.contractible`, expand it back to the per-depth
 tree, so they cost the size of the output.  The writers format each
 cut-tree vertex's row once, as a template tail; every per-depth copy of the
 vertex is then written as its id, its depth and that tail, the id and depth
-read from the tree's depth bands (:attr:`ClusterTree.expansion`).
+read from the tree's depth bands (:attr:`ClusterTree.expansion`).  One
+generator, :meth:`Report.json_rows`, writes every JSON row, indented or
+compact, as it is asked for, so ``analyze --format json`` and ``batch``
+never hold a report's text whole.
 
 A :class:`VertexLedger` is a named tuple.  A :class:`Report` is a namespace
 built by keyword, and stays mutable: its attributes can be set after
@@ -131,11 +134,15 @@ def compare_vertex(v: ClusterVertex, tree: ClusterTree) -> VertexLedger:
     return VertexLedger(d, D, E, dp, dpp, l_count, eq, reason)  # positional, as in build_ty
 
 
-# a vertex's JSON object after its "depth", as json.dumps writes it with
+# a vertex's JSON object after its "depth" value, as json.dumps writes it with
 # indent=2 and compact; each %s takes one cell of Report._json_cells
 _FIELDS = ("wt", "l_prime", "r", "s", "l", "parity", "d", "D", "E", "D_prime", "D_double_prime", "equality", "reason")
-_TAIL = ",\n".join(f'      "{k}": %s' for k in _FIELDS) + "\n    }"
-_TAIL_COMPACT = ",".join(f'"{k}":%s' for k in _FIELDS) + "}"
+_TAIL = "".join(f',\n      "{k}": %s' for k in _FIELDS) + "\n    }"
+_TAIL_COMPACT = "".join(f',"{k}":%s' for k in _FIELDS) + "}"
+# the text of each form around a row's id and depth: before the first row's id,
+# before each later row's id, between the id and the depth, and after the last row
+_ROW = ('\n    {\n      "id": ', ',\n    {\n      "id": ', ',\n      "depth": ', "\n  ]\n}")
+_ROW_COMPACT = ('{"id":', ',{"id":', ',"depth":', "]}")
 
 
 class Report(SimpleNamespace):
@@ -224,21 +231,29 @@ class Report(SimpleNamespace):
             for v, led in zip(self.tree.vertices, self.ledgers)
         ]
 
-    def json_rows(self):
-        """:meth:`to_json` in pieces: the header, one row per vertex of the
-        per-depth tree, and the close; ``analyze --format json`` writes them
-        as they come."""
-        head = json.dumps(self._header(), indent=2)  # ends with "\n}"
-        tails = [_TAIL % cells for cells in self._json_cells()]
-        yield f'{head[:-2]},\n  "vertices": ['
-        sep = "\n"
+    def json_rows(self, compact: bool = False):
+        """:meth:`to_json`, or with ``compact`` :meth:`to_json_line`, in
+        pieces: the header, one row per vertex of the per-depth tree, and the
+        close.  The header and every cut-tree vertex's tail are made before
+        the first piece is yielded, so an error in them is raised before any
+        text is written.  ``analyze --format json`` and ``batch`` write the
+        pieces as they come, so neither holds a report's text whole."""
+        if compact:
+            head = json.dumps(self._header(), separators=(",", ":"))[:-1] + ',"vertices":['  # less its "}"
+            tail, (lead, sep, mid, close) = _TAIL_COMPACT, _ROW_COMPACT
+        else:
+            head = json.dumps(self._header(), indent=2)[:-2] + ',\n  "vertices": ['  # less its "\n}"
+            tail, (lead, sep, mid, close) = _TAIL, _ROW
+        tails = [tail % cells for cells in self._json_cells()]
+        yield head
         for fid, vid, depth in self.tree.rows():
-            yield f'{sep}    {{\n      "id": {fid},\n      "depth": {depth},\n{tails[vid]}'
-            sep = ",\n"
-        yield "\n  ]\n}"
+            yield f"{lead}{fid}{mid}{depth}{tails[vid]}"
+            lead = sep
+        yield close
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict(), indent=2)``, byte for byte.
+        """``json.dumps(self.to_json_dict(), indent=2)``, byte for byte:
+        :meth:`json_rows`, joined.
 
         json's indented form runs its pure-Python encoder, so only the header
         goes through json.  Each cut-tree vertex's row after ``"depth"`` is
@@ -249,11 +264,8 @@ class Report(SimpleNamespace):
 
     def to_json_line(self) -> str:
         """``json.dumps(self.to_json_dict(), separators=(",", ":"))``, byte for
-        byte, from the same tails as :meth:`json_rows` in compact form."""
-        head = json.dumps(self._header(), separators=(",", ":"))  # ends with "}"
-        tails = [_TAIL_COMPACT % cells for cells in self._json_cells()]
-        rows = ",".join([f'{{"id":{fid},"depth":{depth},{tails[vid]}' for fid, vid, depth in self.tree.rows()])
-        return f'{head[:-1]},"vertices":[{rows}]}}'
+        byte: :meth:`json_rows` in compact form, joined."""
+        return "".join(self.json_rows(compact=True))
 
 
 def _check_shift_identities(tree: ClusterTree, ledgers) -> None:

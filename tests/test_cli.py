@@ -2,6 +2,7 @@ import collections
 import contextlib
 import copy
 import io
+import itertools
 import json
 import os
 import random
@@ -241,7 +242,7 @@ def test_batch_collects_per_file_errors(tmp_path, capsys):
 
 
 def _fail_on_fixture_b(monkeypatch, target, error):
-    """Make the CLI's `analyze`, or `Report.to_json_line`, raise `error` for fixtureB only."""
+    """Make the CLI's `analyze`, or `Report.json_rows`, raise `error` for fixtureB only."""
     if target == "analyze":
         true_analyze = condisc.cli.analyze
 
@@ -252,20 +253,20 @@ def _fail_on_fixture_b(monkeypatch, target, error):
 
         monkeypatch.setattr(condisc.cli, "analyze", analyze)
     else:
-        true_line = condisc.conductor.Report.to_json_line
+        true_rows = condisc.conductor.Report.json_rows
 
-        def to_json_line(report):
+        def json_rows(report, compact=False):
             if report.label == "fixtureB":
                 raise error
-            return true_line(report)
+            return true_rows(report, compact)
 
-        monkeypatch.setattr(condisc.conductor.Report, "to_json_line", to_json_line)
+        monkeypatch.setattr(condisc.conductor.Report, "json_rows", json_rows)
 
 
 def test_batch_reports_an_unexpected_error_against_its_file_and_goes_on(tmp_path, capsys, monkeypatch):
     for fx in (FIXTURE_A, FIXTURE_B, FIXTURE_C):
         write_instance(tmp_path / f"{fx['label']}.json", fx)
-    for target in ("analyze", "to_json_line"):  # the file's analysis fails, then the making of its line
+    for target in ("analyze", "json_rows"):  # the file's analysis fails, then the making of its rows
         with monkeypatch.context() as patch:
             _fail_on_fixture_b(patch, target, RuntimeError("boom"))
             assert main(["batch", str(tmp_path)]) == 2
@@ -273,6 +274,27 @@ def test_batch_reports_an_unexpected_error_against_its_file_and_goes_on(tmp_path
         assert [json.loads(l)["label"] for l in captured.out.splitlines()] == ["fixtureA", "fixtureC"]
         assert "fixtureB.json: INTERNAL: RuntimeError: boom\n" in captured.err
         assert "0 invalid, 1 internal failures out of 3 files" in captured.err
+
+
+@pytest.mark.parametrize("error, code, message", [
+    (RuntimeError("boom"), 2, "internal invariant violation: RuntimeError: boom\n"),
+    (MemoryError(), 1, "error: out of memory\n"),
+], ids=["internal", "memory"])
+def test_batch_error_after_a_files_first_row_ends_the_run(tmp_path, capsys, monkeypatch, fixture_a, error, code,
+                                                          message):
+    for fx in (FIXTURE_A, FIXTURE_B, FIXTURE_C):
+        write_instance(tmp_path / f"{fx['label']}.json", fx)
+    rows = condisc.conductor.analyze(fixture_a).json_rows(compact=True)
+    written = "".join(itertools.islice(rows, 2))  # the header and fixtureA's first row
+    true_rows = condisc.cluster.ClusterTree.rows
+
+    def rows(tree):  # fixtureA's tree has 4 rows: the run fails at its second
+        yield next(true_rows(tree))
+        raise error
+
+    monkeypatch.setattr(condisc.cluster.ClusterTree, "rows", rows)
+    assert main(["batch", str(tmp_path)]) == code
+    assert capsys.readouterr() == (written, message)  # one stderr line, as analyze --format json; no summary
 
 
 @pytest.mark.parametrize("command, owner, target, error", [
@@ -294,7 +316,7 @@ def test_unexpected_error_exits_two_with_one_line(fixture_a_file, capsys, monkey
 @pytest.mark.parametrize("command, target", [
     ("analyze", "analyze"),
     ("batch", "analyze"),
-    ("batch", "to_json_line"),  # the file's line runs out of memory as it is made
+    ("batch", "json_rows"),  # the file's rows run out of memory as they are set up
 ], ids=["analyze", "batch", "batch-line"])
 def test_running_out_of_memory_exits_one_with_one_line(tmp_path, capsys, monkeypatch, command, target):
     for fx in (FIXTURE_A, FIXTURE_B, FIXTURE_C):

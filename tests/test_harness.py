@@ -4,6 +4,7 @@ import condisc.cluster
 import condisc.harness
 from condisc import (
     ClusterTree,
+    Instance,
     InternalInvariantViolation,
     UltrametricViolationError,
     analyze,
@@ -11,6 +12,7 @@ from condisc import (
     build_matrix,
     check_tree_invariants,
     matrix_from_rows,
+    val,
     validate_ultrametric,
 )
 from condisc.cli import main
@@ -56,6 +58,19 @@ def test_disc_oracle_fixtures(fixture_a, fixture_b, good_reduction):
     assert disc_oracle(fixture_a) == 6
     assert disc_oracle(fixture_b) == 6
     assert disc_oracle(good_reduction) == 0
+
+
+@pytest.mark.parametrize("roots, expected", [
+    (("1/3", "0", "1", "2", "4", "5"), -6),
+    (("1/9", "2/3", "0", "1", "2", "5"), -26),
+    (("1/3", "2/3", "4/3", "5/9", "7", "8"), -36),
+])
+def test_disc_oracle_divides_p_out_of_the_denominator(roots, expected):
+    # roots with p in their denominators, which analyze turns down: the oracle's product
+    # then has p in its denominator, and only its second loop counts it
+    inst = Instance.from_values(3, roots)
+    pairwise = 2 * sum(val(a - b, 3) for i, a in enumerate(inst.roots) for b in inst.roots[i + 1:])
+    assert disc_oracle(inst) == pairwise == expected
 
 
 def test_naive_oracle_matches_fixtures():

@@ -147,11 +147,12 @@ def test_random_laminar_families_agree_with_the_per_depth_pipeline(tmp_path):
     assert side_by_side >= 150  # 187: two cut chains share a band of several depths
 
 
-def test_json_rows_of_a_deep_chain_take_constant_memory():
+@pytest.mark.parametrize("compact", [False, True], ids=["indented", "compact"])
+def test_json_rows_of_a_deep_chain_take_constant_memory(compact):
     report = analyze(matrix_from_rows(cluster_rows(6, [((0, 1), 10**5)])))
     tracemalloc.start()
     try:
-        rows = sum(1 for _ in report.json_rows())
+        rows = sum(1 for _ in report.json_rows(compact))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
