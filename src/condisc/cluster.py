@@ -61,7 +61,7 @@ the parent's floor), so no entry is below the root's floor, and a negative
 floor is turned down.  The loop runs once, to the end of the cut tree.  When
 a matrix fails it, or has a root count turned down,
 :meth:`~condisc.valuation.ValuationMatrix._scan` first names its first defect,
-as ``check_shape`` would; then the O(n^3) triple scan
+as ``check_shape``, which ran before the loop, would; then the O(n^3) triple scan
 :func:`~condisc.valuation.validate_ultrametric` names every violating triple,
 as an :class:`UltrametricViolationError`, also past the vertex budget; a
 failure neither scan explains, or one on residues (ultrametric by
@@ -473,16 +473,20 @@ def build_cluster_tree(source: ValuationMatrix | Residues, *, allow_small: bool 
     per-depth tree.  The tree's ``nu_df`` is twice the sum of the certified
     pair valuations.
 
-    The tree is grown once, and the certificate runs as it grows (see the
-    module docstring).  ``check_shape`` checks a matrix's row lengths, diagonal
-    and ``int`` entries; the certificate proves it symmetric, nonnegative and
-    ultrametric.  Before any rejection of a matrix but the budget's,
+    A matrix is first checked by its ``check_shape`` (row lengths, diagonal and
+    ``int`` entries), before the root count; residues come from
+    :func:`~condisc.valuation.residues`, which checked their instance.  The
+    tree is grown once, and the certificate runs as it grows (see the module
+    docstring); it proves a matrix symmetric, nonnegative and ultrametric.
+    Before any rejection of a matrix but the budget's,
     :meth:`~condisc.valuation.ValuationMatrix._scan` names its first defect, so
     a matrix rejected here is named as ``check_shape`` would name it.  Roots
     mode builds no matrix, also when it is rejected.
     """
     n = source.n
     matrix = isinstance(source, ValuationMatrix)
+    if matrix:
+        source.check_shape()
     try:
         if n % 2 != 0:
             raise InstanceError(f"root count must be even (2g + 2), got {n}")
@@ -491,8 +495,7 @@ def build_cluster_tree(source: ValuationMatrix | Residues, *, allow_small: bool 
         if n < 6 and not allow_small:
             raise TooFewRootsError(n)
         records, total, over = _grow(_MatrixPairs(source) if matrix else _ResiduePairs(source), n)
-    except (InstanceError, InternalInvariantViolation, TypeError) as exc:
-        # a TypeError comes from an entry that check_shape turns down, on a matrix it did not check
+    except (InstanceError, InternalInvariantViolation) as exc:
         if matrix:
             source._scan()
             if isinstance(exc, InternalInvariantViolation) and (violations := validate_ultrametric(source)):

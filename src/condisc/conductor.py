@@ -330,10 +330,11 @@ def analyze(source: Instance | ValuationMatrix, *, allow_small: bool = False, la
     """Run the full pipeline and return a fully cross-checked report.
 
     Accepts either a split-roots instance or a bare ultrametric valuation
-    matrix.  This is where input is validated, once: the instance's prime,
-    integrality and distinctness, or the matrix's shape, then the root count
-    and the ultrametric rule while the tree is built.  Raises
-    :class:`InstanceError` for bad input and
+    matrix.  Each reader checks its own input, once:
+    :func:`~condisc.valuation.residues` the instance's prime, integrality and
+    distinctness; :func:`~condisc.cluster.build_cluster_tree` the matrix's
+    shape, then the root count and the ultrametric rule while the tree is
+    built.  Raises :class:`InstanceError` for bad input and
     :class:`InternalInvariantViolation` (or a subclass) if any proved
     identity fails, which would mean a bug in this package.
 
@@ -341,14 +342,11 @@ def analyze(source: Instance | ValuationMatrix, *, allow_small: bool = False, la
     runs it on the shift-and-divide oracle's per-depth tree, for comparison.
     """
     if isinstance(source, Instance):
-        source.validate()
         pairs = residues(source)
         p: int | None = source.p
         label = label if label is not None else source.label
     else:
-        pairs = source
-        pairs.check_shape()
-        p = None
+        pairs, p = source, None
     return _report(build_cluster_tree(pairs, allow_small=allow_small), p, label)
 
 

@@ -16,8 +16,10 @@ that can be written as UTF-8.  The matrix diagonal must be ``null``.
 Exactly the fields of the declared mode may appear.
 
 Reading checks the file's fields, their JSON types and that ``valuations`` is
-a list of lists, not its entries; :func:`condisc.conductor.analyze` validates
-the instance it returns (a matrix's entries through ``check_shape``).
+a list of lists, not its entries; the reader of the instance it returns
+checks the rest: :func:`~condisc.valuation.residues` runs
+:meth:`~condisc.valuation.Instance.validate`, and
+:func:`~condisc.cluster.build_cluster_tree` a matrix's ``check_shape``.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ matrices are a first-class input mode, and a valid one is read in four passes
 over its n x n entries, each in builtins with a Python step per row (per
 member of each split, for the certificate).  :func:`matrix_from_rows` copies
 each row twice (``list``, then ``tuple``); :meth:`ValuationMatrix.check_shape`
-maps the entries' types; and the tree's certificate
+counts the entries of type ``int`` as it maps their types, with no n x n list;
+and the tree's certificate
 (:func:`~condisc.cluster.build_cluster_tree`) reads every entry in both
 orientations, which proves the matrix symmetric, nonnegative and ultrametric.
 Only a matrix that fails one of them is scanned entry by entry
@@ -26,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, combinations
 from math import inf, isqrt, lcm, log2
-from operator import attrgetter
+from operator import attrgetter, countOf
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DuplicateRootsError, InstanceError
@@ -40,7 +41,11 @@ ExtNat = int | float
 
 def _int_val(n: int, p: int) -> int:
     """v_p(n) for n != 0 in O(log v) big divisions: divide by p, p^2, p^4, ...
-    while each divides, then try the same powers once each, largest first."""
+    while each divides, then try the same powers once each, largest first.
+    |p| < 2 is rejected: for p = 1 or -1 every power divides, and the loop
+    would not end; p = 0 would divide by zero."""
+    if -2 < p < 2:
+        raise ValueError(f"valuation at p = {p}: |p| must be at least 2")
     n = abs(n)
     powers = []  # powers[k] = p^(2^k)
     pk = p
@@ -173,9 +178,9 @@ class Instance(NamedTuple):
         return len(self.roots)
 
     def validate(self) -> None:
-        """Check p (its size first) and integrality.  Duplicate roots are
-        found by :func:`residues` and the root count where the tree is built,
-        so small synthetic instances pass here."""
+        """Check p (its size first) and integrality; :func:`residues` runs it
+        first.  Duplicate roots are found by :func:`residues` and the root
+        count where the tree is built, so small synthetic instances pass here."""
         if self.p == 2:
             raise InstanceError("p = 2 is not supported: the residue characteristic must be odd")
         if self.p >= _P_BOUND:
@@ -203,9 +208,11 @@ class ValuationMatrix(NamedTuple):
         """Check what the tree's certificate cannot: every row has length n,
         the diagonal is INFINITY and every entry off it has type ``int``
         exactly, tested on the whole matrix with builtins and O(n) Python
-        steps.  Symmetry and sign are left to
-        :func:`~condisc.cluster.build_cluster_tree`, whose certificate reads
-        every entry in both orientations.  A matrix that fails the test is
+        steps: the entries' types are counted as they are mapped, so no list
+        of n x n items is built.  Symmetry and sign are left to
+        :func:`~condisc.cluster.build_cluster_tree`, which runs this check on
+        every matrix it is given and whose certificate reads every entry in
+        both orientations.  A matrix that fails the test is
         scanned entry by entry (:meth:`_scan`) to name its first defect; the
         scan also accepts what the test turns down without a defect, such as
         an entry of a subclass of ``int``."""
@@ -213,7 +220,7 @@ class ValuationMatrix(NamedTuple):
         if not (
             set(map(len, entries)) <= {n}
             and all(row[i] is INFINITY for i, row in enumerate(entries))
-            and list(map(type, chain.from_iterable(entries))).count(int) == n * n - n
+            and countOf(map(type, chain.from_iterable(entries)), int) == n * n - n
         ):
             self._scan()
 
@@ -225,7 +232,7 @@ class ValuationMatrix(NamedTuple):
         ``int`` (not ``bool``); then, if its transpose (j, i) differs from it,
         the transpose for the same defects, and last the pair for symmetry.
         ``check_shape`` runs it on a matrix that fails its test, and
-        ``build_cluster_tree`` before any rejection of a matrix, so the defect
+        ``build_cluster_tree`` before any later rejection of a matrix, so the defect
         named does not depend on which of them found one."""
         entries, n = self.entries, self.n
         for i, row in enumerate(entries):
@@ -266,7 +273,8 @@ _NUM_DEN = attrgetter("numerator", "denominator")
 
 def residues(inst: Instance) -> Residues:
     """Reduce each p-integral root a/b once to a * b^-1 mod p^K, after
-    rejecting duplicate roots.
+    checking the instance (:meth:`Instance.validate`: the prime and
+    integrality) and rejecting duplicate roots.
 
     A root difference a/b - c/d = (ad - cb)/(bd) has a p-unit denominator and
     a numerator of absolute value at most X = 2 max|a| max|b|, so its
@@ -274,6 +282,7 @@ def residues(inst: Instance) -> Residues:
     two residues is congruent to the roots' difference mod p^K, so it has the
     same valuation, and distinct roots have distinct residues.  Cost O(n)
     reductions of numbers of the input's size."""
+    inst.validate()
     p = inst.p
     # a Fraction is kept in lowest terms, so equal roots have equal pairs; a
     # tuple of ints hashes in C, where Fraction.__hash__ is Python code
@@ -323,6 +332,11 @@ def validate_ultrametric(m: ValuationMatrix) -> tuple[tuple[int, int, int], ...]
     valuations is attained at least twice.  A violating triple (i, j, k) is
     reported with the offending short side as m[i][k], i.e.
     m[i][k] < min(m[i][j], m[j][k]).
+
+    It reads the entries above the diagonal unchecked, and only those in the
+    first n columns (a 3 x 4 matrix with an ultrametric 3 x 3 part returns
+    ``()``): it expects a matrix that :meth:`ValuationMatrix.check_shape`
+    accepts, which is how :func:`~condisc.cluster.build_cluster_tree` calls it.
     """
     n = m.n
     bad = []
@@ -345,8 +359,8 @@ def validate_ultrametric(m: ValuationMatrix) -> tuple[tuple[int, int, int], ...]
 
 
 def matrix_from_rows(rows: Sequence[Sequence]) -> ValuationMatrix:
-    """Convert raw rows, a diagonal ``None`` becoming INFINITY; ``analyze``
-    checks the result.
+    """Convert raw rows, a diagonal ``None`` becoming INFINITY;
+    :func:`~condisc.cluster.build_cluster_tree` checks the result.
 
     Each row is copied whole (``list``, then ``tuple``) and its diagonal
     ``None``, where a file has it, set to INFINITY.  A ``None`` off the

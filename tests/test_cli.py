@@ -484,11 +484,14 @@ DEFECTS = {  # kind -> the message check_shape gives for it, at (a, b) = (min(i,
 
 
 def _rejected_alike(tmp_path, capsys, rows) -> str:
-    """The message `analyze` rejects `rows` with, after checking that the file of
-    `rows` exits 1 with the same one."""
+    """The message `analyze` rejects `rows` with, after checking that the tree
+    build called directly, and the file of `rows`, which exits 1, give the same one."""
     with pytest.raises(InstanceError) as api:
         analyze(matrix_from_rows(rows))
     message = str(api.value)
+    with pytest.raises(InstanceError) as direct:
+        build_cluster_tree(matrix_from_rows(rows))
+    assert str(direct.value) == message
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"mode": "matrix", "valuations": rows}))
     assert main(["analyze", str(path)]) == 1
@@ -725,7 +728,7 @@ def test_each_gate_runs_once_per_analysis(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cv.Instance, "validate", counted("validate", cv.Instance.validate))
     monkeypatch.setattr(cv.ValuationMatrix, "check_shape", counted("check_shape", cv.ValuationMatrix.check_shape))
-    # build_cluster_tree holds the root-count gate
+    # build_cluster_tree holds the root-count gate, after a matrix's check_shape
     monkeypatch.setattr(condisc.conductor, "build_cluster_tree",
                         counted("count_gate", condisc.conductor.build_cluster_tree))
     # the O(n^3) ultrametric scan runs only when the tree's certificate fails
@@ -751,7 +754,8 @@ def test_each_gate_runs_once_per_analysis(tmp_path, capsys, monkeypatch):
     matrix.write_text(json.dumps({"mode": "matrix", "valuations": rows}))
     assert main(["analyze", str(matrix)]) == 1
     assert "matrix entry (0, 2) must be a nonnegative integer, got True" in capsys.readouterr().err
-    assert calls == {"validate": 1, "check_shape": 4, "count_gate": 4, "scan": 1}
+    # build_cluster_tree is called, and its check_shape raises before the root count
+    assert calls == {"validate": 1, "check_shape": 4, "count_gate": 5, "scan": 1}
 
 
 def test_roots_mode_does_not_import_sympy(tmp_path):

@@ -32,6 +32,13 @@ from condisc.harness import (
 from conftest import FIXTURE_A, FIXTURE_B, FIXTURE_C, GOOD_RED, cluster_rows, make
 
 
+def test_generator_collisions_are_an_invariant_violation(monkeypatch):
+    # _realize gives distinct values by construction; a repeated one must not pass as an instance
+    monkeypatch.setattr(condisc.harness, "_realize", lambda *args: [0, 0, 1, 2, 4, 5])
+    with pytest.raises(InternalInvariantViolation, match="generator produced colliding roots"):
+        gen_instance(GenSpec(seed=1, p=3, genus=2))
+
+
 def test_generation_is_deterministic():
     a = gen_instance(GenSpec(seed=1, p=3, genus=2))
     b = gen_instance(GenSpec(seed=1, p=3, genus=2))

@@ -200,7 +200,7 @@ def test_matrix_shape_gates():
         analyze(matrix_from_rows([[None, 1, 0], [2, None, 0], [0, 0, None]]))
     with pytest.raises(InstanceError, match="nonnegative"):
         analyze(matrix_from_rows([[None, -1], [-1, None]]))
-    # the root-count gate sits at the analysis boundary, not on the matrix
+    # the root-count gate sits in the tree build, after check_shape, not in check_shape
     odd = matrix_from_rows([[None, 0, 0], [0, None, 0], [0, 0, None]])
     with pytest.raises(InstanceError, match="even"):
         build_cluster_tree(odd)
@@ -233,7 +233,7 @@ def test_null_off_the_diagonal_is_a_pair_of_equal_roots():
     rows[2][4] = rows[4][2] = None
     with pytest.raises(DuplicateRootsError, match=r"duplicate roots at indices \(2, 4\)"):
         analyze(matrix_from_rows(rows))
-    # matrix_from_rows keeps it, and the tree build, called without check_shape, names it alike
+    # matrix_from_rows keeps it, and the tree build, called directly, names it alike
     with pytest.raises(DuplicateRootsError, match=r"duplicate roots at indices \(2, 4\)"):
         build_cluster_tree(matrix_from_rows(rows))
 
@@ -256,6 +256,64 @@ def test_a_lone_bad_entry_below_the_diagonal_is_named_for_its_own_defect(bad, me
 def test_check_shape_rejects_bool_entries():
     with pytest.raises(InstanceError, match="nonnegative integer, got True"):
         matrix_from_rows([[None, True], [True, None]]).check_shape()
+
+
+def test_tree_build_checks_the_matrix_it_reads():
+    from condisc import analyze, build_cluster_tree
+
+    rows = [[None if i == j else 0 for j in range(6)] for i in range(6)]
+    rows[0][1] = rows[1][0] = True  # True == 1: without the type check it would pass as a valuation
+    message = "matrix entry (0, 1) must be a nonnegative integer, got True"
+    for run in (build_cluster_tree, analyze):
+        with pytest.raises(InstanceError) as err:
+            run(matrix_from_rows(rows))
+        assert str(err.value) == message
+
+
+def test_check_shape_holds_no_list_of_the_entries():
+    import tracemalloc
+
+    n = 1000
+    m = matrix_from_rows([[None if i == j else 0 for j in range(n)] for i in range(n)])
+    tracemalloc.start()
+    try:
+        m.check_shape()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a list of the n * n entries' types is 8 MB
+
+
+@pytest.mark.parametrize("p, roots, message", [
+    (3, [Fraction(1, 3), 1, 2, 3, 4, 5], "non-integral root 1/3 at index 0"),
+    (9, [0, 1, 2, 3, 4, 5], "p = 9 is not prime"),
+], ids=["non-integral", "composite"])
+def test_residues_validates_its_instance(p, roots, message):
+    from condisc.valuation import residues
+
+    inst = Instance.from_values(p, roots)
+    with pytest.raises(InstanceError) as by_validate:
+        inst.validate()
+    with pytest.raises(InstanceError) as by_residues:
+        residues(inst)
+    assert str(by_residues.value) == str(by_validate.value)
+    assert str(by_residues.value).startswith(message)
+
+
+@pytest.mark.parametrize("p", [1, -1, 0])
+def test_valuation_rejects_a_base_below_two(p):
+    # every power of 1 and -1 divides 12, so the doubling loop would never end; p = 0 divides by zero
+    with pytest.raises(ValueError, match=rf"p = {p}\b"):
+        val(12, p)
+
+
+def test_build_matrix_rejects_p_one():
+    with pytest.raises(ValueError, match=r"p = 1\b"):
+        build_matrix(Instance.from_values(1, [0, 1, 2, 3, 4, 5]))
+
+
+def test_valuation_at_a_negative_prime():
+    assert val(12, -3) == 1
 
 
 # strong pseudoprimes to every prime base up to 7, 23, 37 and 41 in turn,
