@@ -535,8 +535,8 @@ def _check_repeats(verts, up: list[int | None]) -> None:
     for v in verts:
         if v.repeat == 1:
             continue
-        if v.repeat > 1 and up[v.id] is not None and verts[up[v.id]].repeat == v.repeat:
-            continue  # second of its pair: checked with the first
+        if up[v.id] is not None and verts[up[v.id]].repeat == v.repeat:
+            continue  # second of its pair: checked with the first (repeat < 1 is rejected at the top of its run)
         path = [v]
         while len(path) < 3 and up[path[0].id] is not None:
             path.insert(0, verts[up[path[0].id]])

@@ -15,10 +15,16 @@ from .conductor import Report
 from .dualgraph import INSERT, LEAF, XGraph, YGraph, build_tx, build_ty
 
 
+_SHORT_PADS = tuple(" " * i for i in range(256))
+
+
 def text_rows(report: Report):
     """:func:`render_text` in pieces: the header lines, then one row per vertex
-    of the per-depth tree, in preorder, each ending in a newline (a row indented
-    past 2**15 spaces comes in several pieces)."""
+    of the per-depth tree, in preorder, each ending in a newline.  A row indented
+    by 256 spaces or more comes in several pieces: its indent's whole 32 KiB
+    blocks and then its whole 256-space steps are strings that every row shares,
+    and only the last part, under 256 spaces, is copied into the row's own
+    string, so joining the pieces copies each space once."""
     tree, contractible = report.tree, report.contractible
     # each row after its id, once per vertex of the cut tree
     tails = [
@@ -26,10 +32,11 @@ def text_rows(report: Report):
         f"{'=' if led.equality else f'<  (defect {led.d - led.D_double_prime})'}\n"
         for v, led in zip(tree.vertices, report.ledgers)
     ]
-    # an indent is copies of pad, then a slice of it: no piece written reaches glibc's
-    # 128 KiB mmap threshold, past which malloc maps and unmaps it on every row
+    # no piece reaches glibc's 128 KiB mmap threshold, past which malloc maps and unmaps
+    # it on every row; steps[k] is 256 * k spaces, made the first time a row needs it
     block = 2**15
     pad = " " * block
+    steps = {}
 
     head = report.label or "instance"
     if report.p is not None:
@@ -54,9 +61,16 @@ def text_rows(report: Report):
     for ranges, depth, vids in tree.per_depth_runs():  # a row's indent is 2 * depth + 2, one step deeper per row
         ids = chain.from_iterable(ranges)
         for fid, indent, tail in zip(ids, count(2 * depth + 2, 2), cycle([tails[vid] for vid in vids])):
-            if indent >= block:
-                yield from repeat(pad, indent // block)
-            yield f"{pad[:indent % block]}v{fid}{tail}"
+            if indent >= 256:
+                if indent >= block:
+                    yield from repeat(pad, indent // block)
+                k = (indent % block) >> 8
+                if k:
+                    step = steps.get(k)
+                    if step is None:
+                        step = steps[k] = pad[: k << 8]
+                    yield step
+            yield f"{_SHORT_PADS[indent & 255]}v{fid}{tail}"
 
 
 def render_text(report: Report) -> str:

@@ -386,6 +386,7 @@ def test_separating_roots_that_do_not_partition_the_roots_rejected(fixture_a, ed
 @pytest.mark.parametrize("edit, message", [
     ({2: {"children": (3, 4)}}, r"child 3 is named by two vertices \(at vertex 2\)"),
     ({2: {"children": ()}}, r"vertex is not a child of any vertex \(at vertex 4\)"),
+    ({0: {"children": (2,)}}, r"vertex is not a child of any vertex \(at vertex 1\)"),
     ({1: {"children": ()}, 4: {"children": (3,)}},
      r"child id 3 is out of range or not above its parent's \(at vertex 4\)"),
     ({4: {"children": (6,)}}, r"child id 6 is out of range or not above its parent's \(at vertex 4\)"),
@@ -396,7 +397,7 @@ def test_separating_roots_that_do_not_partition_the_roots_rejected(fixture_a, ed
     # root 2 moved from 5 to its parent 3, which counts 5 as odd: only 5's own weight is wrong
     ({3: {"sep_roots": (2, 3, 4), "r": 1}, 5: {"wt": 1, "sep_roots": (1,)}}, r"vertex weight below 2 \(at vertex 5\)"),
     ({5: {"depth": 4}}, r"child depth != parent depth \+ 1 \(at vertex 5\)"),
-], ids=["named-twice", "orphan", "child-before-parent", "child-out-of-range", "root-f_val", "f_val-off-by-2",
+], ids=["named-twice", "orphan", "orphan-1", "child-before-parent", "child-out-of-range", "root-f_val", "f_val-off-by-2",
         "swapped-children", "weight-1", "depth-skips"])
 def test_children_that_do_not_form_the_tree_rejected(edit, message):
     tree = build_cluster_tree(build_matrix(gen_instance(GenSpec(seed=5, p=3, genus=3, max_depth=2, chain_prob=0.3))))

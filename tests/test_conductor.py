@@ -184,6 +184,15 @@ def test_small_genus_flag():
     assert any("out of scope" in w for w in r.warnings)
 
 
+@pytest.mark.parametrize("roots, artin, nu_df, n_components", [
+    ([0, 1], 0, 0, 1),  # the difference is a unit
+    ([0, 3], 2, 2, 3),  # the difference has valuation 1
+])
+def test_two_roots_are_analyzed_under_allow_small(roots, artin, nu_df, n_components):
+    r = analyze(Instance.from_values(3, roots), allow_small=True)
+    assert (r.genus, r.artin, r.nu_df, r.n_components) == (0, artin, nu_df, n_components)
+
+
 def _fixtures_and_specs(count):
     for fx in (FIXTURE_A, FIXTURE_B, FIXTURE_C, GOOD_RED, ODD_CHAIN, WEIGHT2, NON_MINIMAL, DEEP_PAIR):
         yield make(fx)

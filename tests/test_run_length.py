@@ -176,7 +176,8 @@ def test_per_depth_runs_of_a_deep_chain_take_constant_memory():
 def test_deep_text_rows_come_in_pieces_below_the_mmap_threshold():
     """At depth 70000 a row is indented by up to 140002 spaces.  Written whole, each
     such row would pass glibc's 128 KiB mmap threshold, and malloc would map and
-    unmap it on every row; a long indent comes first as copies of one pad."""
+    unmap it on every row; a long indent comes first as copies of one 32 KiB pad,
+    then as one shared string of a multiple of 256 spaces."""
     depth = 70000
     pieces = text_rows(analyze(matrix_from_rows(cluster_rows(6, [((0, 1), depth)]))))
     while not next(pieces).startswith("\ntree"):
@@ -191,6 +192,67 @@ def test_deep_text_rows_come_in_pieces_below_the_mmap_threshold():
         else:
             indent += len(piece)
     assert fid == depth + 1
+
+
+def _naive_row(v):
+    """A tree row of the text report built the plain way from a vertex of the JSON document."""
+    tag = "=" if v["equality"] else f"<  (defect {v['d'] - v['D_double_prime']})"
+    return (
+        f"{' ' * (2 * v['depth'] + 2)}v{v['id']}  wt={v['wt']}  {v['parity']:4}  "
+        f"d={v['d']}  D''={v['D_double_prime']}  {tag}\n"
+    )
+
+
+# the pair chain's deepest indents, 2 * depth + 2, run from 254 to 262 (depths 126 to 130), and
+# chain_cases(128) puts rows of several chains, some beside a bushy subtree, past 256 and 512
+@pytest.mark.parametrize("rows", [
+    *(cluster_rows(6, [((0, 1), depth)]) for depth in range(126, 131)),
+    *(rows for _, rows in chain_cases(128)),
+], ids=[*(f"pair-{depth}" for depth in range(126, 131)), *(name for name, _ in chain_cases(128))])
+def test_text_rows_match_rows_indented_the_plain_way(rows):
+    m = matrix_from_rows(rows)
+    report = analyze(m)
+    assert any(v.repeat > 1 for v in report.tree)
+    vertices = {v["id"]: v for v in report.to_json_dict()["vertices"]}
+    oracle = naive_tree_oracle(m)  # the per-depth tree, walked in preorder
+    expected, stack = [], [oracle.root.id]
+    while stack:
+        vid = stack.pop()
+        expected.append(_naive_row(vertices[vid]))
+        stack.extend(reversed(oracle[vid].children))
+    assert len(expected) == len(vertices)
+    assert render_text(report).partition("tree (wt, parity, d, D'', =?):\n")[2] == "".join(expected)
+
+
+def test_text_rows_past_one_pad_block_rebuild_to_their_plain_form():
+    """At depth 16390 the deepest rows are indented past 2**15 spaces, one whole
+    block of the shared pad; every row, read as a stream of pieces, is its plain form."""
+    depth = 16390
+    report = analyze(matrix_from_rows(cluster_rows(6, [((0, 1), depth)])))
+    vertices = report.to_json_dict()["vertices"]  # a path: its rows come in id order
+    pieces = text_rows(report)
+    while not next(pieces).startswith("\ntree"):
+        pass
+    row, fid = [], 0
+    for piece in pieces:
+        assert len(piece) < 2**17
+        row.append(piece)
+        if piece.endswith("\n"):
+            assert "".join(row) == _naive_row(vertices[fid])
+            row, fid = [], fid + 1
+    assert not row and fid == depth + 1 and 2 * depth + 2 > 2**15
+
+
+def test_render_text_holds_its_output_once():
+    report = analyze(matrix_from_rows(cluster_rows(6, [((0, 1), 5000)])))
+    tracemalloc.start()
+    try:
+        text = render_text(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 25 * 10**6
+    assert peak <= 1.25 * len(text)
 
 
 @pytest.mark.parametrize("length", [8, 9, 10, 11, 50])
@@ -262,6 +324,11 @@ def test_repeat_outside_the_middle_of_a_chain_rejected():
     verts = list(tree.vertices)
     verts[first] = verts[first]._replace(repeat=0)
     with pytest.raises(InternalInvariantViolation, match="repeated vertex outside the middle of a chain"):
+        check_tree_invariants(ClusterTree(tuple(verts), tree.num_roots))
+    # both vertices of the pair at repeat 0: the lower one's parent has its repeat, and the upper one is named
+    verts[first + 1] = verts[first + 1]._replace(repeat=0)
+    assert tree[first].children == (first + 1,)
+    with pytest.raises(InternalInvariantViolation, match=rf"outside the middle of a chain \(at vertex {first}\)"):
         check_tree_invariants(ClusterTree(tuple(verts), tree.num_roots))
     # the pair one step up: the repeats along its path read 1, 1, 4, 4, 1, 1, but the path
     # starts at the root, whose weight is not the chain's
