@@ -38,14 +38,14 @@ for v in tree:
 
 y = build_ty(tree)
 print("\ncover graph adds", sum(1 for v in y.vertices if v.kind != "strict"), "vertices:")
-for v in y.vertices:
+for index, v in enumerate(y.vertices):  # a cover vertex is known by its index
     if v.kind != "strict":
-        print(f"  y{v.id}: {v.kind} over {v.origin}, attached roots {list(v.attached_roots)}")
+        print(f"  y{index}: {v.kind} over {v.origin}, attached roots {list(v.attached_roots)}")
 
 x = build_tx(y)
 print("\nmodel components:")
-for c in x.components:
-    print(f"  x{c.id}: over y{c.over}, multiplicity {c.m}, chi {c.chi}")
+for index, c in enumerate(x.components):  # and a component by its index
+    print(f"  x{index}: over y{c.over}, multiplicity {c.m}, chi {c.chi}")
 print("intersections:", {e: w for e, w in sorted(x.edges.items())})
 
 # One call does all of the above plus every cross-check, and one more writes

@@ -136,7 +136,7 @@ class ClusterVertex(NamedTuple):
 
     @property
     def parity(self) -> str:
-        return "odd" if self.f_val % 2 else "even"
+        return "odd" if self.odd else "even"
 
     @property
     def is_leaf(self) -> bool:

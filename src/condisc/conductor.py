@@ -164,7 +164,7 @@ class Report(SimpleNamespace):
     tree: ClusterTree
     ygraph: YGraph
     xgraph: XGraph
-    self_int: dict[int, int]
+    self_int: list[int]               # by component id of T_X
     warnings: tuple[str, ...] = ()
     nonminimal: tuple[int, ...] = ()  # vertices detect_nonminimal flags, in the cut tree
     # true on every report: _report raises when artin > nu_df, and when f_tilde < 0,

@@ -18,9 +18,9 @@ split fibers meet sheet by sheet; otherwise every pair meets once, or twice
 where two single components over even vertices meet.  The two sheets of a
 split region are interchangeable by a graph automorphism, so every numeric
 invariant computed here is independent of which sheet meets which.  A sheet
-is known only by its place in ``XGraph.over`` (the first or second of the
-two component ids over its cover vertex), and joining first to first and
-second to second makes output reproducible byte for byte.
+is known only by its position among the components whose ``over`` is its
+cover vertex (the first or second of the two), and joining first to first
+and second to second makes output reproducible byte for byte.
 
 ``build_ty`` computes each cover vertex's branch degree ``beta`` once, in
 one pass over the T_Y edges, and stores it on the graph; ``build_tx`` and
@@ -33,14 +33,17 @@ edges) is T_Y's one adjacency: the branch degrees, ``build_tx``,
 and ``check_x_invariants`` looks each T_X edge's ends up in it.  ``build_tx``
 only joins components over the two ends of a T_Y edge, so T_X keeps no
 adjacency of its own.  ``XGraph.neighbors`` scans ``parent`` for the children
-of a component's cover vertex; nothing on the analysis path calls it.
+of a component's cover vertex and ``components`` for the components over
+them; nothing on the analysis path calls it.
 Connectivity (a union-find), the conductor and the self-intersections are
 each read from ``edges`` in one pass, and the checks index ``components``
 and T_Y's ``vertices`` directly.
 
-Both graphs and their vertices are named tuples.  A graph is read through
-``YGraph.vertices`` and ``XGraph.components``, each indexed by id: iterating
-a graph itself yields its fields, as for any tuple.
+Both graphs and their vertices are named tuples.  A cover vertex's or a
+component's id is its position in ``YGraph.vertices`` or
+``XGraph.components``, and no record stores it; a component's ``over`` is
+the id of its cover vertex.  Iterating a graph itself yields its fields, as
+for any tuple.
 
 Both graphs are built on the cut refinement tree (see :mod:`condisc.cluster`),
 and every check runs on each of their vertices as it stands.  The ownership
@@ -59,12 +62,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .cluster import ClusterTree, per_depth_total
-from .errors import (
-    DisconnectedCover,
-    GenusMismatch,
-    InternalInvariantViolation,
-    NonIntegralSelfIntersection,
-)
+from .errors import InternalInvariantViolation
 
 ST = "strict"    # strict transform of a tree vertex
 INSERT = "insert"  # subdivision vertex on an odd-odd edge
@@ -73,7 +71,6 @@ _KIND_SLOT = {ST: 0, INSERT: 1, LEAF: 2}
 
 
 class YVertex(NamedTuple):
-    id: int
     kind: str                      # ST | INSERT | LEAF
     origin: tuple[int, ...]        # ST: (b,)  INSERT: (parent_b, child_b)  LEAF: (b, root_index)
     odd: bool
@@ -81,7 +78,7 @@ class YVertex(NamedTuple):
 
 
 class YGraph(NamedTuple):
-    vertices: tuple[YVertex, ...]
+    vertices: tuple[YVertex, ...]            # a vertex's id is its position
     parent: dict[int, int]                   # child id -> parent id: every edge once, in build order
     tree: ClusterTree
     branch_degrees: tuple[int, ...]          # beta of each vertex, by id
@@ -93,26 +90,23 @@ def build_ty(tree: ClusterTree) -> YGraph:
 
     # records are built positionally, in field order, as in build_cluster_tree:
     # keyword arguments cost about 2.5 times as much
-    for v in tree:  # strict transforms reuse tree ids; later loops read their parity
+    for v in tree:  # strict transforms take the tree's ids; later loops read their parity
         odd = v.f_val % 2 == 1
-        vertices.append(YVertex(v.id, ST, (v.id,), odd, v.sep_roots if not odd else ()))
+        vertices.append(YVertex(ST, (v.id,), odd, v.sep_roots if not odd else ()))
 
-    nxt = len(tree)
     for v in tree:
         for c in v.children:
             if vertices[v.id].odd and vertices[c].odd:
-                vertices.append(YVertex(nxt, INSERT, (v.id, c), False, ()))
-                parent[nxt] = v.id
-                parent[c] = nxt
-                nxt += 1
+                parent[len(vertices)] = v.id
+                parent[c] = len(vertices)
+                vertices.append(YVertex(INSERT, (v.id, c), False, ()))
             else:
                 parent[c] = v.id
     for v in tree:
         if vertices[v.id].odd:
             for i in v.sep_roots:
-                vertices.append(YVertex(nxt, LEAF, (v.id, i), False, (i,)))
-                parent[nxt] = v.id
-                nxt += 1
+                parent[len(vertices)] = v.id
+                vertices.append(YVertex(LEAF, (v.id, i), False, (i,)))
 
     beta = [len(v.attached_roots) for v in vertices]
     for c, p in parent.items():  # each T_Y edge once
@@ -128,30 +122,28 @@ def check_y_invariants(y: YGraph) -> None:
     for c, p in y.parent.items():
         if verts[c].odd and verts[p].odd:
             raise InternalInvariantViolation("two odd cover vertices are adjacent", vertex=(p, c))
-    for v, beta in zip(verts, y.branch_degrees):
+    for vid, (v, beta) in enumerate(zip(verts, y.branch_degrees)):
         if v.odd:
             continue
         if beta % 2 != 0:
-            raise InternalInvariantViolation("odd branch degree at an even vertex", vertex=v.id)
+            raise InternalInvariantViolation("odd branch degree at an even vertex", vertex=vid)
         if v.kind == ST:
             l = tverts[v.origin[0]].l
             if beta != l + (l % 2):
                 raise InternalInvariantViolation(
-                    "branch degree != l + (l mod 2) at an even strict transform", vertex=v.id
+                    "branch degree != l + (l mod 2) at an even strict transform", vertex=vid
                 )
 
 
 class XComponent(NamedTuple):
-    id: int
     over: int              # YVertex id
     m: int                 # multiplicity in the special fiber, 1 or 2
     chi: int               # etale Euler characteristic
 
 
 class XGraph(NamedTuple):
-    components: tuple[XComponent, ...]
+    components: tuple[XComponent, ...]        # a component's id is its position
     edges: dict[tuple[int, int], int]          # (a, b) with a < b -> intersection number
-    over: dict[int, tuple[int, ...]]           # YVertex id -> component ids
     ygraph: YGraph
     repeats: dict[int, int]                    # component id -> repeat, where it is not 1
     edge_repeats: dict[tuple[int, int], int]   # edge -> repeat, where it is not 1
@@ -163,13 +155,17 @@ class XGraph(NamedTuple):
 
     def neighbors(self, cid: int):
         """Each component meeting ``cid``, with the intersection number: over the
-        children of its cover vertex (a scan of T_Y's ``parent``), then over its parent."""
+        children of its cover vertex (a scan of T_Y's ``parent``), then over its parent,
+        each cover vertex's components in id order (a scan of ``components``)."""
         vid, parent = self.components[cid].over, self.ygraph.parent
-        around = [c for c, p in parent.items() if p == vid]
+        around = {c: [] for c, p in parent.items() if p == vid}
         if vid in parent:
-            around.append(parent[vid])
-        for v in around:
-            for w in self.over[v]:
+            around[parent[vid]] = []
+        for w, c in enumerate(self.components):
+            if c.over in around:
+                around[c.over].append(w)
+        for ids in around.values():
+            for w in ids:
                 wt = self.edges.get((min(cid, w), max(cid, w)), 0)
                 if wt:
                     yield w, wt
@@ -181,25 +177,25 @@ class XGraph(NamedTuple):
 
 def build_tx(y: YGraph) -> XGraph:
     comps: list[XComponent] = []
-    over: dict[int, tuple[int, ...]] = {}
+    over: list[tuple[int, ...]] = []  # cover vertex -> its component ids
     tverts = y.tree.vertices
     repeats: dict[int, int] = {}
     edge_repeats: dict[tuple[int, int], int] = {}
 
-    for v, b in zip(y.vertices, y.branch_degrees):
+    for vid, (v, b) in enumerate(zip(y.vertices, y.branch_degrees)):
         if v.odd:
             ids = (len(comps),)
-            comps.append(XComponent(ids[0], v.id, 2, 2))  # positional, as in build_ty
+            comps.append(XComponent(vid, 2, 2))  # positional, as in build_ty
         else:
             if b == 0:
                 ids = (len(comps), len(comps) + 1)
-                comps.append(XComponent(ids[0], v.id, 1, 2))
-                comps.append(XComponent(ids[1], v.id, 1, 2))
+                comps.append(XComponent(vid, 1, 2))
+                comps.append(XComponent(vid, 1, 2))
             else:
                 ids = (len(comps),)
                 mult = 2 if v.kind == INSERT else 1
-                comps.append(XComponent(ids[0], v.id, mult, 4 - b))
-        over[v.id] = ids
+                comps.append(XComponent(vid, mult, 4 - b))
+        over.append(ids)
         r = tverts[v.origin[0]].repeat
         if r != 1:
             repeats.update(dict.fromkeys(ids, r))
@@ -217,9 +213,7 @@ def build_tx(y: YGraph) -> XGraph:
             if r != 1:
                 edge_repeats[edge] = r
 
-    x = XGraph(
-        components=tuple(comps), edges=edges, over=over, ygraph=y, repeats=repeats, edge_repeats=edge_repeats
-    )
+    x = XGraph(components=tuple(comps), edges=edges, ygraph=y, repeats=repeats, edge_repeats=edge_repeats)
     _check_connected(x)
     check_x_invariants(x)
     return x
@@ -229,7 +223,7 @@ def _check_connected(x: XGraph) -> None:
     """Union-find over the edge list: connected iff n - 1 edges join two classes."""
     n = len(x.components)
     if not n:
-        raise DisconnectedCover("cover graph has no components")
+        raise InternalInvariantViolation("cover graph has no components")
     root = list(range(n))
     joined = 0
     for a, b in x.edges:
@@ -241,7 +235,7 @@ def _check_connected(x: XGraph) -> None:
             root[a] = b
             joined += 1
     if joined != n - 1:
-        raise DisconnectedCover("cover graph is disconnected; construction rule violated")
+        raise InternalInvariantViolation("cover graph is disconnected; construction rule violated")
 
 
 def check_x_invariants(x: XGraph) -> None:
@@ -250,14 +244,14 @@ def check_x_invariants(x: XGraph) -> None:
     tverts = y.tree.vertices
     odd = [v.f_val % 2 == 1 for v in tverts]  # the tree's parities, not T_Y's copies
     split: dict[int, list[int]] = {}  # odd tree vertex -> components over [ST, INSERT, LEAF] cover vertices
-    for c in comps:
+    for cid, c in enumerate(comps):
         yv = verts[c.over]
         base = yv.origin[0]
         expect_m2 = odd[base] and yv.kind != LEAF
         if (c.m == 2) != expect_m2:
-            raise InternalInvariantViolation("multiplicity contradicts the cover rule", vertex=c.id)
+            raise InternalInvariantViolation("multiplicity contradicts the cover rule", vertex=cid)
         if c.m == 2 and c.chi != 2:
-            raise InternalInvariantViolation("multiplicity-2 component must be rational", vertex=c.id)
+            raise InternalInvariantViolation("multiplicity-2 component must be rational", vertex=cid)
         if odd[base]:
             if base not in split:
                 split[base] = [0, 0, 0]
@@ -294,33 +288,30 @@ def artin_conductor(x: XGraph) -> int:
     )
 
 
-def self_intersections(x: XGraph) -> dict[int, int]:
-    """Self-intersection of each component, from (whole fiber) . (component) = 0."""
+def self_intersections(x: XGraph) -> list[int]:
+    """Self-intersection of each component, by id, from (whole fiber) . (component) = 0."""
     comps = x.components
     sums = [0] * len(comps)  # sum of m_w * wt over c's neighbours w, from each edge's two ends
     for (a, b), wt in x.edges.items():
         sums[a] += comps[b].m * wt
         sums[b] += comps[a].m * wt
-    out: dict[int, int] = {}
-    for c in comps:
-        s = sums[c.id]
+    out: list[int] = []
+    for cid, (c, s) in enumerate(zip(comps, sums)):
         q, rem = divmod(-s, c.m)
         if rem:
-            raise NonIntegralSelfIntersection(
-                f"self-intersection -{s}/{c.m} is not an integer", vertex=c.id
-            )
-        out[c.id] = q
+            raise InternalInvariantViolation(f"self-intersection -{s}/{c.m} is not an integer", vertex=cid)
+        out.append(q)
     return out
 
 
-def genus_check(x: XGraph, selfint: dict[int, int]) -> int:
+def genus_check(x: XGraph, selfint: list[int]) -> int:
     """Recompute 2g - 2 from the graph via adjunction, each component weighted
     by its repeat, and compare it with 2g - 2 of the root count; raises on
     mismatch."""
-    total = per_depth_total([c.m * (-c.chi - selfint[c.id]) for c in x.components], x.repeats)
+    total = per_depth_total([c.m * (-c.chi - si) for c, si in zip(x.components, selfint, strict=True)], x.repeats)
     expected = 2 * ((x.ygraph.tree.num_roots - 2) // 2) - 2
     if total != expected:
-        raise GenusMismatch(f"adjunction total {total} != 2g - 2 = {expected}")
+        raise InternalInvariantViolation(f"adjunction total {total} != 2g - 2 = {expected}")
     return total
 
 

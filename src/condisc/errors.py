@@ -51,17 +51,5 @@ class InternalInvariantViolation(CondiscError):
         super().__init__(message)
 
 
-class NonIntegralSelfIntersection(InternalInvariantViolation):
-    pass
-
-
-class GenusMismatch(InternalInvariantViolation):
-    pass
-
-
 class InequalityViolated(InternalInvariantViolation):
-    pass
-
-
-class DisconnectedCover(InternalInvariantViolation):
     pass

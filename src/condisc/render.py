@@ -102,8 +102,8 @@ def _y_label(y: YGraph, vid: int) -> str:
 
 def dot_cover(y: YGraph) -> str:
     lines = ["graph t_y {"]
-    for v in y.vertices:
-        lines.append(f'  y{v.id} [label="{_y_label(y, v.id)}"];')
+    for vid in range(len(y.vertices)):
+        lines.append(f'  y{vid} [label="{_y_label(y, vid)}"];')
     # a stable sort by parent keeps each parent's children in build order, so
     # an inserted vertex (a large id) still comes before a smaller sibling
     for c, pid in sorted(y.parent.items(), key=lambda edge: edge[1]):
@@ -114,8 +114,8 @@ def dot_cover(y: YGraph) -> str:
 
 def dot_model(x: XGraph) -> str:
     lines = ["graph t_x {"]
-    for c in x.components:
-        lines.append(f'  x{c.id} [label="m={c.m}, χ={c.chi}"];')
+    for cid, c in enumerate(x.components):
+        lines.append(f'  x{cid} [label="m={c.m}, χ={c.chi}"];')
     for (a, b), w in sorted(x.edges.items()):
         for _ in range(w):
             lines.append(f"  x{a} -- x{b};")

@@ -8,6 +8,7 @@ evaluation) and frozen here.
 
 import json
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -71,11 +72,11 @@ def test_criterion_2_fixture_b():
         r = analyze(make(FIXTURE_B))
         assert (r.nu_df, r.artin, r.n_components, r.f_tilde) == (6, 6, 5, 2)
         x = r.xgraph
-        hubs = [c.id for c in x.components if c.m == 2]
+        hubs = [cid for cid, c in enumerate(x.components) if c.m == 2]
         assert len(hubs) == 1
         assert all(hubs[0] in edge for edge in x.edges)      # star through the m=2 component
-        root_comp = x.over[r.tree.root.id]
-        assert len(root_comp) == 1 and x.components[root_comp[0]].chi == 0
+        root_comp = [c for c in x.components if c.over == r.tree.root.id]
+        assert len(root_comp) == 1 and root_comp[0].chi == 0
 
 
 def test_criterion_3_fixture_c():
@@ -83,9 +84,10 @@ def test_criterion_3_fixture_c():
         r = analyze(make(FIXTURE_C))
         assert (r.nu_df, r.artin, r.n_components, r.f_tilde) == (4, 4, 4, 1)
         x = r.xgraph
-        sheets = [cid for ids in x.over.values() if len(ids) == 2 for cid in ids]
+        over = Counter(c.over for c in x.components)
+        sheets = [cid for cid, c in enumerate(x.components) if over[c.over] == 2]
         assert len(sheets) == 2                               # split-sheet region
-        degree = {c.id: 0 for c in x.components}
+        degree = dict.fromkeys(range(len(x.components)), 0)
         for (a, b), w in x.edges.items():
             assert w == 1
             degree[a] += 1

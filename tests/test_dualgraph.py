@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from condisc import (
@@ -14,8 +16,17 @@ from condisc import (
     self_intersections,
 )
 from condisc.conductor import _check_conductor_decomposition
-from condisc.dualgraph import INSERT, LEAF, ST, XGraph, _check_connected, check_x_invariants, check_y_invariants
-from condisc.errors import DisconnectedCover, GenusMismatch, NonIntegralSelfIntersection
+from condisc.dualgraph import (
+    INSERT,
+    LEAF,
+    ST,
+    XComponent,
+    XGraph,
+    YVertex,
+    _check_connected,
+    check_x_invariants,
+    check_y_invariants,
+)
 from condisc.harness import default_specs, gen_instance
 
 from conftest import (
@@ -37,6 +48,21 @@ def graphs_of(inst):
     return tree, y, build_tx(y)
 
 
+def over(x, vid):
+    """Ids of the components over cover vertex ``vid``, in id order."""
+    return [cid for cid, c in enumerate(x.components) if c.over == vid]
+
+
+def test_records_are_positional():
+    # a cover vertex's or a component's id is its position, and T_X keeps one map to T_Y
+    assert YVertex._fields == ("kind", "origin", "odd", "attached_roots")
+    assert XComponent._fields == ("over", "m", "chi")
+    assert "over" not in XGraph._fields
+    _, _, x = graphs_of(make(ODD_CHAIN))
+    si = self_intersections(x)
+    assert type(si) is list and len(si) == len(x.components)
+
+
 def test_fixture_a_cover_and_model(fixture_a):
     tree, y, x = graphs_of(fixture_a)
     # no odd vertices: the cover graph adds nothing
@@ -46,30 +72,29 @@ def test_fixture_a_cover_and_model(fixture_a):
     for c in tree.root.children:
         assert len(y.vertices[c].attached_roots) == 2
     # root splits into two sheets, children stay irreducible
-    sheets = [c for c in x.components if c.over == tree.root.id]
-    assert [c.id for c in sheets] == list(x.over[tree.root.id]) and len(sheets) == 2
-    assert all((c.m, c.chi) == (1, 2) for c in sheets)
-    others = [c for c in x.components if c.over != tree.root.id]
-    assert len(others) == 3 and all((c.m, c.chi) == (1, 2) for c in others)
+    sheets = over(x, tree.root.id)
+    assert sheets == [0, 1]
+    others = [cid for cid in range(len(x.components)) if cid not in sheets]
+    assert len(others) == 3 and all((c.m, c.chi) == (1, 2) for c in x.components)
     assert x.n_components == 5
     assert sorted(x.edges.values()) == [1] * 6
     assert artin_conductor(x) == 6
     si = self_intersections(x)
-    assert sorted(si[c.id] for c in sheets) == [-3, -3]
-    assert sorted(si[c.id] for c in others) == [-2, -2, -2]
+    assert sorted(si[c] for c in sheets) == [-3, -3]
+    assert sorted(si[c] for c in others) == [-2, -2, -2]
     assert genus_check(x, si) == 2
 
 
 def test_fixture_b_cover_and_model(fixture_b):
     tree, y, x = graphs_of(fixture_b)
-    leaves = [v for v in y.vertices if v.kind == LEAF]
+    leaves = [vid for vid, v in enumerate(y.vertices) if v.kind == LEAF]
     assert len(leaves) == 3
-    assert all(y.parent[v.id] == 1 for v in leaves)  # all under the odd vertex
+    assert all(y.parent[vid] == 1 for vid in leaves)  # all under the odd vertex
     assert len(y.vertices[tree.root.id].attached_roots) == 3
-    assert all(len(v.attached_roots) == 1 for v in leaves)
+    assert all(len(y.vertices[vid].attached_roots) == 1 for vid in leaves)
 
-    root_comp = x.over[tree.root.id]
-    odd_comp = x.over[1]
+    root_comp = over(x, tree.root.id)
+    odd_comp = over(x, 1)
     assert len(root_comp) == 1 and len(odd_comp) == 1
     assert (x.components[root_comp[0]].m, x.components[root_comp[0]].chi) == (1, 0)   # beta = 4
     assert (x.components[odd_comp[0]].m, x.components[odd_comp[0]].chi) == (2, 2)
@@ -80,20 +105,20 @@ def test_fixture_b_cover_and_model(fixture_b):
     assert sorted(x.edges.values()) == [1] * 4
     assert artin_conductor(x) == 6
     si = self_intersections(x)
-    assert set(si.values()) == {-2}
+    assert set(si) == {-2}
     assert genus_check(x, si) == 2
 
 
 def test_fixture_c_four_cycle(fixture_c):
     tree, y, x = graphs_of(fixture_c)
     assert x.n_components == 4
-    root_comp = x.over[tree.root.id][0]
+    root_comp = over(x, tree.root.id)[0]
     assert x.components[root_comp].chi == 0
-    split = [v.id for v in y.vertices if len(x.over[v.id]) == 2]
+    split = [vid for vid in range(len(y.vertices)) if len(over(x, vid)) == 2]
     assert len(split) == 1
-    s0, s1 = x.over[split[0]]
+    s0, s1 = over(x, split[0])
     # the two sheets join the root component and the deeper component: a 4-cycle
-    degrees = {c.id: sum(1 for e in x.edges if c.id in e) for c in x.components}
+    degrees = {cid: sum(1 for e in x.edges if cid in e) for cid in range(len(x.components))}
     assert set(degrees.values()) == {2}
     assert x.edges[min(root_comp, s0), max(root_comp, s0)] == x.edges[min(root_comp, s1), max(root_comp, s1)] == 1
     assert artin_conductor(x) == 4
@@ -107,7 +132,7 @@ def test_good_reduction_single_component(good_reduction):
     assert x.edges == {}
     assert artin_conductor(x) == 0
     si = self_intersections(x)
-    assert si == {0: 0}
+    assert si == [0]
     assert genus_check(x, si) == 2
 
 
@@ -119,7 +144,7 @@ def test_odd_odd_edge_gets_one_insert():
     assert not ins.odd
     a, b = ins.origin
     assert tree[a].odd and tree[b].odd
-    comp = x.over[ins.id]
+    comp = over(x, y.vertices.index(ins))
     assert len(comp) == 1 and (x.components[comp[0]].m, x.components[comp[0]].chi) == (2, 2)
     assert artin_conductor(x) == 8
 
@@ -146,7 +171,7 @@ def test_weight_two_edges():
         assert y.branch_degrees[x.components[a].over] > 0 and y.branch_degrees[x.components[b].over] > 0
     assert artin_conductor(x) == 4
     si = self_intersections(x)
-    assert sorted(si.values()) == [-4, -2, -2]
+    assert sorted(si) == [-4, -2, -2]
     assert genus_check(x, si) == 2
 
 
@@ -159,12 +184,12 @@ def test_semistable_conductor_is_edge_weight(fixture_a, fixture_c):
 
 def test_beta_even_and_strict_transform_count(fixture_b):
     tree, y, x = graphs_of(make(ODD_CHAIN))
-    for v in y.vertices:
+    for v, beta in zip(y.vertices, y.branch_degrees):
         if not v.odd:
-            assert y.branch_degrees[v.id] % 2 == 0
+            assert beta % 2 == 0
         if v.kind == ST and not tree[v.origin[0]].odd:
             bvert = tree[v.origin[0]]
-            assert y.branch_degrees[v.id] == bvert.l + (bvert.l % 2)
+            assert beta == bvert.l + (bvert.l % 2)
 
 
 def test_detect_nonminimal(fixture_a, fixture_b, fixture_c):
@@ -181,7 +206,7 @@ def test_detect_nonminimal(fixture_a, fixture_b, fixture_c):
     # the flagged chain carries the contractible rational curve
     _, y, x = graphs_of(make(NON_MINIMAL))
     si = self_intersections(x)
-    contractible = [c.id for c in x.components if si[c.id] == -1 and c.chi == 2]
+    contractible = [cid for cid, c in enumerate(x.components) if si[cid] == -1 and c.chi == 2]
     assert len(contractible) == 1
     assert x.ygraph.vertices[x.components[contractible[0]].over].origin[0] == v.id
 
@@ -215,14 +240,14 @@ def _edge_scan(x, cid):
 
 def test_neighbors_match_an_edge_scan():
     for x in _models():
-        for c in x.components:
-            assert sorted(x.neighbors(c.id)) == _edge_scan(x, c.id)
+        for cid in range(len(x.components)):
+            assert sorted(x.neighbors(cid)) == _edge_scan(x, cid)
 
 
 def test_self_intersections_match_the_neighbour_walk():
     for x in _models():
         comps = x.components
-        walked = {c.id: -sum(comps[w].m * wt for w, wt in x.neighbors(c.id)) // c.m for c in comps}
+        walked = [-sum(comps[w].m * wt for w, wt in x.neighbors(cid)) // c.m for cid, c in enumerate(comps)]
         assert self_intersections(x) == walked
 
 
@@ -230,9 +255,9 @@ def _walked_by_vertex(x):
     """The conductor per tree vertex by a walk of each component's neighbours:
     (1 - m) chi, plus (m_w - 1) wt per neighbour w, plus wt per neighbour below it."""
     out = {v.id: 0 for v in x.ygraph.tree}
-    for c in x.components:
+    for cid, c in enumerate(x.components):
         term = (1 - c.m) * c.chi
-        for w, wt in x.neighbors(c.id):
+        for w, wt in x.neighbors(cid):
             term += (x.components[w].m - 1) * wt
             if x.ygraph.parent.get(x.components[w].over) == c.over:
                 term += wt
@@ -264,7 +289,7 @@ def test_conductor_matches_the_per_component_neighbour_walk():
 def test_conductor_decomposition_names_the_vertex_an_edge_weight_breaks(fixture_b):
     report = analyze(fixture_b)
     x = report.xgraph
-    (root_comp,) = x.over[report.tree.root.id]
+    (root_comp,) = over(x, report.tree.root.id)
     edge = next(e for e in x.edges if root_comp in e)
     broken = x._replace(edges={**x.edges, edge: x.edges[edge] + 1})
     with pytest.raises(InternalInvariantViolation, match=r"formula gives 2 \(at vertex 0\)"):
@@ -299,11 +324,28 @@ def test_model_that_breaks_the_cover_rules_rejected(tamper, message):
         check_x_invariants(tamper(x))
 
 
+# a weight-2 edge between a split sheet (beta = 0) and a single even component, both of m = 1
+# and over even cover vertices: only the weight-2 rule's branch-degree clauses see it, one on
+# each end (the sheet is the lower id in FIXTURE_A's edge, the higher in FIXTURE_C's)
+@pytest.mark.parametrize("fixture, edge, betas", [
+    (FIXTURE_A, (0, 2), (0, 2)),
+    (FIXTURE_C, (0, 1), (4, 0)),
+], ids=["sheet-first", "sheet-second"])
+def test_weight_two_at_a_split_sheet_rejected(fixture, edge, betas):
+    _, y, x = graphs_of(make(fixture))
+    ends = [x.components[c] for c in edge]
+    assert x.edges[edge] == 1
+    assert tuple(y.branch_degrees[c.over] for c in ends) == betas
+    assert all(c.m == 1 and not y.vertices[c.over].odd for c in ends)
+    with pytest.raises(InternalInvariantViolation, match=re.escape(f"forbidden position (at vertex {edge})")):
+        check_x_invariants(x._replace(edges={**x.edges, edge: 2}))
+
+
 def test_self_intersection_that_is_not_an_integer_rejected():
     _, _, x = graphs_of(make(ODD_CHAIN))
     # component 1 (m = 2) meets 0 (m = 1), 3 (m = 2) and 4 (m = 1): 1 + 2 + 1 = 4, now 5
     tampered = x._replace(edges={**x.edges, (1, 4): 2})
-    with pytest.raises(NonIntegralSelfIntersection, match=r"self-intersection -5/2 is not an integer \(at vertex 1\)"):
+    with pytest.raises(InternalInvariantViolation, match=r"self-intersection -5/2 is not an integer \(at vertex 1\)"):
         self_intersections(tampered)
 
 
@@ -311,7 +353,7 @@ def test_adjunction_that_misses_the_genus_rejected(fixture_b):
     _, _, x = graphs_of(fixture_b)
     si = self_intersections(x)
     si[0] -= 1  # component 0 has m = 1: the adjunction total rises by 1
-    with pytest.raises(GenusMismatch, match=r"adjunction total 3 != 2g - 2 = 2"):
+    with pytest.raises(InternalInvariantViolation, match=r"adjunction total 3 != 2g - 2 = 2"):
         genus_check(x, si)
 
 
@@ -321,10 +363,10 @@ def test_branch_degrees_match_the_neighbour_count():
         verts = y.vertices
         parent = y.parent
         counted = tuple(  # odd children (a scan of parent), the odd parent, the attached roots
-            sum(verts[c].odd for c, p in parent.items() if p == v.id)
-            + (v.id in parent and verts[parent[v.id]].odd)
+            sum(verts[c].odd for c, p in parent.items() if p == vid)
+            + (vid in parent and verts[parent[vid]].odd)
             + len(v.attached_roots)
-            for v in verts
+            for vid, v in enumerate(verts)
         )
         assert y.branch_degrees == counted
 
@@ -347,10 +389,11 @@ def test_odd_branch_degree_at_an_even_vertex_rejected(fixture_b):
 
 def test_adjacent_odd_cover_vertices_rejected():
     _, y, _ = graphs_of(make(ODD_CHAIN))
-    ins = next(v for v in y.vertices if v.kind == INSERT)  # sits between two odd vertices
+    ins = next(vid for vid, v in enumerate(y.vertices) if v.kind == INSERT)  # sits between two odd vertices
+    assert (ins, y.parent[ins]) == (3, 1) and y.parent[2] == ins
     verts = list(y.vertices)
-    verts[ins.id] = ins._replace(odd=True)
-    with pytest.raises(InternalInvariantViolation, match="two odd cover vertices are adjacent"):
+    verts[ins] = verts[ins]._replace(odd=True)
+    with pytest.raises(InternalInvariantViolation, match=r"two odd cover vertices are adjacent \(at vertex \(1, 3\)\)"):
         check_y_invariants(y._replace(vertices=tuple(verts)))
 
 
@@ -368,7 +411,7 @@ def test_cover_with_one_edge_removed_is_disconnected(fixture_b):
     _, _, x = graphs_of(fixture_b)  # a star through the multiplicity-2 component
     edge = next(iter(x.edges))
     cut = x._replace(edges={e: w for e, w in x.edges.items() if e != edge})
-    with pytest.raises(DisconnectedCover, match="cover graph is disconnected"):
+    with pytest.raises(InternalInvariantViolation, match="cover graph is disconnected"):
         _check_connected(cut)
 
 
@@ -376,15 +419,15 @@ def test_union_find_halves_the_path_of_a_second_endpoint():
     # each edge's second endpoint is already a child when the edge is read, which build_tx's edge
     # order never gives: the path-halving loop over b runs twice, then once with (0, 1) left out
     path = XGraph(components=(None,) * 4, edges={(2, 3): 1, (1, 2): 1, (0, 1): 1},
-                  over={}, ygraph=None, repeats={}, edge_repeats={})
+                  ygraph=None, repeats={}, edge_repeats={})
     _check_connected(path)
-    with pytest.raises(DisconnectedCover, match="cover graph is disconnected"):
+    with pytest.raises(InternalInvariantViolation, match="cover graph is disconnected"):
         _check_connected(path._replace(edges={(2, 3): 1, (1, 2): 1}))
 
 
 def test_cover_with_no_components_rejected(fixture_b):
     _, _, x = graphs_of(fixture_b)
-    with pytest.raises(DisconnectedCover, match="cover graph has no components"):
+    with pytest.raises(InternalInvariantViolation, match="cover graph has no components"):
         _check_connected(x._replace(components=()))
 
 
@@ -398,5 +441,5 @@ def test_union_find_agrees_with_the_neighbour_walk():
             if _reached_by_neighbour_walk(cut) == x.n_components:
                 _check_connected(cut)
             else:
-                with pytest.raises(DisconnectedCover):
+                with pytest.raises(InternalInvariantViolation):
                     _check_connected(cut)

@@ -291,8 +291,8 @@ def test_components_and_edges_carry_the_repeat_of_their_owner():
         y = build_ty(tree)
         x = build_tx(y)
         owner = [tree[v.origin[0]] for v in y.vertices]
-        for c in x.components:
-            assert x.repeats.get(c.id, 1) == owner[c.over].repeat
+        for cid, c in enumerate(x.components):
+            assert x.repeats.get(cid, 1) == owner[c.over].repeat
         for a, b in x.edges:
             up = a if y.parent.get(x.components[b].over) == x.components[a].over else b
             assert x.edge_repeats.get((a, b), 1) == owner[x.components[up].over].repeat
