@@ -32,8 +32,8 @@ matrix = build_matrix(inst)
 tree = build_cluster_tree(matrix)
 print("refinement tree:")
 members = member_sets(tree)  # each vertex's roots, rebuilt from its separating roots
-for v in tree:
-    print(f"  v{v.id}: depth {v.depth}, roots {sorted(members[v.id])}, wt={v.wt}, "
+for index, v in enumerate(tree):  # a tree vertex, too, is known by its index
+    print(f"  v{index}: depth {v.depth}, roots {sorted(members[index])}, wt={v.wt}, "
           f"{v.parity}, separates {list(v.sep_roots)}")
 
 y = build_ty(tree)

@@ -30,9 +30,9 @@ print(f"  largest discriminant surplus: {max(gaps)}")
 inst = Instance.from_values(p=5, roots=[0, 25, 5, 10, 1, 2], label="strict example")
 report = analyze(inst)
 print(f"\n{inst.label}: nu(d_f) = {report.nu_df}, -Art = {report.artin}")
-for v, led in zip(report.tree, report.ledgers):
+for index, (v, led) in enumerate(zip(report.tree, report.ledgers)):  # a vertex is known by its index
     mark = "=" if led.equality else f"<  (defect {led.d - led.D_double_prime}, {led.reason})"
-    print(f"  v{v.id} wt={v.wt} {v.parity:4}  d={led.d:3}  D''={led.D_double_prime:3}  {mark}")
+    print(f"  v{index} wt={v.wt} {v.parity:4}  d={led.d:3}  D''={led.D_double_prime:3}  {mark}")
 
 # The defect localizes entirely at the root: its even child has weight 4,
 # and 4*3 - 2 = 10 is exactly the gap.

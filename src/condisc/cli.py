@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("batch", help="analyze every .json instance in a directory")
     pb.add_argument("directory")
-    pb.add_argument("--format", choices=("jsonl",), default="jsonl")
     pb.add_argument("--allow-small-genus", action="store_true")
 
     pf = sub.add_parser("fuzz")  # internal: randomized identity sweep

@@ -109,7 +109,6 @@ SHORTEST_CUT_CHAIN = 8  # a chain of 6 or 7 vertices keeps a pair two steps from
 
 
 class ClusterVertex(NamedTuple):
-    id: int
     depth: int
     children: tuple[int, ...]
     wt: int
@@ -172,7 +171,7 @@ class Expansion(NamedTuple):
 
 
 class ClusterTree:
-    """The vertices, each at the position of its id, and the number of roots.
+    """The vertices, a vertex's id being its position, and the number of roots.
 
     A plain class rather than a record: ``len(tree)`` counts vertices, and
     ``repeats`` is filled once, here, because every analysis reads it."""
@@ -183,7 +182,7 @@ class ClusterTree:
         self.nu_df = nu_df  # twice the certified pair valuations, from build_cluster_tree
         # the repeat of each vertex whose repeat is not 1, by id: empty when
         # nothing is cut.  See per_depth_total.
-        self.repeats: dict[int, int] = {v.id: v.repeat for v in vertices if v.repeat != 1}
+        self.repeats: dict[int, int] = {vid: v.repeat for vid, v in enumerate(vertices) if v.repeat != 1}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClusterTree):
@@ -216,14 +215,14 @@ class ClusterTree:
         checks every tree first: each vertex's depth is its first copy's."""
         verts = self.vertices
         low = [0] * len(verts)  # smallest member: children have larger ids than their parent
-        for v in reversed(verts):
-            low[v.id] = min([*v.sep_roots, *[low[c] for c in v.children]])
+        for vid, v in zip(reversed(range(len(verts))), reversed(verts)):
+            low[vid] = min([*v.sep_roots, *[low[c] for c in v.children]])
         cols = []  # (first depth, depth past the last, smallest member, vertex at even offsets, at odd ones)
-        for v in verts:
+        for vid, v in enumerate(verts):
             if v.repeat == 1:
-                cols.append((v.depth, v.depth + 1, low[v.id], v.id, v.id))
+                cols.append((v.depth, v.depth + 1, low[vid], vid, vid))
             elif verts[v.children[0]].repeat == v.repeat:  # the first of a pair
-                cols.append((v.depth, v.depth + 2 * v.repeat, low[v.id], v.id, v.children[0]))
+                cols.append((v.depth, v.depth + 2 * v.repeat, low[vid], vid, v.children[0]))
         bounds = sorted({c[0] for c in cols}.union([c[1] for c in cols]))
         columns = {c[3]: [] for c in cols}
         cols.sort(reverse=True)  # the next column to start is last
@@ -246,7 +245,7 @@ class ClusterTree:
         """(per-depth id, vertex of the cut tree, depth) for each vertex of the
         per-depth tree, by id: band by band, in arithmetic on the band."""
         if not self.repeats:  # nothing cut: the tree is its own per-depth tree
-            return ((v.id, v.id, v.depth) for v in self.vertices)
+            return ((vid, vid, v.depth) for vid, v in enumerate(self.vertices))
         return chain.from_iterable(map(_band_rows, self.expansion.bands))
 
     def per_depth_runs(self):
@@ -258,9 +257,9 @@ class ClusterTree:
         verts, columns = self.vertices, self.expansion.columns
         stack = [0]
         while stack:
-            v = verts[stack.pop()]
-            vids = (v.id,) if v.repeat == 1 else (v.id, v.children[0])
-            yield columns[v.id], v.depth, vids
+            v = verts[vid := stack.pop()]
+            vids = (vid,) if v.repeat == 1 else (vid, v.children[0])
+            yield columns[vid], v.depth, vids
             stack += reversed(verts[vids[-1]].children)
 
     def expand(self) -> ClusterTree:
@@ -279,7 +278,7 @@ class ClusterTree:
             for fid, v, kid in zip(chain.from_iterable(ranges), cycle([verts[u] for u in vids]), kids):
                 # v's first copy plus one weight per step; positional, in field order:
                 # about 2.5 times as fast as _replace (timeit, Python 3.11)
-                out[fid] = ClusterVertex(fid, depth, kid, v.wt, v.r, v.f_val + (depth - v.depth) * v.wt, v.sep_roots)
+                out[fid] = ClusterVertex(depth, kid, v.wt, v.r, v.f_val + (depth - v.depth) * v.wt, v.sep_roots)
                 depth += 1
         return ClusterTree(tuple(out), self.num_roots, self.nu_df)
 
@@ -511,11 +510,11 @@ def build_cluster_tree(source: ValuationMatrix | Residues, *, allow_small: bool 
     for new, rec in enumerate(records):
         rec.append(new)
     vertices: list[ClusterVertex] = []
-    for new, (depth, _, wt, f_val, sep, kids, repeat, _) in enumerate(records):
+    for depth, _, wt, f_val, sep, kids, repeat, _ in records:
         # positional, in field order: with keyword arguments a vertex costs 1.0-1.5 us
         # against 0.75 us (timeit, Python 3.11, 2-vCPU Xeon)
         vertices.append(ClusterVertex(
-            new, depth, tuple([kid[7] for kid in kids]), wt, sum(kid[2] % 2 for kid in kids), f_val, sep, repeat,
+            depth, tuple([kid[7] for kid in kids]), wt, sum(kid[2] % 2 for kid in kids), f_val, sep, repeat,
         ))
     return ClusterTree(tuple(vertices), num_roots=n, nu_df=2 * total)
 
@@ -532,29 +531,28 @@ def _check_repeats(verts, up: list[int | None]) -> None:
     pair of equal repeat with its only child, inside one chain that reaches
     two steps above the pair and two steps below it (see the module docstring).
     Under the weight identity, one weight along the chain means one cluster."""
-    for v in verts:
+    for vid, v in enumerate(verts):
         if v.repeat == 1:
             continue
-        if up[v.id] is not None and verts[up[v.id]].repeat == v.repeat:
+        if up[vid] is not None and verts[up[vid]].repeat == v.repeat:
             continue  # second of its pair: checked with the first (repeat < 1 is rejected at the top of its run)
-        path = [v]
-        while len(path) < 3 and up[path[0].id] is not None:
-            path.insert(0, verts[up[path[0].id]])
-        while len(path) < 6 and len(path[-1].children) == 1:
-            path.append(verts[path[-1].children[0]])
+        path = [vid]
+        while len(path) < 3 and up[path[0]] is not None:
+            path.insert(0, up[path[0]])
+        while len(path) < 6 and len(verts[path[-1]].children) == 1:
+            path.append(verts[path[-1]].children[0])
         if (
             v.repeat < 1
-            or [u.repeat for u in path] != [1, 1, v.repeat, v.repeat, 1, 1]
-            or any(u.wt != v.wt for u in path)
+            or [verts[u].repeat for u in path] != [1, 1, v.repeat, v.repeat, 1, 1]
+            or any(verts[u].wt != v.wt for u in path)
         ):
-            raise InternalInvariantViolation("repeated vertex outside the middle of a chain", vertex=v.id)
+            raise InternalInvariantViolation("repeated vertex outside the middle of a chain", vertex=vid)
 
 
 def check_tree_invariants(tree: ClusterTree) -> None:
     """Structural identities every refinement tree satisfies; bugs raise.
 
-    Each vertex's id must equal its position, since the checks below and the
-    per-vertex ledgers index ``tree.vertices`` by id directly.  Each vertex but
+    A vertex's id is its position in ``tree.vertices``.  Each vertex but
     the root is some smaller id's child exactly once, so ``children`` form one
     tree, and each vertex lists its children in id order, the order the
     writers follow (:meth:`ClusterTree.expand` renumbers siblings, so no
@@ -567,48 +565,46 @@ def check_tree_invariants(tree: ClusterTree) -> None:
     verts, root, n = tree.vertices, tree.root, tree.num_roots
     seen = [False] * n
     up: list[int | None] = [None] * len(verts)  # parent id, by id
-    for pos, v in enumerate(verts):
-        if v.id != pos:
-            raise InternalInvariantViolation(f"vertex id differs from its position {pos}", vertex=v.id)
-        last = pos
+    for vid, v in enumerate(verts):
+        last = vid
         for c in v.children:
-            if not pos < c < len(verts):
-                raise InternalInvariantViolation(f"child id {c} is out of range or not above its parent's", vertex=v.id)
+            if not vid < c < len(verts):
+                raise InternalInvariantViolation(f"child id {c} is out of range or not above its parent's", vertex=vid)
             if up[c] is not None:
-                raise InternalInvariantViolation(f"child {c} is named by two vertices", vertex=v.id)
+                raise InternalInvariantViolation(f"child {c} is named by two vertices", vertex=vid)
             if c <= last:
-                raise InternalInvariantViolation(f"child {c} is listed after child {last}", vertex=v.id)
-            up[c] = pos
+                raise InternalInvariantViolation(f"child {c} is listed after child {last}", vertex=vid)
+            up[c] = vid
             last = c
         for i in v.sep_roots:
             if not 0 <= i < n or seen[i]:
-                raise InternalInvariantViolation(f"root {i} separates at two vertices or is out of range", vertex=v.id)
+                raise InternalInvariantViolation(f"root {i} separates at two vertices or is out of range", vertex=vid)
             seen[i] = True
     if None in up[1:]:
         raise InternalInvariantViolation("vertex is not a child of any vertex", vertex=up.index(None, 1))
     if root.depth != 0 or root.wt != n:
-        raise InternalInvariantViolation("root must hold all roots at depth 0", vertex=root.id)
+        raise InternalInvariantViolation("root must hold all roots at depth 0", vertex=0)
     if root.f_val != 0:
-        raise InternalInvariantViolation("root f_val != 0", vertex=root.id)
+        raise InternalInvariantViolation("root f_val != 0", vertex=0)
     if not all(seen):
-        raise InternalInvariantViolation(f"root {seen.index(False)} separates at no vertex", vertex=root.id)
+        raise InternalInvariantViolation(f"root {seen.index(False)} separates at no vertex", vertex=0)
     if n % 2 != 0:  # with the rules below, the root's l is even
-        raise InternalInvariantViolation("root count must be even", vertex=root.id)
+        raise InternalInvariantViolation("root count must be even", vertex=0)
     _check_repeats(verts, up)
-    for v in verts:
+    for vid, v in enumerate(verts):
         if v.wt < 2:
-            raise InternalInvariantViolation("vertex weight below 2", vertex=v.id)
+            raise InternalInvariantViolation("vertex weight below 2", vertex=vid)
         weights = [verts[c].wt for c in v.children]
         if v.wt != len(v.sep_roots) + sum(weights):
-            raise InternalInvariantViolation("wt != l_prime + sum of child weights", vertex=v.id)
+            raise InternalInvariantViolation("wt != l_prime + sum of child weights", vertex=vid)
         if v.r != sum(w % 2 for w in weights):
-            raise InternalInvariantViolation("r != number of odd-weight children", vertex=v.id)
-        if up[v.id] is not None:
-            p = verts[up[v.id]]
+            raise InternalInvariantViolation("r != number of odd-weight children", vertex=vid)
+        if up[vid] is not None:
+            p = verts[up[vid]]
             # depth steps from the parent's first copy to the child's: the child of a
             # pair's second vertex sits below every copy of the pair
             gap = 2 * p.repeat - 1 if p.repeat > v.repeat else 1
             if v.depth != p.depth + gap:
-                raise InternalInvariantViolation(f"child depth != parent depth + {gap}", vertex=v.id)
+                raise InternalInvariantViolation(f"child depth != parent depth + {gap}", vertex=vid)
             if v.f_val != p.f_val + gap * v.wt:
-                raise InternalInvariantViolation("f_val != parent's f_val + wt", vertex=v.id)
+                raise InternalInvariantViolation("f_val != parent's f_val + wt", vertex=vid)

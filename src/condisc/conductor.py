@@ -87,13 +87,14 @@ class VertexLedger(NamedTuple):
     reason: str
 
 
-def compare_vertex(v: ClusterVertex, tree: ClusterTree) -> VertexLedger:
-    """Evaluate all local terms at one vertex and classify the comparison.
+def compare_vertex(tree: ClusterTree, vid: int) -> VertexLedger:
+    """Evaluate all local terms at vertex ``vid`` and classify the comparison.
 
     The comparison quantity is D'': the shifted share D' = D + E, with 2
     moved from each odd weight-2 leaf to the ancestor where its chain begins.
     The children are scanned once, for every sum over them below."""
     verts = tree.vertices
+    v = verts[vid]
     d = odd_sq = odd_shift = wt2 = 0
     odd_only = even_wt2 = True  # every child is odd / every even child has weight 2
     for c in v.children:
@@ -113,7 +114,7 @@ def compare_vertex(v: ClusterVertex, tree: ClusterTree) -> VertexLedger:
     dp = D + E
     closed = 2 * (v.l + v.s) - v.wt * (v.wt - 1) + odd_sq if odd else 2 * v.s + odd_sq
     if dp != closed:
-        raise InternalInvariantViolation("D + E disagrees with the closed form of D'", vertex=v.id)
+        raise InternalInvariantViolation("D + E disagrees with the closed form of D'", vertex=vid)
     l_count = wt2 if odd and v.wt > 2 else 0
     dpp = dp - 2 if odd and v.wt == 2 and v.is_leaf else dp + 2 * l_count
 
@@ -128,9 +129,9 @@ def compare_vertex(v: ClusterVertex, tree: ClusterTree) -> VertexLedger:
         eq, reason = False, STRICT
 
     if dpp > d:
-        raise InequalityViolated(f"D'' = {dpp} exceeds d = {d}", vertex=v.id)
+        raise InequalityViolated(f"D'' = {dpp} exceeds d = {d}", vertex=vid)
     if eq != (dpp == d):
-        raise InternalInvariantViolation("equality clause disagrees with the computed values", vertex=v.id)
+        raise InternalInvariantViolation("equality clause disagrees with the computed values", vertex=vid)
     return VertexLedger(d, D, E, dp, dpp, l_count, eq, reason)  # positional, as in build_ty
 
 
@@ -155,7 +156,6 @@ class Report(SimpleNamespace):
     genus: int
     nu_df: int
     artin: int                        # conductor from the cover graph
-    artin_local_sum: int              # conductor as a sum over tree vertices
     n_components: int
     f_tilde: int
     equality_holds: bool
@@ -171,6 +171,12 @@ class Report(SimpleNamespace):
     # which is n_components > artin + 1
     inequality_holds = True
     component_bound_ok = True
+
+    @property
+    def artin_local_sum(self) -> int:
+        """The conductor as a sum over tree vertices: ``artin``, which
+        _check_conductor_decomposition compares it with on every report."""
+        return self.artin
 
     @property
     def contractible(self) -> tuple[int, ...]:
@@ -302,9 +308,9 @@ def _check_bound_bijection(tree: ClusterTree, ledgers) -> int:
     return bound_sum
 
 
-def _check_conductor_decomposition(tree: ClusterTree, x: XGraph, ledgers, artin: int) -> int:
-    """Split artin_conductor's sum by tree vertex and compare each share with D;
-    returns the sum of D over the per-depth tree."""
+def _check_conductor_decomposition(tree: ClusterTree, x: XGraph, ledgers, artin: int) -> None:
+    """Split artin_conductor's sum by tree vertex and compare each share with D,
+    and the sum of D over the per-depth tree with ``artin``."""
     comps, yverts, yparent = x.components, x.ygraph.vertices, x.ygraph.parent
     by_vertex = [0] * len(tree)
     for c in comps:
@@ -320,10 +326,8 @@ def _check_conductor_decomposition(tree: ClusterTree, x: XGraph, ledgers, artin:
             raise InternalInvariantViolation(
                 f"component terms over the vertex sum to {by_vertex[vid]}, formula gives {led.D}", vertex=vid
             )
-    local_sum = per_depth_total([led.D for led in ledgers], tree.repeats)
-    if local_sum != artin:
+    if per_depth_total([led.D for led in ledgers], tree.repeats) != artin:
         raise InternalInvariantViolation("local conductor terms do not sum to the graph conductor")
-    return local_sum
 
 
 def analyze(source: Instance | ValuationMatrix, *, allow_small: bool = False, label: str | None = None) -> Report:
@@ -370,10 +374,10 @@ def _report(tree: ClusterTree, p: int | None, label: str | None) -> Report:
     if artin != (2 * genus - 2) + chi_special:
         raise InternalInvariantViolation("conductor disagrees with the Euler-characteristic route")
 
-    ledgers = tuple(compare_vertex(v, tree) for v in tree)
+    ledgers = tuple(compare_vertex(tree, vid) for vid in range(len(tree)))
     if per_depth_total([led.d for led in ledgers], tree.repeats) != nu_df:
         raise InternalInvariantViolation("local discriminant shares do not sum to nu(d_f)")
-    artin_local_sum = _check_conductor_decomposition(tree, x, ledgers, artin)
+    _check_conductor_decomposition(tree, x, ledgers, artin)
     _check_shift_identities(tree, ledgers)
     bound_sum = _check_bound_bijection(tree, ledgers)
 
@@ -402,7 +406,6 @@ def _report(tree: ClusterTree, p: int | None, label: str | None) -> Report:
         genus=genus,
         nu_df=nu_df,
         artin=artin,
-        artin_local_sum=artin_local_sum,
         n_components=n_x,
         f_tilde=f_tilde,
         equality_holds=equality,

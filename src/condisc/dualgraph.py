@@ -90,23 +90,23 @@ def build_ty(tree: ClusterTree) -> YGraph:
 
     # records are built positionally, in field order, as in build_cluster_tree:
     # keyword arguments cost about 2.5 times as much
-    for v in tree:  # strict transforms take the tree's ids; later loops read their parity
+    for vid, v in enumerate(tree):  # strict transforms take the tree's ids; later loops read their parity
         odd = v.f_val % 2 == 1
-        vertices.append(YVertex(ST, (v.id,), odd, v.sep_roots if not odd else ()))
+        vertices.append(YVertex(ST, (vid,), odd, v.sep_roots if not odd else ()))
 
-    for v in tree:
+    for vid, v in enumerate(tree):
         for c in v.children:
-            if vertices[v.id].odd and vertices[c].odd:
-                parent[len(vertices)] = v.id
+            if vertices[vid].odd and vertices[c].odd:
+                parent[len(vertices)] = vid
                 parent[c] = len(vertices)
-                vertices.append(YVertex(INSERT, (v.id, c), False, ()))
+                vertices.append(YVertex(INSERT, (vid, c), False, ()))
             else:
-                parent[c] = v.id
-    for v in tree:
-        if vertices[v.id].odd:
+                parent[c] = vid
+    for vid, v in enumerate(tree):
+        if vertices[vid].odd:
             for i in v.sep_roots:
-                parent[len(vertices)] = v.id
-                vertices.append(YVertex(LEAF, (v.id, i), False, (i,)))
+                parent[len(vertices)] = vid
+                vertices.append(YVertex(LEAF, (vid, i), False, (i,)))
 
     beta = [len(v.attached_roots) for v in vertices]
     for c, p in parent.items():  # each T_Y edge once
@@ -273,9 +273,9 @@ def check_x_invariants(x: XGraph) -> None:
             if not ok:
                 raise InternalInvariantViolation("weight-2 intersection in a forbidden position", vertex=(a, b))
     # over an odd tree vertex the fiber splits as 1 + s + l' components
-    for bv in tverts:
-        if odd[bv.id] and split.get(bv.id) != [1, bv.s, bv.l_prime]:
-            raise InternalInvariantViolation("odd fiber does not split as 1 + s + l'", vertex=bv.id)
+    for vid, bv in enumerate(tverts):
+        if odd[vid] and split.get(vid) != [1, bv.s, bv.l_prime]:
+            raise InternalInvariantViolation("odd fiber does not split as 1 + s + l'", vertex=vid)
 
 
 def artin_conductor(x: XGraph) -> int:
@@ -320,7 +320,7 @@ def detect_nonminimal(tree: ClusterTree) -> list[int]:
     even parent, and a single even child.  Empty list means the model built
     here is already the minimal regular model."""
     found = []
-    for v in tree:
+    for vid, v in enumerate(tree):
         if (
             len(v.children) == 1
             and v.odd
@@ -328,5 +328,5 @@ def detect_nonminimal(tree: ClusterTree) -> list[int]:
             and not v.parent_odd  # the root is even, so v has a parent
             and not tree[v.children[0]].odd
         ):
-            found.append(v.id)
+            found.append(vid)
     return found

@@ -10,7 +10,8 @@ pipeline so that agreement is evidence rather than tautology:
   shift-and-divide route (partition one depth at a time on a decremented
   submatrix) instead of global depth slicing with chain jumps;
   it returns the per-depth tree, and :func:`trees_agree` compares a tree,
-  expanded, with it vertex for vertex, ids included.
+  expanded, with it position by position (a position is a vertex's id),
+  every field of every vertex.
 * :func:`per_depth_oracle` runs the pipeline on that per-depth tree, where
   :func:`~condisc.conductor.analyze` runs it on the tree it grows with long
   chains cut and weights its totals by ``repeat``; they share no growth code.
@@ -128,8 +129,9 @@ def disc_oracle(inst: Instance) -> int:
 
 def naive_tree_oracle(m: ValuationMatrix) -> ClusterTree:
     """Refinement tree by shift-and-divide, as the per-depth tree (``nu_df`` unset),
-    numbered as :func:`~condisc.cluster.build_cluster_tree` numbers one: ids by
-    depth, then by smallest member, children and separating roots ascending, repeat 1.
+    ordered as :func:`~condisc.cluster.build_cluster_tree` orders one: positions (the
+    ids) by depth, then by smallest member, children and separating roots ascending,
+    repeat 1.
 
     Each step partitions one vertex's indices under "local valuation >= 1" on
     its submatrix, then hands every class of two or more a copy of its block
@@ -173,7 +175,7 @@ def naive_tree_oracle(m: ValuationMatrix) -> ClusterTree:
         if rec[6] is not None:
             children[ids[rec[6]]].append(k)  # ascending, as k is
     return ClusterTree(
-        tuple(ClusterVertex(k, rec[0], tuple(children[k]), *rec[2:6]) for k, rec in enumerate(recs)),
+        tuple(ClusterVertex(rec[0], tuple(children[k]), *rec[2:6]) for k, rec in enumerate(recs)),
         num_roots=m.n,
     )
 
@@ -182,8 +184,8 @@ def member_sets(tree: ClusterTree) -> list[frozenset[int]]:
     """Each vertex's roots, by id: its separating roots and its children's
     roots.  A child's id exceeds its parent's, so one reverse pass builds them."""
     sets: list[frozenset[int]] = [frozenset()] * len(tree)
-    for v in reversed(tree.vertices):
-        sets[v.id] = frozenset(v.sep_roots).union(*[sets[c] for c in v.children])
+    for vid, v in zip(reversed(range(len(tree))), reversed(tree.vertices)):
+        sets[vid] = frozenset(v.sep_roots).union(*[sets[c] for c in v.children])
     return sets
 
 

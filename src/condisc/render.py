@@ -81,8 +81,8 @@ def dot_tree(tree: ClusterTree) -> str:
     """T_B as DOT: the per-depth tree, vertices and then edges by id."""
     full = tree.expand()
     lines = ["graph t_b {"]
-    lines += [f'  v{v.id} [label="wt={v.wt}/{v.parity}"];' for v in full]
-    lines += [f"  v{v.id} -- v{c};" for v in full for c in v.children]
+    lines += [f'  v{fid} [label="wt={v.wt}/{v.parity}"];' for fid, v in enumerate(full)]
+    lines += [f"  v{fid} -- v{c};" for fid, v in enumerate(full) for c in v.children]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

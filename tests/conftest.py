@@ -59,7 +59,7 @@ def first_copy_mismatches(tree, oracle):
         return v.depth, v.f_val, v.wt, v.r, v.sep_roots
 
     at = {(u.depth, min(s)): stats(u) for u, s in zip(oracle, member_sets(oracle))}
-    return [v.id for v, s in zip(tree, member_sets(tree)) if at.get((v.depth, min(s))) != stats(v)]
+    return [vid for vid, (v, s) in enumerate(zip(tree, member_sets(tree))) if at.get((v.depth, min(s))) != stats(v)]
 
 
 def nu_mismatches(tree, rows):
@@ -67,7 +67,7 @@ def nu_mismatches(tree, rows):
     read from the valuation rows: with S the vertex's roots, depth for each root
     of S, and each other root's valuation to a root of S."""
     return [
-        v.id for v, s in zip(tree, member_sets(tree))
+        vid for vid, (v, s) in enumerate(zip(tree, member_sets(tree)))
         if v.f_val != len(s) * v.depth + sum(rows[r][min(s)] for r in range(len(rows)) if r not in s)
     ]
 

@@ -75,7 +75,7 @@ def test_criterion_2_fixture_b():
         hubs = [cid for cid, c in enumerate(x.components) if c.m == 2]
         assert len(hubs) == 1
         assert all(hubs[0] in edge for edge in x.edges)      # star through the m=2 component
-        root_comp = [c for c in x.components if c.over == r.tree.root.id]
+        root_comp = [c for c in x.components if c.over == 0]  # the root is vertex 0 of T_B and of T_Y
         assert len(root_comp) == 1 and root_comp[0].chi == 0
 
 

@@ -40,8 +40,9 @@ def tree_of(inst: Instance):
 
 
 def by_members(tree, members, depth):
+    """The id of the one vertex with these members at this depth."""
     sets = member_sets(tree)
-    hits = [v for v in tree if sets[v.id] == frozenset(members) and v.depth == depth]
+    hits = [vid for vid, v in enumerate(tree) if sets[vid] == frozenset(members) and v.depth == depth]
     assert len(hits) == 1
     return hits[0]
 
@@ -52,7 +53,7 @@ def test_fixture_a_tree(fixture_a):
     root = tree.root
     assert (root.wt, root.parity, root.l_prime, root.r, root.s, root.l) == (6, "even", 0, 0, 3, 0)
     kids = [tree[c] for c in root.children]
-    assert [member_sets(tree)[k.id] for k in kids] == [frozenset({0, 3}), frozenset({1, 4}), frozenset({2, 5})]
+    assert [member_sets(tree)[c] for c in root.children] == [frozenset({0, 3}), frozenset({1, 4}), frozenset({2, 5})]
     for k in kids:
         assert (k.wt, k.parity, k.l_prime, k.r, k.s, k.l, k.f_val) == (2, "even", 2, 0, 0, 2, 2)
     check_tree_invariants(tree)
@@ -63,7 +64,7 @@ def test_fixture_b_tree(fixture_b):
     assert len(tree) == 2
     root, child = tree.root, tree[1]
     assert (root.wt, root.parity, root.l_prime, root.r, root.s, root.l) == (6, "even", 3, 1, 0, 4)
-    assert member_sets(tree)[child.id] == frozenset({0, 1, 2})
+    assert member_sets(tree)[1] == frozenset({0, 1, 2})
     assert (child.wt, child.f_val, child.parity, child.l_prime, child.r, child.s, child.l) == (
         3, 3, "odd", 3, 0, 0, 3,
     )
@@ -75,29 +76,28 @@ def test_fixture_c_tree(fixture_c):
     assert len(tree) == 3
     root = tree.root
     assert (root.wt, root.parity, root.l_prime, root.r, root.s, root.l) == (6, "even", 4, 0, 1, 4)
-    c1 = by_members(tree, {0, 1}, 1)
-    c2 = by_members(tree, {0, 1}, 2)
+    i1, i2 = by_members(tree, {0, 1}, 1), by_members(tree, {0, 1}, 2)
+    c1, c2 = tree[i1], tree[i2]
     assert (c1.parity, c1.l_prime, c1.s, c1.l, c1.f_val) == ("even", 0, 1, 0, 2)
     assert (c2.parity, c2.l_prime, c2.l, c2.f_val) == ("even", 2, 2, 4)
-    assert c1.id in root.children and c2.id in c1.children
+    assert i1 in root.children and i2 in c1.children
     check_tree_invariants(tree)
 
 
 def test_chain_materialization():
     tree = tree_of(make(DEEP_PAIR))
     sets = member_sets(tree)
-    pair_depths = sorted(v.depth for v in tree if sets[v.id] == frozenset({0, 1}))
+    pair_depths = sorted(v.depth for v, s in zip(tree, sets) if s == frozenset({0, 1}))
     assert pair_depths == [1, 2, 3]
-    inner = [v for v in tree if sets[v.id] == frozenset({0, 1}) and v.depth < 3]
+    inner = [v for v, s in zip(tree, sets) if s == frozenset({0, 1}) and v.depth < 3]
     assert all(v.l_prime == 0 and len(v.children) == 1 for v in inner)
 
 
 def test_ids_sorted_by_depth_then_member(fixture_a):
     tree = tree_of(fixture_a)
     sets = member_sets(tree)
-    keys = [(v.depth, min(sets[v.id])) for v in tree]
+    keys = [(v.depth, min(s)) for v, s in zip(tree, sets)]
     assert keys == sorted(keys)
-    assert [v.id for v in tree] == list(range(len(tree)))
 
 
 def test_local_disc_values(fixture_a, fixture_b):
@@ -153,7 +153,7 @@ def test_all_roots_congruent_gives_root_chain():
     assert root.l_prime == 0 and len(root.children) == 1
     child = tree[root.children[0]]
     sets = member_sets(tree)
-    assert sets[child.id] == sets[root.id] and child.depth == 1
+    assert sets[root.children[0]] == sets[0] and child.depth == 1
 
 
 def _frames_above():
@@ -354,15 +354,6 @@ def test_the_certificate_runs_once_per_build(monkeypatch, case):
     assert len(calls) == 1
 
 
-def test_ids_out_of_position_rejected(fixture_a):
-    tree = tree_of(fixture_a)
-    check_tree_invariants(tree)
-    verts = list(tree.vertices)
-    verts[1], verts[2] = verts[2], verts[1]
-    with pytest.raises(InternalInvariantViolation, match=r"vertex id differs from its position 1 \(at vertex 2\)"):
-        check_tree_invariants(ClusterTree(tuple(verts), tree.num_roots))
-
-
 @pytest.mark.parametrize("edit, message", [
     # 3 moved from v1 to v2: still a partition, but v1's weight no longer counts its roots
     ({1: (0,), 2: (1, 4, 3)}, r"wt != l_prime \+ sum of child weights \(at vertex 1\)"),
@@ -390,6 +381,8 @@ def test_separating_roots_that_do_not_partition_the_roots_rejected(fixture_a, ed
     ({1: {"children": ()}, 4: {"children": (3,)}},
      r"child id 3 is out of range or not above its parent's \(at vertex 4\)"),
     ({4: {"children": (6,)}}, r"child id 6 is out of range or not above its parent's \(at vertex 4\)"),
+    # named by itself: the rules after this one would reject it with another message
+    ({5: {"children": (5,)}}, r"child id 5 is out of range or not above its parent's \(at vertex 5\)"),
     ({0: {"f_val": 2}}, r"root f_val != 0 \(at vertex 0\)"),
     ({5: {"f_val": 13}}, r"f_val != parent's f_val \+ wt \(at vertex 5\)"),  # parity still agrees
     # the children of the equal-parity siblings 1 and 2 swapped: depths and parities still agree
@@ -397,8 +390,8 @@ def test_separating_roots_that_do_not_partition_the_roots_rejected(fixture_a, ed
     # root 2 moved from 5 to its parent 3, which counts 5 as odd: only 5's own weight is wrong
     ({3: {"sep_roots": (2, 3, 4), "r": 1}, 5: {"wt": 1, "sep_roots": (1,)}}, r"vertex weight below 2 \(at vertex 5\)"),
     ({5: {"depth": 4}}, r"child depth != parent depth \+ 1 \(at vertex 5\)"),
-], ids=["named-twice", "orphan", "orphan-1", "child-before-parent", "child-out-of-range", "root-f_val", "f_val-off-by-2",
-        "swapped-children", "weight-1", "depth-skips"])
+], ids=["named-twice", "orphan", "orphan-1", "child-before-parent", "child-out-of-range", "self-child", "root-f_val",
+        "f_val-off-by-2", "swapped-children", "weight-1", "depth-skips"])
 def test_children_that_do_not_form_the_tree_rejected(edit, message):
     tree = build_cluster_tree(build_matrix(gen_instance(GenSpec(seed=5, p=3, genus=3, max_depth=2, chain_prob=0.3))))
     assert [v.children for v in tree] == [(1, 2), (3,), (4,), (5,), (), ()]
@@ -443,7 +436,8 @@ def test_child_counts_that_disagree_with_the_children_rejected(fields, message):
 @pytest.mark.parametrize("derived", ["l_prime", "s", "l", "odd"])
 def test_derived_values_cannot_be_set(fixture_a, derived):
     """They are properties of the stored fields, so no vertex holds a copy that disagrees."""
-    assert ClusterVertex._fields == ("id", "depth", "children", "wt", "r", "f_val", "sep_roots", "repeat")
+    # a vertex's id is its position in the tree, not a field
+    assert ClusterVertex._fields == ("depth", "children", "wt", "r", "f_val", "sep_roots", "repeat")
     v = tree_of(fixture_a).root
     with pytest.raises(ValueError, match=derived):
         v._replace(**{derived: 1})
@@ -455,8 +449,8 @@ def test_odd_root_count_rejected():
     # three roots: 2 separates at the root, 0 and 1 at its child; every other rule holds, and
     # the root's l = l_prime + r = 1 is odd
     tree = ClusterTree((
-        ClusterVertex(0, 0, (1,), 3, 0, 0, (2,)),
-        ClusterVertex(1, 1, (), 2, 0, 2, (0, 1)),
+        ClusterVertex(0, (1,), 3, 0, 0, (2,)),
+        ClusterVertex(1, (), 2, 0, 2, (0, 1)),
     ), 3)
     assert tree.root.l == 1
     with pytest.raises(InternalInvariantViolation, match=r"root count must be even \(at vertex 0\)"):

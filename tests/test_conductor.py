@@ -33,7 +33,7 @@ from conftest import (
 
 def ledger_map(inst):
     tree = build_cluster_tree(build_matrix(inst))
-    return tree, {v.id: compare_vertex(v, tree) for v in tree}
+    return tree, [compare_vertex(tree, vid) for vid in range(len(tree))]
 
 
 def row(led):
@@ -42,20 +42,20 @@ def row(led):
 
 def test_fixture_a_ledgers(fixture_a):
     tree, led = ledger_map(fixture_a)
-    assert row(led[tree.root.id]) == (6, 6, 0, 6, 6, True, EVEN_ALL_EVEN_CHILDREN_WT2)
+    assert row(led[0]) == (6, 6, 0, 6, 6, True, EVEN_ALL_EVEN_CHILDREN_WT2)
     for c in tree.root.children:
         assert row(led[c]) == (0, 0, 0, 0, 0, True, EVEN_ALL_EVEN_CHILDREN_WT2)
 
 
 def test_fixture_b_ledgers(fixture_b):
     tree, led = ledger_map(fixture_b)
-    assert row(led[tree.root.id]) == (6, 2, 4, 6, 6, True, EVEN_ALL_EVEN_CHILDREN_WT2)
+    assert row(led[0]) == (6, 2, 4, 6, 6, True, EVEN_ALL_EVEN_CHILDREN_WT2)
     assert row(led[1]) == (0, 4, -4, 0, 0, True, ODD_WT3_NO_EVEN_CHILDREN)
 
 
 def test_fixture_c_ledgers(fixture_c):
     tree, led = ledger_map(fixture_c)
-    rows = sorted(row(led[v.id]) for v in tree)
+    rows = sorted(map(row, led))
     assert rows == sorted(
         [
             (2, 2, 0, 2, 2, True, EVEN_ALL_EVEN_CHILDREN_WT2),
@@ -67,21 +67,20 @@ def test_fixture_c_ledgers(fixture_c):
 
 def test_odd_chain_ledgers():
     tree, led = ledger_map(make(ODD_CHAIN))
-    root = tree.root
-    a = next(v for v in tree if v.odd and v.wt == 3)
-    b = next(v for v in tree if v.odd and v.wt == 2)
-    assert row(led[root.id]) == (6, 2, 4, 6, 6, True, EVEN_ALL_EVEN_CHILDREN_WT2)
-    assert row(led[a.id]) == (2, 3, -3, 0, 2, True, ODD_WT3_NO_EVEN_CHILDREN)
-    assert led[a.id].L_count == 1
-    assert row(led[b.id]) == (0, 3, -1, 2, 0, True, ODD_WT2)
+    a = next(vid for vid, v in enumerate(tree) if v.odd and v.wt == 3)
+    b = next(vid for vid, v in enumerate(tree) if v.odd and v.wt == 2)
+    assert row(led[0]) == (6, 2, 4, 6, 6, True, EVEN_ALL_EVEN_CHILDREN_WT2)
+    assert row(led[a]) == (2, 3, -3, 0, 2, True, ODD_WT3_NO_EVEN_CHILDREN)
+    assert led[a].L_count == 1
+    assert row(led[b]) == (0, 3, -1, 2, 0, True, ODD_WT2)
 
 
 def test_weight2_strict_vertex():
     tree, led = ledger_map(make(WEIGHT2))
     root = tree.root
-    assert row(led[root.id]) == (12, 2, 0, 2, 2, False, STRICT)
+    assert row(led[0]) == (12, 2, 0, 2, 2, False, STRICT)
     # defect equals the even-children surplus sum(wt(wt-1) - 2)
-    defect = led[root.id].d - led[root.id].D_double_prime
+    defect = led[0].d - led[0].D_double_prime
     assert defect == sum(
         tree[c].wt * (tree[c].wt - 1) - 2 for c in root.children if not tree[c].odd
     )
@@ -89,11 +88,11 @@ def test_weight2_strict_vertex():
 
 def test_nonminimal_ledgers():
     tree, led = ledger_map(make(NON_MINIMAL))
-    v = next(v for v in tree if v.odd)
-    w = tree[v.children[0]]
-    assert row(led[tree.root.id]) == (6, 2, 4, 6, 6, True, EVEN_ALL_EVEN_CHILDREN_WT2)
-    assert row(led[v.id]) == (6, -1, -3, -4, -4, False, STRICT)
-    assert row(led[w.id]) == (0, 1, -1, 0, 0, True, EVEN_ALL_EVEN_CHILDREN_WT2)
+    v = next(vid for vid, u in enumerate(tree) if u.odd)
+    w = tree[v].children[0]
+    assert row(led[0]) == (6, 2, 4, 6, 6, True, EVEN_ALL_EVEN_CHILDREN_WT2)
+    assert row(led[v]) == (6, -1, -3, -4, -4, False, STRICT)
+    assert row(led[w]) == (0, 1, -1, 0, 0, True, EVEN_ALL_EVEN_CHILDREN_WT2)
 
 
 def test_analyze_fixture_a(fixture_a):
@@ -107,10 +106,15 @@ def test_analyze_fixture_a(fixture_a):
 
 def test_verdicts_that_a_raise_decides_are_not_stored(fixture_a):
     # _report raises on artin > nu_df and on f_tilde < 0 (tests/test_ledger_checks.py), so a
-    # report it returns reads both verdicts from the class
+    # report it returns reads both verdicts from the class; _check_conductor_decomposition
+    # raises unless the per-vertex sum is artin, so artin_local_sum reads artin
     r = analyze(fixture_a)
     assert r.inequality_holds is True and r.component_bound_ok is True
-    assert {"inequality_holds", "component_bound_ok"}.isdisjoint(vars(r))
+    assert {"inequality_holds", "component_bound_ok", "artin_local_sum"}.isdisjoint(vars(r))
+    r.artin = 7
+    assert r.artin_local_sum == 7
+    with pytest.raises(AttributeError):
+        r.artin_local_sum = 6
 
 
 def test_analyze_fixture_c(fixture_c):
@@ -203,8 +207,8 @@ def _fixtures_and_specs(count):
 def test_one_scan_ledger_matches_the_per_term_walks():
     for inst in _fixtures_and_specs(200):
         tree = build_cluster_tree(build_matrix(inst))
-        for v in tree:
-            led = compare_vertex(v, tree)
+        for vid, v in enumerate(tree):
+            led = compare_vertex(tree, vid)
             assert (led.d, led.D, led.E) == (local_disc(v, tree), local_artin(v), local_shift(v, tree))
             wt2 = sum(1 for c in v.children if tree[c].wt == 2)
             assert led.L_count == (wt2 if v.odd and v.wt > 2 else 0)

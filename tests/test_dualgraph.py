@@ -68,11 +68,11 @@ def test_fixture_a_cover_and_model(fixture_a):
     # no odd vertices: the cover graph adds nothing
     assert len(y.vertices) == len(tree)
     assert all(v.kind == ST for v in y.vertices)
-    assert y.vertices[tree.root.id].attached_roots == ()
+    assert y.vertices[0].attached_roots == ()
     for c in tree.root.children:
         assert len(y.vertices[c].attached_roots) == 2
     # root splits into two sheets, children stay irreducible
-    sheets = over(x, tree.root.id)
+    sheets = over(x, 0)
     assert sheets == [0, 1]
     others = [cid for cid in range(len(x.components)) if cid not in sheets]
     assert len(others) == 3 and all((c.m, c.chi) == (1, 2) for c in x.components)
@@ -90,10 +90,10 @@ def test_fixture_b_cover_and_model(fixture_b):
     leaves = [vid for vid, v in enumerate(y.vertices) if v.kind == LEAF]
     assert len(leaves) == 3
     assert all(y.parent[vid] == 1 for vid in leaves)  # all under the odd vertex
-    assert len(y.vertices[tree.root.id].attached_roots) == 3
+    assert len(y.vertices[0].attached_roots) == 3
     assert all(len(y.vertices[vid].attached_roots) == 1 for vid in leaves)
 
-    root_comp = over(x, tree.root.id)
+    root_comp = over(x, 0)
     odd_comp = over(x, 1)
     assert len(root_comp) == 1 and len(odd_comp) == 1
     assert (x.components[root_comp[0]].m, x.components[root_comp[0]].chi) == (1, 0)   # beta = 4
@@ -112,7 +112,7 @@ def test_fixture_b_cover_and_model(fixture_b):
 def test_fixture_c_four_cycle(fixture_c):
     tree, y, x = graphs_of(fixture_c)
     assert x.n_components == 4
-    root_comp = over(x, tree.root.id)[0]
+    root_comp = over(x, 0)[0]
     assert x.components[root_comp].chi == 0
     split = [vid for vid in range(len(y.vertices)) if len(over(x, vid)) == 2]
     assert len(split) == 1
@@ -151,10 +151,11 @@ def test_odd_odd_edge_gets_one_insert():
 
 def test_odd_fiber_partition():
     tree, y, x = graphs_of(make(ODD_CHAIN))
-    odd_vertices = [v for v in tree if v.odd]
+    odd_vertices = [vid for vid, v in enumerate(tree) if v.odd]
     assert len(odd_vertices) == 2
-    for bv in odd_vertices:
-        fiber = [c for c in x.components if x.ygraph.vertices[c.over].origin[0] == bv.id]
+    for vid in odd_vertices:
+        bv = tree[vid]
+        fiber = [c for c in x.components if x.ygraph.vertices[c.over].origin[0] == vid]
         strict = [c for c in fiber if y.vertices[c.over].kind == ST]
         ins = [c for c in fiber if y.vertices[c.over].kind == INSERT]
         leaf = [c for c in fiber if y.vertices[c.over].kind == LEAF]
@@ -201,14 +202,14 @@ def test_detect_nonminimal(fixture_a, fixture_b, fixture_c):
     assert len(flagged) == 1
     v = tree[flagged[0]]
     assert v.odd and v.l_prime == 0 and len(v.children) == 1
-    parent = next(u for u in tree if v.id in u.children)
+    parent = next(u for u in tree if flagged[0] in u.children)
     assert not parent.odd and not tree[v.children[0]].odd
     # the flagged chain carries the contractible rational curve
     _, y, x = graphs_of(make(NON_MINIMAL))
     si = self_intersections(x)
     contractible = [cid for cid, c in enumerate(x.components) if si[cid] == -1 and c.chi == 2]
     assert len(contractible) == 1
-    assert x.ygraph.vertices[x.components[contractible[0]].over].origin[0] == v.id
+    assert x.ygraph.vertices[x.components[contractible[0]].over].origin[0] == flagged[0]
 
 
 def test_good_reduction_has_no_pattern(good_reduction):
@@ -254,7 +255,7 @@ def test_self_intersections_match_the_neighbour_walk():
 def _walked_by_vertex(x):
     """The conductor per tree vertex by a walk of each component's neighbours:
     (1 - m) chi, plus (m_w - 1) wt per neighbour w, plus wt per neighbour below it."""
-    out = {v.id: 0 for v in x.ygraph.tree}
+    out = dict.fromkeys(range(len(x.ygraph.tree)), 0)
     for cid, c in enumerate(x.components):
         term = (1 - c.m) * c.chi
         for w, wt in x.neighbors(cid):
@@ -269,7 +270,7 @@ def test_component_terms_group_by_tree_vertex(fixture_b):
     tree, y, x = graphs_of(fixture_b)
     grouped = _walked_by_vertex(x)
     assert grouped == {0: 2, 1: 4}
-    assert grouped == {v.id: compare_vertex(v, tree).D for v in tree}
+    assert grouped == {vid: compare_vertex(tree, vid).D for vid in range(len(tree))}
 
 
 def test_conductor_from_the_edge_list_alone():
@@ -283,13 +284,13 @@ def test_conductor_from_the_edge_list_alone():
 def test_conductor_matches_the_per_component_neighbour_walk():
     for x in _models():
         tree = x.ygraph.tree
-        assert _walked_by_vertex(x) == {v.id: compare_vertex(v, tree).D for v in tree}
+        assert _walked_by_vertex(x) == {vid: compare_vertex(tree, vid).D for vid in range(len(tree))}
 
 
 def test_conductor_decomposition_names_the_vertex_an_edge_weight_breaks(fixture_b):
     report = analyze(fixture_b)
     x = report.xgraph
-    (root_comp,) = over(x, report.tree.root.id)
+    (root_comp,) = over(x, 0)
     edge = next(e for e in x.edges if root_comp in e)
     broken = x._replace(edges={**x.edges, edge: x.edges[edge] + 1})
     with pytest.raises(InternalInvariantViolation, match=r"formula gives 2 \(at vertex 0\)"):
@@ -374,7 +375,7 @@ def test_branch_degrees_match_the_neighbour_count():
 def test_branch_degree_that_disagrees_with_the_tree_rejected(fixture_b):
     tree, y, _ = graphs_of(fixture_b)
     beta = list(y.branch_degrees)
-    beta[tree.root.id] += 2  # still even, so only the comparison with l + (l mod 2) can see it
+    beta[0] += 2  # still even, so only the comparison with l + (l mod 2) can see it
     with pytest.raises(InternalInvariantViolation, match=r"branch degree != l \+ \(l mod 2\)"):
         check_y_invariants(y._replace(branch_degrees=tuple(beta)))
 
@@ -382,7 +383,7 @@ def test_branch_degree_that_disagrees_with_the_tree_rejected(fixture_b):
 def test_odd_branch_degree_at_an_even_vertex_rejected(fixture_b):
     tree, y, _ = graphs_of(fixture_b)
     beta = list(y.branch_degrees)
-    beta[tree.root.id] += 1
+    beta[0] += 1
     with pytest.raises(InternalInvariantViolation, match=r"odd branch degree at an even vertex \(at vertex 0\)"):
         check_y_invariants(y._replace(branch_degrees=tuple(beta)))
 

@@ -153,8 +153,8 @@ def test_trees_agree_rejects_siblings_whose_ids_are_swapped(fixture_a):
     tree = build_cluster_tree(m)
     assert tree.root.children == (1, 2, 3) and all(tree[c].is_leaf for c in (1, 2, 3))
 
-    def edit(verts):  # the same tree, its leaves {0, 3} and {1, 4} numbered out of member order
-        verts[1], verts[2] = verts[2]._replace(id=1), verts[1]._replace(id=2)
+    def edit(verts):  # the same tree, its leaves {0, 3} and {1, 4} at each other's positions (ids)
+        verts[1], verts[2] = verts[2], verts[1]
 
     # keyed by depth and member set, the two trees are the same
     assert not trees_agree(_edited(tree, edit), naive_tree_oracle(m))
@@ -178,7 +178,7 @@ def test_per_depth_oracle_does_not_grow_the_tree(monkeypatch):
 def test_naive_oracle_sees_fixture_c_chain(fixture_c):
     oracle = naive_tree_oracle(build_matrix(fixture_c))
     sets = member_sets(oracle)
-    chain = [v.depth for v in oracle if sets[v.id] == frozenset({0, 1})]
+    chain = [v.depth for v, s in zip(oracle, sets) if s == frozenset({0, 1})]
     assert chain == [1, 2]
 
 

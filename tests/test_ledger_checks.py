@@ -35,7 +35,7 @@ from conftest import FIXTURE_A, FIXTURE_B, make
 def _with_vertex(tree, vid, **change):
     """A copy of `tree` whose vertex `vid` has the fields in `change`."""
     return ClusterTree(
-        tuple(v._replace(**change) if v.id == vid else v for v in tree), tree.num_roots, tree.nu_df
+        tuple(v._replace(**change) if i == vid else v for i, v in enumerate(tree)), tree.num_roots, tree.nu_df
     )
 
 
@@ -105,7 +105,7 @@ def test_vertex_comparison_that_fails_rejected(change, error, message):
     v = tree[1]
     assert (v.wt, v.is_leaf, v.sep_roots) == (3, True, (0, 1, 2))
     with pytest.raises(error, match=message):
-        compare_vertex(v._replace(**change), tree)
+        compare_vertex(_with_vertex(tree, 1, **change), 1)
 
 
 def _tree_a(nu_df_drop=0):
@@ -117,9 +117,9 @@ def _tree_a(nu_df_drop=0):
 def _tamper_root_ledger(monkeypatch, **change):
     original = conductor.compare_vertex
 
-    def compare(v, tree):
-        led = original(v, tree)
-        return led._replace(**change) if v.id == 0 else led
+    def compare(tree, vid):
+        led = original(tree, vid)
+        return led._replace(**change) if vid == 0 else led
 
     monkeypatch.setattr(conductor, "compare_vertex", compare)
 

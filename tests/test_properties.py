@@ -112,13 +112,13 @@ def assert_tree_theorems(tree):
     imply them."""
     check_tree_invariants(tree)
     verts = tree.vertices
-    up = {c: v.id for v in verts for c in v.children}
+    up = {c: vid for vid, v in enumerate(verts) for c in v.children}
     assert tree.root.l % 2 == 0
-    for v in verts:
+    for vid, v in enumerate(verts):
         assert v.wt >= v.l_prime + 3 * v.r + 2 * v.s
         if v.r == v.s == 0:
             assert v.wt == v.l_prime
-        parent_odd = v.id in up and verts[up[v.id]].odd
+        parent_odd = vid in up and verts[up[vid]].odd
         assert parent_odd == v.parent_odd
         # parity table: an odd child of an even parent has odd weight, of an odd parent even
         # weight; the root, of even weight, reads as the even child of an even parent

@@ -215,7 +215,7 @@ def test_text_rows_match_rows_indented_the_plain_way(rows):
     assert any(v.repeat > 1 for v in report.tree)
     vertices = {v["id"]: v for v in report.to_json_dict()["vertices"]}
     oracle = naive_tree_oracle(m)  # the per-depth tree, walked in preorder
-    expected, stack = [], [oracle.root.id]
+    expected, stack = [], [0]
     while stack:
         vid = stack.pop()
         expected.append(_naive_row(vertices[vid]))
@@ -259,7 +259,7 @@ def test_render_text_holds_its_output_once():
 def test_cut_chain_keeps_six_or_seven_vertices(length):
     tree = build_cluster_tree(matrix_from_rows(cluster_rows(6, [((0, 1), length)])))
     sets = member_sets(tree)
-    chain = [v for v in tree if sets[v.id] == frozenset((0, 1))]
+    chain = [v for v, s in zip(tree, sets) if s == frozenset((0, 1))]
     kept = 6 if length % 2 == 0 else 7
     assert len(chain) == kept and len(tree) == 1 + kept
     assert [v.repeat for v in chain] == [1, 1, 1 + (length - kept) // 2, 1 + (length - kept) // 2] + [1] * (kept - 4)
@@ -314,9 +314,9 @@ def test_deep_matrix_chain_is_analyzed_on_a_tree_of_constant_size():
 def test_repeat_outside_the_middle_of_a_chain_rejected():
     tree = build_cluster_tree(matrix_from_rows(cluster_rows(6, [((0, 1), 12)])))
     sets = member_sets(tree)
-    chain = [v.id for v in tree if sets[v.id] == frozenset((0, 1))]
+    chain = [vid for vid, s in enumerate(sets) if s == frozenset((0, 1))]
     first = next(vid for vid in chain if tree[vid].repeat > 1)
-    for moved in (first - 1, first + 1, chain[-1], tree.root.id):  # one step up, the second alone, the split, the root
+    for moved in (first - 1, first + 1, chain[-1], 0):  # one step up, the second alone, the split, the root
         verts = [v._replace(repeat=1) for v in tree]
         verts[moved] = verts[moved]._replace(repeat=4)
         with pytest.raises(InternalInvariantViolation, match="repeated vertex outside the middle of a chain"):
